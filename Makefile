@@ -89,11 +89,12 @@ service-smoke:
 # families, plus the shard artifact), the replicates=1 Spec output
 # against the legacy figure tables, shard-set merges against the
 # unsharded run (all encoders, tuning included), and the
-# cmd/experiments report — including the -tuning scorecard and the
-# shard+merge path — across worker counts, all under -race.
+# cmd/experiments output — the tuning scorecard, the shard+merge path,
+# and every grid under every -format — across worker counts, all under
+# -race.
 golden:
 	$(GO) test -race -run 'TestGolden|TestSpecLegacyByteIdentity|TestMergeByteIdentity|TestMergeTuningByteIdentity' ./internal/harness
-	$(GO) test -race -run 'TestParallelReportByteIdentical|TestTuningScorecardDeterministic|TestShardMergeByteIdentity' ./cmd/experiments
+	$(GO) test -race -run 'TestParallelReportByteIdentical|TestTuningScorecardDeterministic|TestShardMergeByteIdentity|TestFormatMatchesMergeAndSpec' ./cmd/experiments
 
 # Regenerate the golden files (report and tuning encoders, shard
 # artifact) after an intentional format change; remember to update
@@ -109,16 +110,21 @@ tuning-smoke:
 # End-to-end smoke of cross-machine sharding: run a tiny grid as two
 # shards, merge the artifacts, and require the merged report to be
 # byte-identical to the unsharded run (docs/MERGE_FORMAT.md's core
-# guarantee, exercised through the real CLI).
+# guarantee, exercised through the real CLI) — once for the default
+# scorecard and once for one figure's curves under -format csv.
 shard-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	flags="-size test -interval 40000 -apps lu -replicates 2 -tuning"; \
-	$(GO) run ./cmd/experiments $$flags > "$$tmp/unsharded.md" && \
-	$(GO) run ./cmd/experiments $$flags -shard 0/2 -shard-out "$$tmp/s0.json" && \
-	$(GO) run ./cmd/experiments $$flags -shard 1/2 -shard-out "$$tmp/s1.json" && \
-	$(GO) run ./cmd/experiments $$flags -merge "$$tmp/s0.json" "$$tmp/s1.json" > "$$tmp/merged.md" && \
-	diff "$$tmp/unsharded.md" "$$tmp/merged.md" && \
-	echo "shard-smoke: merged report byte-identical"
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments; \
+	for extra in "-replicates 2 -tuning" "-grids figure4 -format csv"; do \
+		flags="-size test -interval 40000 -apps lu $$extra"; \
+		"$$tmp/experiments" $$flags > "$$tmp/unsharded"; \
+		"$$tmp/experiments" $$flags -shard 0/2 -shard-out "$$tmp/s0.json"; \
+		"$$tmp/experiments" $$flags -shard 1/2 -shard-out "$$tmp/s1.json"; \
+		"$$tmp/experiments" $$flags -merge "$$tmp/s0.json" "$$tmp/s1.json" > "$$tmp/merged"; \
+		diff "$$tmp/unsharded" "$$tmp/merged"; \
+		rm -f "$$tmp"/s*.json "$$tmp"/s*.cells.jsonl; \
+		echo "shard-smoke: $$extra: merged output byte-identical"; \
+	done
 
 # End-to-end smoke of the workload-definition front ends: run the
 # committed example specs — two DSL files and one ingested trace —

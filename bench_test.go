@@ -3,8 +3,9 @@ package dsmphase
 // Benchmark harness: one benchmark per table and figure of the paper,
 // plus the ablations called out in DESIGN.md §6 and micro-benchmarks of
 // the hot paths. Benchmarks run reduced inputs so `go test -bench=.`
-// finishes in minutes; regenerate paper-scale data with cmd/covcurve
-// (-size full -interval 3000000).
+// finishes in minutes; regenerate paper-scale data with cmd/experiments
+// (-preset paper, or -grids figure4 -format text -size full -interval
+// 3000000 for one figure's curves).
 //
 //	BenchmarkTableI_*    — the simulated machine itself (throughput)
 //	BenchmarkTableII_*   — workload instruction-stream generation
@@ -207,18 +208,19 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigureEngine(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			fc := harness.FigureConfig{
-				Size:     workloads.SizeTest,
-				Interval: 40_000,
-				Seed:     1,
-				Parallel: workers,
-			}
+			spec := harness.NewSpec(
+				harness.WithProcs(8),
+				harness.WithDetectors(core.DetectorBBV, core.DetectorBBVDDV),
+				harness.WithSize(workloads.SizeTest),
+				harness.WithInterval(40_000),
+				harness.WithSeed(1),
+			)
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Figure4(fc, []int{8})
-				if err != nil {
+				rep := spec.Run(harness.Options{Parallel: workers})
+				if err := rep.FirstError(); err != nil {
 					b.Fatal(err)
 				}
-				if len(res) != 8 {
+				if res := rep.Curves(); len(res) != 8 {
 					b.Fatalf("got %d curves, want 8", len(res))
 				}
 			}

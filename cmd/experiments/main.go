@@ -19,6 +19,12 @@
 // paper-scale flags, and -eta-from seeds the -progress ETA from a
 // previous run's persisted per-cell timings.
 //
+// -format text|csv|json|markdown replaces the scorecard with each
+// selected grid rendered through its Report (or TuningReport) encoder,
+// titled with the grid name — the same bytes a dsmphased coordinator
+// serves at /report?format=. The CoV curves of one paper figure are
+// thus `-grids figure4 -format text`.
+//
 // The binary is also the coordinator service's worker and client:
 // -shard-dir is the dsmphased worker handshake (the shard artifact and
 // its resumable .cells.jsonl durability stream land in the given
@@ -33,6 +39,7 @@
 //	experiments -preset paper -shard 0/4 -shard-out shard0.json   # per worker
 //	experiments -preset paper -merge shard*.json > report.md      # reassemble
 //	experiments -grids figure2 -submit http://127.0.0.1:8356 > report.md
+//	experiments -grids figure4 -replicates 5 -format csv > fig4.csv
 package main
 
 import (
@@ -43,7 +50,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -112,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		progress   = fs.Bool("progress", false, "report per-cell progress and ETA on stderr")
 		ablation   = fs.Bool("ablation", false, "append the DDS-design ablation scorecard")
 		tuningFlag = fs.Bool("tuning", false, "append the adaptive-tuning win-rate scorecard (detector × predictor × controller)")
-		tuningFmt  = fs.String("tuning-format", "markdown", "tuning scorecard format: text, csv, json or markdown")
+		format     = fs.String("format", "", "render each selected grid with this encoder (text, csv, json or markdown) instead of the scorecard")
 		preset     = fs.String("preset", "", `flag preset: "paper" (size=full, interval=3000000, replicates=5); explicit flags override`)
 		gridsFlag  = fs.String("grids", "", "comma-separated named grids overriding the flag-derived set (figure2, figure4, ablation, tuning)")
 		shardArg   = fs.String("shard", "", `run only shard i of n ("i/n") and write a shard artifact instead of the report`)
@@ -123,7 +129,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		submitURL  = fs.String("submit", "", "submit the selected grids to a dsmphased coordinator at this URL and render the served report")
 		allowPart  = fs.Bool("allow-partial", false, "with -submit: accept a degraded report (failed cells carry errors) instead of failing the job")
 		etaFrom    = fs.String("eta-from", "", "seed the -progress ETA from a prior run's shard artifact timings")
-		abortOnce  = fs.String("shard-abort-once", "", "fault injection: exit(3) after one cell unless the given marker file exists ({shard} expands to the shard index); creates the marker, so a retry runs to completion")
 		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -178,17 +183,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Validate the tuning format before any simulation runs: a typo must
-	// fail in milliseconds, not after the figure grids finished.
-	var tuningEnc dsmphase.TuningEncoder
-	for _, g := range grids {
-		if g.Tuning {
-			tuningEnc, err = dsmphase.NewTuningEncoder(*tuningFmt,
-				"Adaptive tuning — detector × predictor × controller")
-			if err != nil {
-				return err
-			}
-		}
+	// Build the encoders before any simulation runs: a format typo must
+	// fail in milliseconds, not after the grids finished.
+	encs, err := newGridEncoders(grids, *format)
+	if err != nil {
+		return err
 	}
 
 	// The ETA prior: a previous run's persisted per-cell timings.
@@ -212,7 +211,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	start := time.Now()
 
 	if *shardArg != "" {
-		if err := runShard(grids, *shardArg, *shardOut, *shardDir, *shardTrace, *abortOnce, stdout, stderr, makeOpts); err != nil {
+		if err := runShard(grids, *shardArg, *shardOut, *shardDir, *shardTrace, stdout, stderr, makeOpts); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "total runtime: %v (parallel=%d)\n",
@@ -256,22 +255,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "# Experiment report (size=%s, seed=%d)\n\n", size, *seed)
-	fig2, fig4 := reports["figure2"], reports["figure4"]
-	if fig2 != nil {
-		reportFigure2(stdout, fig2)
-	}
-	if fig4 != nil {
-		reportFigure4(stdout, fig4)
-	}
-	reportOverhead(stdout)
-	if rep := reports["ablation"]; rep != nil {
-		if err := reportAblation(stdout, rep); err != nil {
+	if encs == nil {
+		if err := scorecard(stdout, size, *seed, reports, tuningRep); err != nil {
 			return err
 		}
 	}
-	if tuningRep != nil {
-		if err := tuningEnc.Encode(stdout, tuningRep); err != nil {
+	for i, enc := range encs {
+		if grids[i].Tuning {
+			err = enc.tuning.Encode(stdout, tuningRep)
+		} else {
+			err = enc.report.Encode(stdout, reports[grids[i].Name])
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -282,6 +277,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Per-cell isolation keeps a partial report useful, but a run where
 	// every cell failed produced no evaluation at all — exit non-zero so
 	// scripted consumers notice.
+	fig2, fig4 := reports["figure2"], reports["figure4"]
 	if fig2 != nil && fig4 != nil && len(fig2.Curves()) == 0 && len(fig4.Curves()) == 0 {
 		if err := fig2.FirstError(); err != nil {
 			return fmt.Errorf("every cell failed; first error: %w", err)
@@ -291,6 +287,62 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// gridEncoder is one grid's -format encoder; Tuning grids use the
+// TuningReport family, the rest the Report one.
+type gridEncoder struct {
+	report dsmphase.Encoder
+	tuning dsmphase.TuningEncoder
+}
+
+// newGridEncoders builds the -format encoder of every selected grid,
+// titled with the grid name. An empty format returns nil (the
+// scorecard); an unknown one fails here, before any simulation runs.
+func newGridEncoders(grids []dsmphase.NamedGrid, format string) ([]gridEncoder, error) {
+	if format == "" {
+		return nil, nil
+	}
+	encs := make([]gridEncoder, len(grids))
+	for i, g := range grids {
+		var err error
+		if g.Tuning {
+			encs[i].tuning, err = dsmphase.NewTuningEncoder(format, g.Name)
+		} else {
+			encs[i].report, err = dsmphase.NewEncoder(format, g.Name)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return encs, nil
+}
+
+// scorecard prints the default report: the Figure 2 and Figure 4
+// claim checks, the §III-B overhead estimate, and the ablation and
+// tuning grids as markdown when selected.
+func scorecard(w io.Writer, size dsmphase.Size, seed uint64, reports map[string]*dsmphase.Report, tuningRep *dsmphase.TuningReport) error {
+	fmt.Fprintf(w, "# Experiment report (size=%s, seed=%d)\n\n", size, seed)
+	if rep := reports["figure2"]; rep != nil {
+		reportFigure2(w, rep)
+	}
+	if rep := reports["figure4"]; rep != nil {
+		reportFigure4(w, rep)
+	}
+	reportOverhead(w)
+	if rep := reports["ablation"]; rep != nil {
+		if err := reportAblation(w, rep); err != nil {
+			return err
+		}
+	}
+	if tuningRep == nil {
+		return nil
+	}
+	enc, err := dsmphase.NewTuningEncoder("markdown", "Adaptive tuning — detector × predictor × controller")
+	if err != nil {
+		return err
+	}
+	return enc.Encode(w, tuningRep)
 }
 
 // applyPreset rewrites flag defaults from a named preset, keeping any
@@ -327,7 +379,7 @@ func applyPreset(fs *flag.FlagSet, name string, paper func()) error {
 // results reused verbatim, so the resumed artifact matches an
 // uninterrupted run. -shard-dir derives the canonical output path
 // inside a work directory (the dsmphased worker handshake).
-func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace bool, abortOnce string, stdout, stderr io.Writer, makeOpts func() dsmphase.EngineOptions) error {
+func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace bool, stdout, stderr io.Writer, makeOpts func() dsmphase.EngineOptions) error {
 	shard, of, err := dsmphase.ParseShard(shardArg)
 	if err != nil {
 		return err
@@ -372,7 +424,6 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 			return err
 		}
 	}
-	abort := newAborter(abortOnce, shard, stderr)
 	art := &dsmphase.ShardArtifact{Format: dsmphase.ShardFormat, Shard: shard, Of: of}
 	resumed := 0
 	for _, g := range grids {
@@ -394,13 +445,6 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 			var pcells []dsmphase.ShardCell
 			if sg := prior[g.Name]; sg != nil {
 				pcells = sg.Cells
-			}
-			inner := opts.Progress
-			opts.Progress = func(done, total int, r dsmphase.CellResult) {
-				if inner != nil {
-					inner(done, total, r)
-				}
-				abort.cellDone() // after the cell's stream line is durable
 			}
 			var n int
 			if results, n, err = g.Spec.RunShardStreamed(g.Name, shard, of, opts, cs, pcells); err != nil {
@@ -481,36 +525,6 @@ func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, s
 		}
 	}
 	return reports, tuningRep, nil
-}
-
-// aborter is the -shard-abort-once fault injection: the first run to
-// claim the marker file exits the whole process (exit 3) right after
-// its first completed cell's stream line is durable; with the marker
-// already on disk, the run proceeds normally. Process-fatal by design
-// — only the service's worker-crash tests use it.
-type aborter struct {
-	armed  bool
-	stderr io.Writer
-}
-
-func newAborter(path string, shard int, stderr io.Writer) *aborter {
-	a := &aborter{stderr: stderr}
-	if path == "" {
-		return a
-	}
-	path = strings.ReplaceAll(path, "{shard}", strconv.Itoa(shard))
-	if f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err == nil {
-		f.Close()
-		a.armed = true
-	}
-	return a
-}
-
-func (a *aborter) cellDone() {
-	if a.armed {
-		fmt.Fprintln(a.stderr, "experiments: fault injection: aborting after one cell")
-		os.Exit(3)
-	}
 }
 
 // mergeGrids reads a complete shard-artifact set and reassembles every

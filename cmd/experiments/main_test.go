@@ -185,25 +185,81 @@ func TestTuningScorecardDeterministic(t *testing.T) {
 	// counts is pinned for all four encoders by the internal harness
 	// test (TestRunTuningDeterministic); this covers the cmd wiring.
 	for _, format := range []string{"markdown", "json"} {
-		serial := report(t, "-tuning", "-tuning-format", format, "-replicates", "2", "-parallel", "1")
-		if got := report(t, "-tuning", "-tuning-format", format, "-replicates", "2", "-parallel", "8"); got != serial {
+		serial := report(t, "-grids", "tuning", "-format", format, "-replicates", "2", "-parallel", "1")
+		if got := report(t, "-grids", "tuning", "-format", format, "-replicates", "2", "-parallel", "8"); got != serial {
 			t.Errorf("%s: -parallel 8 tuning scorecard differs from -parallel 1:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				format, serial, got)
 		}
 	}
 }
 
-// TestTuningFormatValidation checks an unknown -tuning-format surfaces
-// as an error instead of a silent default.
+// TestTuningFormatValidation checks an unknown -format surfaces as an
+// error before any simulation runs, instead of a silent default.
 func TestTuningFormatValidation(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := []string{"-size", "test", "-interval", "40000", "-apps", "lu",
+		"-tuning", "-progress", "-format", "yaml"}
+	if err := run(args, &out, &errOut); err == nil {
+		t.Error("unknown format accepted")
+	}
+	if out.Len() != 0 || strings.Contains(errOut.String(), "eta") {
+		t.Errorf("unknown format failed only after simulating:\nstdout: %s\nstderr: %s", out.String(), errOut.String())
+	}
+}
+
+// TestFormatMatchesMergeAndSpec pins the -format front end: for every
+// named grid and encoder, `-grids G -format F` prints the same bytes as
+// the -merge of its 2-shard split and as encoder F (titled G) over a
+// direct BuildGrid(G).Spec run.
+func TestFormatMatchesMergeAndSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report run")
 	}
-	var out, errOut bytes.Buffer
-	args := []string{"-size", "test", "-interval", "40000", "-apps", "lu",
-		"-tuning", "-tuning-format", "yaml"}
-	if err := run(args, &out, &errOut); err == nil {
-		t.Error("unknown tuning format accepted")
+	gp := dsmphase.GridParams{Size: dsmphase.SizeTest, Apps: []string{"lu"}, Interval: 40_000, Seed: 1}
+	for _, name := range []string{"figure2", "figure4", "ablation", "tuning"} {
+		t.Run(name, func(t *testing.T) {
+			g, err := dsmphase.BuildGrid(name, gp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep *dsmphase.Report
+			var tuningRep *dsmphase.TuningReport
+			if g.Tuning {
+				if tuningRep, err = g.Spec.RunTuning(dsmphase.EngineOptions{Parallel: 4}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				rep = g.Spec.Run(dsmphase.EngineOptions{Parallel: 4})
+			}
+			files := shardFiles(t, 2, "-grids", name)
+			for _, format := range dsmphase.EncoderNames() {
+				var want bytes.Buffer
+				if g.Tuning {
+					enc, err := dsmphase.NewTuningEncoder(format, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = enc.Encode(&want, tuningRep)
+				} else {
+					enc, err := dsmphase.NewEncoder(format, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = enc.Encode(&want, rep)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				flags := []string{"-grids", name, "-format", format, "-parallel", "4"}
+				if got := report(t, flags...); got != want.String() {
+					t.Errorf("%s: -format output differs from the encoder over Spec.Run:\n--- spec ---\n%s\n--- cli ---\n%s",
+						format, want.String(), got)
+				}
+				if got := report(t, append(append(flags, "-merge"), files...)...); got != want.String() {
+					t.Errorf("%s: merged -format output differs from the encoder over Spec.Run", format)
+				}
+			}
+		})
 	}
 }
 

@@ -12,9 +12,11 @@
 //     caches, pluggable coherence — directory MSI by default, IVY-style
 //     page coherence as the alternative — hypercube wormhole network,
 //     interleaved SDRAM — the paper's Table I system);
-//   - four synthetic workloads standing in for SPLASH-2 LU and FMM and
-//     SPEC-OMP Art and Equake (Table II), plus the experiment harness
-//     that regenerates the paper's CoV curves (Figures 2 and 4).
+//   - synthetic workloads: the Table II panel (SPLASH-2 LU and FMM,
+//     SPEC-OMP Art and Equake) plus the remaining SPLASH-2 codes,
+//     coherence stress kernels, and runtime-defined DSL specs and
+//     address traces; and the experiment harness that regenerates the
+//     paper's CoV curves (Figures 2 and 4).
 //
 // Quick start — declare an experiment grid, run it, encode the report:
 //
@@ -28,10 +30,10 @@
 //	enc, _ := dsmphase.NewEncoder("text", "Figure 4")
 //	enc.Encode(os.Stdout, report) // or "csv", "json", "markdown"
 //
-// The legacy one-shot helpers (RunCurve, Figure2, Figure4) remain as
-// thin wrappers — their single-seed output is unchanged — but new code
-// should build a Spec: it is the only surface with replicates,
-// confidence bands, named ablation variants and pluggable encoders.
+// The paper's figures are named grids: BuildGrid("figure2", params) and
+// BuildGrid("figure4", params) compile them, and cmd/experiments runs
+// them (-grids figure4 -format text prints Figure 4's CoV curves).
+// RunCurve remains the one-shot helper for a single configuration.
 //
 // See DESIGN.md for the system inventory; cmd/experiments regenerates
 // the paper-versus-measured scorecard.
@@ -157,13 +159,6 @@ func DefaultMachineConfig(procs int) MachineConfig { return machine.DefaultConfi
 // (the Table I default) and an IVY-style page-granular DSM backend.
 // Select a backend per simulation via RunConfig.Protocol or
 // MachineConfig.Protocol, or sweep the axis with WithProtocols.
-//
-// Deprecated surface: the old positional constructor
-// coherence.New(n, l1, l2, mem, net, costs, home) survives as a
-// wrapper over the directory backend; new code should fill a
-// coherence.Params and call coherence.NewDirectory or
-// coherence.NewIVY (internal packages — from the facade, use the
-// ProtocolKind axis instead of constructing engines directly).
 
 // ProtocolKind selects a coherence backend; the zero value is the
 // directory engine, so existing configurations are unchanged.
@@ -191,9 +186,6 @@ type SweepConfig = harness.SweepConfig
 // CurveResult is one labelled CoV curve.
 type CurveResult = harness.CurveResult
 
-// FigureConfig scales a figure reproduction.
-type FigureConfig = harness.FigureConfig
-
 // ---- Sharded experiment engine ----
 
 // Cell is one independent experiment point of a Plan.
@@ -213,11 +205,6 @@ type Runner = harness.Runner
 
 // NewPlan returns an empty experiment plan.
 func NewPlan() *Plan { return harness.NewPlan() }
-
-// FigurePlan enumerates a figure's cells without running them.
-func FigurePlan(fc FigureConfig, procs []int, kinds []DetectorKind) *Plan {
-	return harness.FigurePlan(fc, procs, kinds)
-}
 
 // NewRunner returns a plan runner with the given options.
 func NewRunner(opts EngineOptions) *Runner { return harness.NewRunner(opts) }
@@ -348,12 +335,6 @@ func AppsPanel(name string) ([]string, bool) { return harness.AppsPanel(name) }
 // ResolveApps expands a panel alias; empty resolves to the paper panel.
 func ResolveApps(apps []string) []string { return harness.ResolveApps(apps) }
 
-// Figure2Spec builds the declarative form of Figure 2.
-func Figure2Spec(fc FigureConfig, procs []int) *Spec { return harness.Figure2Spec(fc, procs) }
-
-// Figure4Spec builds the declarative form of Figure 4.
-func Figure4Spec(fc FigureConfig, procs []int) *Spec { return harness.Figure4Spec(fc, procs) }
-
 // Simulate runs one workload on the simulated machine.
 func Simulate(rc RunConfig) (*Machine, Summary, error) { return harness.Simulate(rc) }
 
@@ -371,26 +352,6 @@ func SweepMachine(m *Machine, rc RunConfig, kind DetectorKind, sum Summary) Curv
 // Sweep classifies recorded signatures across threshold settings.
 func Sweep(recs [][]IntervalSignature, sc SweepConfig) []CurvePoint {
 	return harness.Sweep(recs, sc)
-}
-
-// Figure2 regenerates the baseline BBV degradation curves (paper Fig. 2).
-//
-// Deprecated: Figure2 wraps the Spec/Report API with a single seed and
-// the text table only; its output is unchanged. New code should run
-// Figure2Spec(fc, procs) (plus WithReplicates via NewSpec) to get
-// confidence bands and the other encoders.
-func Figure2(fc FigureConfig, procs []int) ([]CurveResult, error) {
-	return harness.Figure2(fc, procs)
-}
-
-// Figure4 regenerates the BBV versus BBV+DDV curves (paper Fig. 4).
-//
-// Deprecated: Figure4 wraps the Spec/Report API with a single seed and
-// the text table only; its output is unchanged. New code should run
-// Figure4Spec(fc, procs) to get confidence bands and the other
-// encoders.
-func Figure4(fc FigureConfig, procs []int) ([]CurveResult, error) {
-	return harness.Figure4(fc, procs)
 }
 
 // WriteFigure prints a figure's curves in tabular form.

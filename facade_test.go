@@ -73,25 +73,35 @@ func TestFacadeSweep(t *testing.T) {
 }
 
 func TestFacadeFigures(t *testing.T) {
-	fc := dsmphase.FigureConfig{
+	gp := dsmphase.GridParams{
 		Apps:     []string{"lu"},
 		Size:     dsmphase.SizeTest,
 		Interval: 20_000,
 		Seed:     1,
 	}
-	fig2, err := dsmphase.Figure2(fc, []int{2})
-	if err != nil || len(fig2) != 1 {
-		t.Fatalf("Figure2 = (%d curves, %v)", len(fig2), err)
+	curves := func(name string) []dsmphase.CurveResult {
+		g, err := dsmphase.BuildGrid(name, gp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := g.Spec.Run(dsmphase.EngineOptions{Parallel: 4})
+		if err := rep.FirstError(); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Curves()
 	}
-	fig4, err := dsmphase.Figure4(fc, []int{2})
-	if err != nil || len(fig4) != 2 {
-		t.Fatalf("Figure4 = (%d curves, %v)", len(fig4), err)
+	if fig2 := curves("figure2"); len(fig2) != 3 {
+		t.Fatalf("figure2 = %d curves, want 3", len(fig2))
+	}
+	fig4 := curves("figure4")
+	if len(fig4) != 4 {
+		t.Fatalf("figure4 = %d curves, want 4", len(fig4))
 	}
 	var buf bytes.Buffer
 	if err := dsmphase.WriteFigure(&buf, "t", fig4); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "lu 2P") {
+	if !strings.Contains(buf.String(), "lu 8P") {
 		t.Error("figure output missing curve label")
 	}
 	bp, dp := dsmphase.CompareAtCoV(fig4[0], fig4[1], 0.5)

@@ -170,18 +170,6 @@ type Params struct {
 	PageBytes int
 }
 
-// New assembles a directory-MSI engine from positional arguments.
-//
-// Deprecated: use NewDirectory with a Params struct; this wrapper only
-// keeps pre-seam callers compiling and will be removed with the next
-// incompatible release.
-func New(n int, l1cfg, l2cfg cache.Config, memCfg memory.Config,
-	net network.Topology, costs Costs, home HomeMap) *DirectoryProtocol {
-	return NewDirectory(Params{
-		N: n, L1: l1cfg, L2: l2cfg, Mem: memCfg, Net: net, Costs: costs, Home: home,
-	})
-}
-
 // validate checks the parameters shared by every backend.
 func (p Params) validate() {
 	if p.N <= 0 {

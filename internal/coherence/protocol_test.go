@@ -16,7 +16,7 @@ func testProtocol(n int) *DirectoryProtocol {
 	l2 := cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 32, HitCycles: 12}
 	net := network.New(n, network.DefaultConfig())
 	home := NewHomeMap(20-5, n) // (line·32 >> 20) % n
-	return New(n, l1, l2, memory.DefaultConfig(), net, DefaultCosts(), home)
+	return NewDirectory(Params{N: n, L1: l1, L2: l2, Mem: memory.DefaultConfig(), Net: net, Costs: DefaultCosts(), Home: home})
 }
 
 // addrAt returns a byte address homed at node h with the given offset.
@@ -251,20 +251,18 @@ func TestNewValidation(t *testing.T) {
 	l2bad.SizeBytes = 2048
 	net2 := network.New(2, network.DefaultConfig())
 	home := NewHomeMap(64, 1) // every line homed at node 0
-	cases := []func(){
-		func() { New(0, l1, l2, memory.DefaultConfig(), net2, DefaultCosts(), home) },
-		func() { New(65, l1, l2, memory.DefaultConfig(), net2, DefaultCosts(), home) },
-		func() { New(4, l1, l2, memory.DefaultConfig(), net2, DefaultCosts(), home) },
-		func() { New(2, l1, l2bad, memory.DefaultConfig(), net2, DefaultCosts(), home) },
+	params := func(n int, l2 cache.Config) Params {
+		return Params{N: n, L1: l1, L2: l2, Mem: memory.DefaultConfig(), Net: net2, Costs: DefaultCosts(), Home: home}
 	}
-	for i, f := range cases {
+	cases := []Params{params(0, l2), params(65, l2), params(4, l2), params(2, l2bad)}
+	for i, p := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("case %d should panic", i)
 				}
 			}()
-			f()
+			NewDirectory(p)
 		}()
 	}
 }

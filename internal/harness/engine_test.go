@@ -10,14 +10,42 @@ import (
 	"dsmphase/internal/workloads"
 )
 
-// engineFC is a small figure configuration for engine tests.
-func engineFC() FigureConfig {
-	return FigureConfig{
-		Apps:     []string{"lu", "fmm"},
-		Size:     workloads.SizeTest,
-		Interval: 40_000,
-		Seed:     1,
+// engineSpec is a small two-application grid for engine tests.
+func engineSpec(procs []int, kinds ...core.DetectorKind) *Spec {
+	return NewSpec(
+		WithApps("lu", "fmm"),
+		WithProcs(procs...),
+		WithDetectors(kinds...),
+		WithSize(workloads.SizeTest),
+		WithInterval(40_000),
+		WithSeed(1),
+	)
+}
+
+// serialCurves is the pre-engine reference path: simulate each (app,
+// procs) pair of gp once, app-major, and sweep every kind over it.
+func serialCurves(t *testing.T, gp GridParams, procs []int, kinds ...core.DetectorKind) []CurveResult {
+	t.Helper()
+	var out []CurveResult
+	for _, app := range ResolveApps(gp.Apps) {
+		for _, p := range procs {
+			rc := RunConfig{
+				Workload:             app,
+				Size:                 gp.Size,
+				Procs:                p,
+				IntervalInstructions: perProcInterval(gp.Interval, p),
+				Seed:                 gp.Seed,
+			}
+			m, sum, err := Simulate(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kinds {
+				out = append(out, SweepMachine(m, rc, k, sum))
+			}
+		}
 	}
+	return out
 }
 
 // stripWall zeroes the per-cell wall-clock timings, the one CellResult
@@ -46,7 +74,7 @@ func TestRunnerMatchesSerial(t *testing.T) {
 		{"figure4", []int{4}, []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV}},
 	} {
 		t.Run(fig.name, func(t *testing.T) {
-			plan := FigurePlan(engineFC(), fig.procs, fig.kinds)
+			plan := engineSpec(fig.procs, fig.kinds...).Plan()
 			serial := stripWall(RunPlan(plan, Options{Parallel: 1}))
 			for _, workers := range []int{2, 3, 8} {
 				parallel := stripWall(RunPlan(plan, Options{Parallel: workers}))
@@ -58,36 +86,24 @@ func TestRunnerMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFigureMatchesLegacySerialPath pins the rewired Figure4 facade to
-// the pre-engine behavior: simulate each pair once, sweep each kind.
+// TestFigureMatchesLegacySerialPath pins the registry's figure4 grid
+// to the pre-engine behavior: simulate each pair once, sweep each kind.
 func TestFigureMatchesLegacySerialPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs in -short mode")
 	}
-	fc := engineFC()
-	fc.Apps = []string{"lu"}
-	fc.Parallel = 4
-	got, err := Figure4(fc, []int{4})
+	gp := GridParams{Apps: []string{"lu"}, Size: workloads.SizeTest, Interval: 40_000, Seed: 1}
+	g, err := BuildGrid("figure4", gp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := RunConfig{
-		Workload:             "lu",
-		Size:                 fc.Size,
-		Procs:                4,
-		IntervalInstructions: fc.Interval / 4,
-		Seed:                 fc.Seed,
-	}
-	m, sum, err := Simulate(rc)
-	if err != nil {
+	rep := g.Spec.Run(Options{Parallel: 4})
+	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	want := []CurveResult{
-		SweepMachine(m, rc, core.DetectorBBV, sum),
-		SweepMachine(m, rc, core.DetectorBBVDDV, sum),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("engine-backed Figure4 differs from the hand-rolled serial path")
+	want := serialCurves(t, gp, []int{8, 32}, core.DetectorBBV, core.DetectorBBVDDV)
+	if got := rep.Curves(); !reflect.DeepEqual(got, want) {
+		t.Error("engine-backed figure4 differs from the hand-rolled serial path")
 	}
 }
 

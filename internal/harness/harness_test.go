@@ -187,22 +187,27 @@ func TestCompareHelpers(t *testing.T) {
 	}
 }
 
+// figureCurves runs a registry figure grid on lu at test scale.
+func figureCurves(t *testing.T, name string) []CurveResult {
+	t.Helper()
+	g, err := BuildGrid(name, GridParams{Apps: []string{"lu"}, Size: workloads.SizeTest, Interval: 40_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := g.Spec.Run(Options{Parallel: 4})
+	if err := rep.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	return rep.Curves()
+}
+
 func TestFigure2SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")
 	}
-	fc := FigureConfig{
-		Apps:     []string{"lu"},
-		Size:     workloads.SizeTest,
-		Interval: 40_000,
-		Seed:     1,
-	}
-	res, err := Figure2(fc, []int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("got %d curves, want 2", len(res))
+	res := figureCurves(t, "figure2")
+	if len(res) != 3 {
+		t.Fatalf("got %d curves, want 3 (2, 8 and 32 nodes)", len(res))
 	}
 	for _, c := range res {
 		if c.Detector != core.DetectorBBV {
@@ -218,28 +223,21 @@ func TestFigure4DDVNotWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")
 	}
-	fc := FigureConfig{
-		Apps:     []string{"lu"},
-		Size:     workloads.SizeTest,
-		Interval: 40_000,
-		Seed:     1,
+	res := figureCurves(t, "figure4")
+	if len(res) != 4 {
+		t.Fatalf("got %d curves, want 4 (BBV and BBV+DDV at 8 and 32 nodes)", len(res))
 	}
-	res, err := Figure4(fc, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("got %d curves, want 2 (BBV and BBV+DDV)", len(res))
-	}
-	bbv, ddv := res[0], res[1]
-	if bbv.Detector != core.DetectorBBV || ddv.Detector != core.DetectorBBVDDV {
-		t.Fatalf("unexpected detector order: %v, %v", bbv.Detector, ddv.Detector)
-	}
-	// The two-threshold detector has strictly more freedom, so its best
-	// CoV at a generous phase budget must not be worse.
-	budget := 16.0
-	b, d := CompareAtPhases(bbv, ddv, budget)
-	if !math.IsInf(b, 1) && d > b*1.05 {
-		t.Errorf("BBV+DDV (%v) worse than BBV (%v) at %v phases", d, b, budget)
+	for i := 0; i < len(res); i += 2 {
+		bbv, ddv := res[i], res[i+1]
+		if bbv.Detector != core.DetectorBBV || ddv.Detector != core.DetectorBBVDDV || bbv.Procs != ddv.Procs {
+			t.Fatalf("unexpected curve order: %s, %s", bbv.Label(), ddv.Label())
+		}
+		// The two-threshold detector has strictly more freedom, so its best
+		// CoV at a generous phase budget must not be worse.
+		budget := 16.0
+		b, d := CompareAtPhases(bbv, ddv, budget)
+		if !math.IsInf(b, 1) && d > b*1.05 {
+			t.Errorf("%dP: BBV+DDV (%v) worse than BBV (%v) at %v phases", bbv.Procs, d, b, budget)
+		}
 	}
 }

@@ -326,7 +326,8 @@ func (s *Spec) Plan() *Plan {
 }
 
 // perProcInterval splits a total sampling interval across processors;
-// 0 derives the reduced-input 300k default (FigureConfig's rule).
+// 0 derives the reduced-input 300k default (paper scale is 3M on full
+// inputs).
 func perProcInterval(total uint64, procs int) uint64 {
 	if total > 0 {
 		return total / uint64(procs)

@@ -193,33 +193,34 @@ func TestSpecBandWidth(t *testing.T) {
 	}
 }
 
-// TestSpecLegacyByteIdentity pins the deprecation contract: a
-// one-replicate Spec rendered by the text encoder is byte-identical to
-// the legacy Figure2/Figure4 tables.
+// TestSpecLegacyByteIdentity pins the text encoder to the legacy
+// figure tables: a one-replicate registry grid rendered by the text
+// encoder is byte-identical to WriteFigure over the hand-rolled serial
+// curves.
 func TestSpecLegacyByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs")
 	}
-	fc := FigureConfig{Apps: []string{"lu"}, Size: workloads.SizeTest, Interval: 20_000, Seed: 1}
+	gp := GridParams{Apps: []string{"lu"}, Size: workloads.SizeTest, Interval: 20_000, Seed: 1}
 	for _, tc := range []struct {
-		name   string
-		legacy func() ([]CurveResult, error)
-		spec   *Spec
+		name  string
+		procs []int
+		kinds []core.DetectorKind
 	}{
-		{"figure2", func() ([]CurveResult, error) { return Figure2(fc, []int{2, 4}) }, Figure2Spec(fc, []int{2, 4})},
-		{"figure4", func() ([]CurveResult, error) { return Figure4(fc, []int{4}) }, Figure4Spec(fc, []int{4})},
+		{"figure2", []int{2, 8, 32}, []core.DetectorKind{core.DetectorBBV}},
+		{"figure4", []int{8, 32}, []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			curves, err := tc.legacy()
+			var want bytes.Buffer
+			if err := WriteFigure(&want, tc.name, serialCurves(t, gp, tc.procs, tc.kinds...)); err != nil {
+				t.Fatal(err)
+			}
+			g, err := BuildGrid(tc.name, gp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want bytes.Buffer
-			if err := WriteFigure(&want, tc.name, curves); err != nil {
-				t.Fatal(err)
-			}
 			var got bytes.Buffer
-			rep := tc.spec.Run(Options{Parallel: 4})
+			rep := g.Spec.Run(Options{Parallel: 4})
 			if err := (TextEncoder{Title: tc.name}).Encode(&got, rep); err != nil {
 				t.Fatal(err)
 			}

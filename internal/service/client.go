@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -177,11 +178,11 @@ func (c *Client) Artifact(id string) (*harness.ShardArtifact, error) {
 
 // Report fetches a done job's report in the named encoder format.
 func (c *Client) Report(id, format, title string) ([]byte, error) {
-	u := "/v1/jobs/" + id + "/report?format=" + format
+	q := url.Values{"format": {format}}
 	if title != "" {
-		u += "&title=" + strings.ReplaceAll(title, " ", "+")
+		q.Set("title", title)
 	}
-	resp, err := c.get(u)
+	resp, err := c.get("/v1/jobs/" + id + "/report?" + q.Encode())
 	if err != nil {
 		return nil, err
 	}

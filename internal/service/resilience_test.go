@@ -126,22 +126,23 @@ func TestServiceDegradedReport(t *testing.T) {
 }
 
 // TestServiceRestartResume: a coordinator dies mid-job (simulated by a
-// one-attempt budget against a worker that aborts after one durable
-// cell, then Close); a new coordinator over the same DataDir accepts
-// the resubmission, reuses the dead attempt's cell stream — the worker
-// resumes rather than recomputes — and serves bytes identical to a
-// direct run.
+// one-attempt budget against a worker that crashes after its last
+// durable cell but before the artifact write, then Close); a new
+// coordinator over the same DataDir accepts the resubmission, reuses
+// the dead attempt's cell stream — the worker resumes rather than
+// recomputes — and serves bytes identical to a direct run. The fault
+// plan is shared, so the restarted coordinator's attempts are each
+// shard's second and run clean.
 func TestServiceRestartResume(t *testing.T) {
 	dataDir := t.TempDir()
+	plan := &faults.Plan{Mix: []faults.Weighted{{Kind: faults.CrashBeforeArtifact, Weight: 1}}, ReliableAfter: 1}
 	cfg := Config{
 		DataDir:        dataDir,
 		ExperimentsBin: experimentsBin,
 		PollInterval:   50 * time.Millisecond,
-		MaxAttempts:    1, // the aborted attempt exhausts the budget: job fails, dirs stay
-		ExtraWorkerArgs: []string{
-			"-shard-abort-once", filepath.Join(dataDir, "abort-{shard}.marker"),
-		},
-		Logf: t.Logf,
+		MaxAttempts:    1, // the crashed attempt exhausts the budget: job fails, dirs stay
+		WrapWorker:     func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) },
+		Logf:           t.Logf,
 	}
 	coord1, err := New(cfg)
 	if err != nil {
@@ -161,7 +162,7 @@ func TestServiceRestartResume(t *testing.T) {
 	}
 	coord1.Close()
 
-	// Each shard streamed at least one durable cell before aborting.
+	// Each shard streamed its durable cells before crashing.
 	resumable := 0
 	for shard := 0; shard < 2; shard++ {
 		stream := filepath.Join(dataDir, "jobs", st.ID,

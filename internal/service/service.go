@@ -30,8 +30,8 @@ type Config struct {
 	// ExperimentsBin is the path of the cmd/experiments binary workers
 	// exec.
 	ExperimentsBin string
-	// Workers is the worker pool as URLs ("local", "ssh://host/bin");
-	// empty defaults to two local workers.
+	// Workers is the worker pool, one "local" entry per worker; empty
+	// defaults to two local workers.
 	Workers []string
 	// DefaultShards is the shard fan-out of jobs that do not request one;
 	// 0 uses the worker-pool size.
@@ -70,9 +70,6 @@ type Config struct {
 	// PollInterval is the cell-progress poll cadence over the shard
 	// streams. 0 = 500ms.
 	PollInterval time.Duration
-	// ExtraWorkerArgs are appended to every worker invocation (fault
-	// injection in tests; debugging flags in anger).
-	ExtraWorkerArgs []string
 	// Logf, if non-nil, receives coordinator log lines.
 	Logf func(format string, args ...any)
 
@@ -224,8 +221,7 @@ func (c *Config) workerArgs(req JobRequest, shard, of int, dir string) []string 
 	for i := range req.Workloads {
 		args = append(args, "-workload-file", filepath.Join(dir, workloadSpecName(i)))
 	}
-	args = append(args, "-shard", fmt.Sprintf("%d/%d", shard, of), "-shard-dir", dir)
-	return append(args, c.ExtraWorkerArgs...)
+	return append(args, "-shard", fmt.Sprintf("%d/%d", shard, of), "-shard-dir", dir)
 }
 
 // workloadSpecName is the canonical name a shipped workload definition

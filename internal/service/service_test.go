@@ -3,13 +3,17 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dsmphase/internal/faults"
 	"dsmphase/internal/harness"
 	"dsmphase/internal/workloads"
 )
@@ -142,6 +146,21 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The CLI's -format front end renders the same bytes the coordinator
+	// serves under its default title (the grid name).
+	served, err := client.Report(st.ID, "csv", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := exec.Command(experimentsBin, "-grids", req.Grid, "-size", req.Size,
+		"-apps", strings.Join(req.Apps, ","), "-interval", fmt.Sprint(req.Interval), "-format", "csv").Output()
+	if err != nil {
+		t.Fatalf("experiments -format csv: %v", err)
+	}
+	if !bytes.Equal(served, cli) {
+		t.Errorf("served csv report differs from experiments -format csv:\n--- served ---\n%s\n--- cli ---\n%s", served, cli)
+	}
+
 	// The merged artifact is well-formed and client-side mergeable: the
 	// cmd/experiments -submit path reassembles reports from it.
 	art, err := client.Artifact(st.ID)
@@ -165,6 +184,49 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	if stats["workers_spawned"] == 0 || stats["jobs_done"] != 1 {
 		t.Fatalf("stats after one job: %v", stats)
+	}
+}
+
+// TestClientReportTitleRoundTrip: report titles reach the handler
+// intact whatever characters they hold, and an empty title leaves the
+// query at the bare format.
+func TestClientReportTitleRoundTrip(t *testing.T) {
+	coord := newTestCoordinator(t, nil)
+	var lastQuery atomic.Value
+	handler := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lastQuery.Store(r.URL.RawQuery)
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	client := &Client{BaseURL: srv.URL}
+
+	req := testRequest()
+	st := submitAndWait(t, client, req)
+	req.normalize()
+	g, err := req.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := g.Spec.Run(harness.Options{})
+	for _, title := range []string{"C++ & C#", "100% a+b=c", "x?y/z"} {
+		served, err := client.Report(st.ID, "text", title)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := (harness.TextEncoder{Title: title}).Encode(&want, rep); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served, want.Bytes()) {
+			t.Errorf("title %q mangled in transit:\n%s", title, served)
+		}
+	}
+	if _, err := client.Report(st.ID, "csv", ""); err != nil {
+		t.Fatal(err)
+	}
+	if q := lastQuery.Load(); q != "format=csv" {
+		t.Errorf("empty-title query = %q, want format=csv", q)
 	}
 }
 
@@ -240,17 +302,16 @@ func TestServiceCacheHit(t *testing.T) {
 }
 
 // TestServiceWorkerCrashResumes is the fault-tolerance pin: every
-// shard's first worker attempt is killed after one durable cell (the
-// -shard-abort-once fault injection), the coordinator re-dispatches,
-// the retry resumes from the dead attempt's cell stream, and the final
-// report is still byte-identical to a direct run.
+// shard's first worker attempt dies mid-append (the fault plane's
+// TornStream: the artifact is lost and the cell stream's last line is
+// cut), the coordinator re-dispatches, the retry resumes from the dead
+// attempt's cell stream, and the final report is still byte-identical
+// to a direct run.
 func TestServiceWorkerCrashResumes(t *testing.T) {
-	var dataDir string
+	plan := &faults.Plan{Mix: []faults.Weighted{{Kind: faults.TornStream, Weight: 1}}, ReliableAfter: 1}
 	coord := newTestCoordinator(t, func(cfg *Config) {
-		dataDir = cfg.DataDir
-		cfg.ExtraWorkerArgs = []string{
-			"-shard-abort-once", filepath.Join(dataDir, "abort-{shard}.marker"),
-		}
+		cfg.RetryBase = time.Millisecond
+		cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
 	})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
