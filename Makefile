@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke coherence-race resilience-race chaos-smoke ci
+.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-e2e-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke coherence-race resilience-race chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -42,14 +42,21 @@ bench-json:
 	$(GO) test -bench 'BenchmarkTableI|BenchmarkTableII|BenchmarkStep' -benchtime 1s -run '^$$' . ./internal/machine > "$$tmp" && \
 	$(GO) run ./cmd/benchjson -label current -out BENCH_baseline.json < "$$tmp"
 
-# Non-gating perf smoke: the perf-tracked benchmarks must still run and
-# their output must still parse into the artifact schema. One iteration
-# each — this guards the toolchain, not the numbers.
+# Non-gating perf smoke: the perf-tracked benchmarks and the sweep
+# layer's series must still run and their output must still parse into
+# the artifact schema. One iteration each — this guards the toolchain,
+# not the numbers.
 bench-smoke:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
-	$(GO) test -bench 'BenchmarkTableI|BenchmarkStep' -benchtime 1x -run '^$$' . ./internal/machine > "$$tmp" && \
+	$(GO) test -bench 'BenchmarkTableI|BenchmarkStep|BenchmarkSweep_ShortInterval' -benchtime 1x -run '^$$' . ./internal/machine > "$$tmp" && \
 	$(GO) run ./cmd/benchjson -label smoke -out /dev/null < "$$tmp" && \
 	echo "bench-smoke: benchmarks run and parse"
+
+# The repository benchmark's own smoke tests (bench/ is a module of its
+# own, so `go test ./...` at the root does not reach it): every workload
+# at a reduced scale, its report pins and its ledger, under -race.
+bench-e2e-smoke:
+	cd bench && $(GO) test -race ./...
 
 # The perf regression gate: re-measure the Table I benchmarks and fail
 # on a >10% Minstr/s drop against the committed baseline's "current"
@@ -183,4 +190,4 @@ chaos-smoke:
 	$(GO) build -o "$$tmp/dsmphased" ./cmd/dsmphased && \
 	"$$tmp/dsmphased" -chaos 4 -chaos-seed 1 -data "$$tmp/data" -experiments "$$tmp/experiments" > "$$tmp/chaos.json"
 
-ci: build fmt-check vet test coherence-race resilience-race bench bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke service-smoke chaos-smoke
+ci: build fmt-check vet test coherence-race resilience-race bench bench-e2e-smoke bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke service-smoke chaos-smoke

@@ -11,6 +11,7 @@ package dsmphase
 //	BenchmarkTableII_*   — workload instruction-stream generation
 //	BenchmarkFigure2_*   — baseline BBV CoV curves at 2/8/32 nodes
 //	BenchmarkFigure4_*   — BBV vs BBV+DDV at 8/32 nodes
+//	BenchmarkSweep_*     — the offline threshold sweep alone
 //	BenchmarkOverhead_*  — the §III-B DDS bandwidth model
 //	BenchmarkAblation_*  — design-choice ablations
 //	Benchmark<hot path>  — detector and substrate micro-benchmarks
@@ -195,6 +196,61 @@ func BenchmarkFigure4(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// ---- The offline threshold sweep ----
+
+// sweepSink keeps the benchmarked sweeps' results live.
+var sweepSink []stats.CurvePoint
+
+// BenchmarkSweep_ShortInterval times the offline threshold sweep alone
+// on the figure4 panel cells at a 40k total interval (test inputs), the
+// configuration in which the sweep is the largest layer of a report.
+// The simulations run once, outside the timer; each iteration sweeps
+// every cell of one detector over its default threshold grid, and
+// ns/classification divides by the (setting × interval) count.
+func BenchmarkSweep_ShortInterval(b *testing.B) {
+	g, err := harness.BuildGrid("figure4", harness.GridParams{Size: workloads.SizeTest, Interval: 40_000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type cell struct {
+		recs [][]core.IntervalSignature
+		sc   harness.SweepConfig
+	}
+	cells := map[core.DetectorKind][]cell{}
+	classifications := map[core.DetectorKind]int{}
+	sims := map[string]*machine.Machine{}
+	for _, c := range g.Spec.Plan().Cells() {
+		key := fmt.Sprintf("%s/%dP/%d", c.Run.Workload, c.Run.Procs, c.Run.Seed)
+		m, ok := sims[key]
+		if !ok {
+			m, _ = simulateOnce(b, c.Run)
+			sims[key] = m
+		}
+		sc := harness.DefaultSweep(c.Kind, 1+float64(m.Network().Diameter()))
+		settings := len(sc.BBVThresholds)
+		if c.Kind != core.DetectorBBV {
+			settings *= len(sc.DDSThresholds)
+		}
+		recs := m.RecordsByProc()
+		for _, rs := range recs {
+			classifications[c.Kind] += settings * len(rs)
+		}
+		cells[c.Kind] = append(cells[c.Kind], cell{recs, sc})
+	}
+	for _, kind := range []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range cells[kind] {
+					sweepSink = harness.Sweep(c.recs, c.sc)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*classifications[kind]), "ns/classification")
+		})
 	}
 }
 

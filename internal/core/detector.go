@@ -98,22 +98,10 @@ type Detector struct {
 }
 
 // NewDetector builds an online detector. For DetectorBBV thDDS is
-// ignored. For DetectorDDS the BBV threshold is set permissive (2 is the
-// maximum possible Manhattan distance between normalized vectors, so
-// every interval BBV-matches every entry).
+// ignored. For DetectorDDS the BBV threshold is set permissive (see
+// NewKindTable).
 func NewDetector(kind DetectorKind, accSize, tableSize int, thBBV, thDDS float64) *Detector {
-	d := &Detector{Kind: kind, Acc: NewAccumulator(accSize)}
-	switch kind {
-	case DetectorBBV:
-		d.Table = NewFootprintTable(tableSize, thBBV)
-	case DetectorBBVDDV:
-		d.Table = NewFootprintTableDDS(tableSize, thBBV, thDDS)
-	case DetectorDDS:
-		d.Table = NewFootprintTableDDS(tableSize, 2.0, thDDS)
-	default:
-		panic("core: unknown detector kind")
-	}
-	return d
+	return &Detector{Kind: kind, Acc: NewAccumulator(accSize), Table: NewKindTable(kind, tableSize, thBBV, thDDS)}
 }
 
 // EndInterval classifies the just-finished interval given its DDS and
@@ -128,28 +116,13 @@ func (d *Detector) EndInterval(dds float64) (phaseID int, matched bool) {
 // ClassifyRecorded replays footprint-table dynamics over a recorded
 // per-processor signature sequence at the given thresholds, returning the
 // phase ID assigned to each interval. This is the offline equivalent of
-// running the online detector with those thresholds and is what makes the
-// paper's 200-point threshold sweep cheap: the simulation runs once, the
-// sweep replays classification only.
+// running the online detector with those thresholds; it is a one-setting
+// Replay (the WSS baseline replays its own table).
 func ClassifyRecorded(kind DetectorKind, tableSize int, thBBV, thDDS float64, sigs []IntervalSignature) []int {
-	var table *FootprintTable
-	switch kind {
-	case DetectorBBV:
-		table = NewFootprintTable(tableSize, thBBV)
-	case DetectorBBVDDV:
-		table = NewFootprintTableDDS(tableSize, thBBV, thDDS)
-	case DetectorDDS:
-		table = NewFootprintTableDDS(tableSize, 2.0, thDDS)
-	case DetectorWSS:
+	if kind == DetectorWSS {
 		// The WSS baseline classifies on the working-set signature with
 		// thBBV interpreted as the relative-distance threshold.
 		return ClassifyRecordedWSS(tableSize, thBBV, sigs)
-	default:
-		panic("core: unknown detector kind")
 	}
-	out := make([]int, len(sigs))
-	for i, s := range sigs {
-		out[i], _ = table.Classify(s.BBV, s.DDS)
-	}
-	return out
+	return NewReplay(sigs, tableSize).Classify(kind, thBBV, thDDS)
 }

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // FootprintEntry is one footprint-table row: the stored BBV signature,
 // the stored DDS value, and the phase identifier assigned when the entry
@@ -9,6 +12,9 @@ type FootprintEntry struct {
 	BBV     []float64
 	DDS     float64
 	PhaseID int
+	// src is the index of the allocating interval when the table is
+	// driven by a Replay, which looks distances up instead of storing BBV.
+	src     int
 	lastUse uint64
 	valid   bool
 }
@@ -51,6 +57,33 @@ func NewFootprintTableDDS(size int, thBBV, thDDS float64) *FootprintTable {
 	return t
 }
 
+// NewKindTable returns the table a footprint-table detector kind
+// classifies with (see configure). It panics for DetectorWSS, which
+// classifies with a WSSTable, and for an unknown kind.
+func NewKindTable(kind DetectorKind, size int, thBBV, thDDS float64) *FootprintTable {
+	t := NewFootprintTable(size, 0)
+	t.configure(kind, thBBV, thDDS)
+	return t
+}
+
+// configure sets the thresholds a detector kind classifies with:
+// DetectorBBV matches on the BBV alone, DetectorBBVDDV on both
+// thresholds, and DetectorDDS on the DDS alone — its BBV threshold is
+// permissive (2 is the maximum Manhattan distance between normalized
+// vectors, so every interval BBV-matches every entry).
+func (t *FootprintTable) configure(kind DetectorKind, thBBV, thDDS float64) {
+	switch kind {
+	case DetectorBBV:
+		t.thBBV, t.thDDS, t.useDDS = thBBV, 0, false
+	case DetectorBBVDDV:
+		t.thBBV, t.thDDS, t.useDDS = thBBV, thDDS, true
+	case DetectorDDS:
+		t.thBBV, t.thDDS, t.useDDS = 2.0, thDDS, true
+	default:
+		panic(fmt.Sprintf("core: detector kind %v has no footprint table", kind))
+	}
+}
+
 // Size returns the number of table entries.
 func (t *FootprintTable) Size() int { return len(t.entries) }
 
@@ -62,6 +95,18 @@ func (t *FootprintTable) PhasesAllocated() int { return t.nextPhase }
 // returns the phase ID and whether the interval matched an existing entry
 // (false means a new phase was allocated).
 func (t *FootprintTable) Classify(bbv []float64, dds float64) (phaseID int, matched bool) {
+	return t.classify(bbv, nil, -1, dds)
+}
+
+// classify is the table's one copy of the match/LRU/allocate dynamics,
+// shared by the online Classify and the offline Replay. Online callers
+// pass src < 0: the distance to an entry is Manhattan(bbv, e.BBV), and an
+// allocation copies bbv into the entry. A Replay passes the recorded
+// interval's index src and row, its precomputed distances to every
+// earlier interval of the sequence: the distance to an entry is
+// row[e.src] — the same Manhattan call on the same vectors, so the same
+// float — and an allocation records src instead of copying.
+func (t *FootprintTable) classify(bbv, row []float64, src int, dds float64) (phaseID int, matched bool) {
 	t.clock++
 	bestIdx := -1
 	bestDist := math.Inf(1)
@@ -79,7 +124,12 @@ func (t *FootprintTable) Classify(bbv []float64, dds float64) (phaseID int, matc
 		if e.lastUse < lruUse {
 			lruIdx, lruUse = i, e.lastUse
 		}
-		d := Manhattan(bbv, e.BBV)
+		var d float64
+		if src < 0 {
+			d = Manhattan(bbv, e.BBV)
+		} else {
+			d = row[e.src]
+		}
 		if d > t.thBBV {
 			continue
 		}
@@ -98,7 +148,10 @@ func (t *FootprintTable) Classify(bbv []float64, dds float64) (phaseID int, matc
 	// Allocate: transfer the accumulator snapshot (and DDS) into the
 	// victim entry and assign a fresh phase ID.
 	e := &t.entries[lruIdx]
-	e.BBV = append(e.BBV[:0], bbv...)
+	if src < 0 {
+		e.BBV = append(e.BBV[:0], bbv...)
+	}
+	e.src = src
 	e.DDS = dds
 	e.PhaseID = t.nextPhase
 	e.lastUse = t.clock

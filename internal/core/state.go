@@ -77,18 +77,7 @@ func MultiprogramReplay(kind DetectorKind, tableSize int, thBBV, thDDS float64,
 	if quantum <= 0 {
 		panic("core: quantum must be positive")
 	}
-	mk := func() *FootprintTable {
-		switch kind {
-		case DetectorBBV:
-			return NewFootprintTable(tableSize, thBBV)
-		case DetectorBBVDDV:
-			return NewFootprintTableDDS(tableSize, thBBV, thDDS)
-		case DetectorDDS:
-			return NewFootprintTableDDS(tableSize, 2.0, thDDS)
-		default:
-			panic("core: MultiprogramReplay supports BBV-family detectors")
-		}
-	}
+	mk := func() *FootprintTable { return NewKindTable(kind, tableSize, thBBV, thDDS) }
 	ids = make([][]int, len(threads))
 	pos := make([]int, len(threads))
 	for i, th := range threads {

@@ -148,6 +148,11 @@ func DefaultSweep(kind core.DetectorKind, maxDistance float64) SweepConfig {
 // (the paper's "system-wide CoV curve"). The returned cloud contains one
 // point per threshold setting; reduce it with stats.LowerEnvelope for
 // the presentation curve.
+//
+// The loop is processor-outer: each processor's pairwise BBV distances
+// are computed once (core.Replay) and replayed at every setting, so only
+// one processor's distances are held at a time. Each setting still sums
+// its processors in ascending order, as a setting-outer loop would.
 func Sweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
 	if sc.TableSize <= 0 {
 		sc.TableSize = core.DefaultFootprintSize
@@ -156,38 +161,43 @@ func Sweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
 	if sc.Kind == core.DetectorBBV || sc.Kind == core.DetectorWSS || len(dds) == 0 {
 		dds = []float64{0}
 	}
-	var out []stats.CurvePoint
-	cpis := make([][]float64, len(recs))
-	for p, rs := range recs {
-		cpis[p] = make([]float64, len(rs))
-		for i, r := range rs {
-			cpis[p][i] = r.CPI()
-		}
-	}
+	// Each point sums its setting's per-processor CoV and phase count
+	// until the average at the end.
+	out := make([]stats.CurvePoint, 0, len(sc.BBVThresholds)*len(dds))
 	for _, tb := range sc.BBVThresholds {
 		for _, td := range dds {
-			var sumCov, sumPhases float64
-			procs := 0
-			for p, rs := range recs {
-				if len(rs) == 0 {
-					continue
-				}
-				ids := core.ClassifyRecorded(sc.Kind, sc.TableSize, tb, td, rs)
-				cov, nPhases := stats.IdentifierCoV(ids, cpis[p])
-				sumCov += cov
-				sumPhases += float64(nPhases)
-				procs++
-			}
-			if procs == 0 {
-				continue
-			}
-			out = append(out, stats.CurvePoint{
-				Phases:       sumPhases / float64(procs),
-				CoV:          sumCov / float64(procs),
-				Threshold:    tb,
-				ThresholdDDS: td,
-			})
+			out = append(out, stats.CurvePoint{Threshold: tb, ThresholdDDS: td})
 		}
+	}
+	procs := 0
+	var scratch stats.CoVScratch
+	var cpis []float64
+	for _, rs := range recs {
+		if len(rs) == 0 {
+			continue
+		}
+		procs++
+		cpis = cpis[:0]
+		for _, r := range rs {
+			cpis = append(cpis, r.CPI())
+		}
+		classify := func(tb, _ float64) []int { return core.ClassifyRecordedWSS(sc.TableSize, tb, rs) }
+		if sc.Kind != core.DetectorWSS {
+			replay := core.NewReplay(rs, sc.TableSize)
+			classify = func(tb, td float64) []int { return replay.Classify(sc.Kind, tb, td) }
+		}
+		for k := range out {
+			cov, nPhases := stats.DenseIdentifierCoV(classify(out[k].Threshold, out[k].ThresholdDDS), cpis, &scratch)
+			out[k].CoV += cov
+			out[k].Phases += float64(nPhases)
+		}
+	}
+	if procs == 0 || len(out) == 0 {
+		return nil
+	}
+	for k := range out {
+		out[k].Phases /= float64(procs)
+		out[k].CoV /= float64(procs)
 	}
 	return out
 }

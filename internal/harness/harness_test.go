@@ -153,6 +153,72 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
+// referenceSweep is the sweep written the direct way: for each setting,
+// an online footprint table per processor fed interval by interval,
+// the map-grouping IdentifierCoV, and the processor average.
+func referenceSweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
+	dds := sc.DDSThresholds
+	if sc.Kind == core.DetectorBBV {
+		dds = []float64{0}
+	}
+	var out []stats.CurvePoint
+	for _, tb := range sc.BBVThresholds {
+		for _, td := range dds {
+			var sumCov, sumPhases float64
+			procs := 0
+			for _, rs := range recs {
+				if len(rs) == 0 {
+					continue
+				}
+				table := core.NewDetector(sc.Kind, 1, sc.TableSize, tb, td).Table
+				ids := make([]int, len(rs))
+				cpis := make([]float64, len(rs))
+				for i, r := range rs {
+					ids[i], _ = table.Classify(r.BBV, r.DDS)
+					cpis[i] = r.CPI()
+				}
+				cov, n := stats.IdentifierCoV(ids, cpis)
+				sumCov += cov
+				sumPhases += float64(n)
+				procs++
+			}
+			out = append(out, stats.CurvePoint{Phases: sumPhases / float64(procs),
+				CoV: sumCov / float64(procs), Threshold: tb, ThresholdDDS: td})
+		}
+	}
+	return out
+}
+
+// TestSweepMatchesReference checks Sweep against referenceSweep with ==
+// on every float. A 4-entry table is smaller than the interval count,
+// so the replay's LRU eviction is compared too.
+func TestSweepMatchesReference(t *testing.T) {
+	rc := quickRun(t, "lu", 8)
+	rc.IntervalInstructions = 40_000 / 8
+	m, _, err := Simulate(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := m.RecordsByProc()
+	if len(recs[0]) <= 4 {
+		t.Fatalf("%d intervals on processor 0 do not overflow the table", len(recs[0]))
+	}
+	maxD := 1 + float64(m.Network().Diameter())
+	for _, kind := range []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV, core.DetectorDDS} {
+		sc := DefaultSweep(kind, maxD)
+		sc.TableSize = 4
+		got, want := Sweep(recs, sc), referenceSweep(recs, sc)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d points, want %d", kind, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: point %d = %+v, want %+v", kind, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestWriteCurveAndFigure(t *testing.T) {
 	c, err := RunCurve(quickRun(t, "lu", 2), core.DetectorBBV)
 	if err != nil {

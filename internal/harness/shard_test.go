@@ -381,6 +381,36 @@ func TestTraceCaptureRoundTrip(t *testing.T) {
 // the one nondeterministic field, wall_ns, zeroed) and cross-checks
 // that docs/MERGE_FORMAT.md documents the pinned format version.
 // Regenerate with `go test ./internal/harness -run TestGolden -update`.
+// TestShardArtifactRejectsUnusableTrace checks that a trace a shard
+// artifact carries passes the trace reader's record checks: a cell
+// whose trace changes BBV length or names a negative processor fails
+// with an error instead of panicking the sweep or SplitByProc.
+func TestShardArtifactRejectsUnusableTrace(t *testing.T) {
+	wss := `,"wss":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]`
+	for name, tr := range map[string]string{
+		"bbv length": `{"proc":0,"index":0,"bbv":[0.5,0.5]` + wss + `}` + "\n" +
+			`{"proc":0,"index":1,"bbv":[1]` + wss + `}` + "\n",
+		"negative proc": `{"proc":-1,"index":0,"bbv":[1]` + wss + `}` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			ref := 0
+			art := roundTripArtifact(t, &ShardArtifact{Shard: 0, Of: 1, Grids: []ShardGrid{{
+				Name: "grid", Cells: 2, Results: []ShardCell{
+					{Index: 0, Workload: "lu", Size: "test", Procs: 2, Detector: "BBV", Trace: tr},
+					{Index: 1, Workload: "lu", Size: "test", Procs: 2, Detector: "BBV+DDV", TraceRef: &ref},
+				},
+			}}})
+			g, _ := art.Grid("grid")
+			if _, err := g.Results[0].CellResult(); err == nil || !strings.Contains(err.Error(), "cell 0 trace") {
+				t.Errorf("CellResult error = %v, want the cell's trace rejected", err)
+			}
+			if _, err := g.TraceFor(1); err == nil || !strings.Contains(err.Error(), "trace: interval") {
+				t.Errorf("TraceFor error = %v, want the referenced trace rejected", err)
+			}
+		})
+	}
+}
+
 func TestGoldenShardArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed golden run")

@@ -156,16 +156,7 @@ func New(cfg Config, threads []isa.Thread) *Machine {
 			p.records = make([]core.IntervalSignature, 0, recordCap)
 		}
 		if oc := cfg.Online; oc != nil {
-			switch oc.Kind {
-			case core.DetectorBBV:
-				p.table = core.NewFootprintTable(cfg.FootprintSize, oc.ThBBV)
-			case core.DetectorBBVDDV:
-				p.table = core.NewFootprintTableDDS(cfg.FootprintSize, oc.ThBBV, oc.ThDDS)
-			case core.DetectorDDS:
-				p.table = core.NewFootprintTableDDS(cfg.FootprintSize, 2.0, oc.ThDDS)
-			default:
-				panic("machine: online detection supports the BBV-family detectors")
-			}
+			p.table = core.NewKindTable(oc.Kind, cfg.FootprintSize, oc.ThBBV, oc.ThDDS)
 		}
 		m.procs[i] = p
 	}

@@ -55,32 +55,94 @@ func CoV(xs []float64) float64 {
 // number of distinct phases observed.
 //
 // phases[i] is the phase ID assigned to interval i; cpis[i] is that
-// interval's CPI. The two slices must have equal length.
+// interval's CPI. The two slices must have equal length. IDs outside
+// [0, len(phases)) are first replaced by their ascending rank, which
+// keeps the order the per-phase terms are summed in; DenseIdentifierCoV
+// does the grouping.
 func IdentifierCoV(phases []int, cpis []float64) (cov float64, numPhases int) {
 	if len(phases) != len(cpis) {
 		panic("stats: phases and cpis length mismatch")
 	}
-	if len(phases) == 0 {
+	for _, p := range phases {
+		if p < 0 || p >= len(phases) {
+			phases = rankIDs(phases)
+			break
+		}
+	}
+	return DenseIdentifierCoV(phases, cpis, new(CoVScratch))
+}
+
+// rankIDs returns each ID's rank among the distinct IDs, ascending.
+func rankIDs(phases []int) []int {
+	keys := append([]int(nil), phases...)
+	sort.Ints(keys)
+	uniq := keys[:0]
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			uniq = append(uniq, k)
+		}
+	}
+	ranks := make([]int, len(phases))
+	for i, p := range phases {
+		ranks[i] = sort.SearchInts(uniq, p)
+	}
+	return ranks
+}
+
+// CoVScratch is caller-owned scratch space for DenseIdentifierCoV. The
+// zero value is ready to use; its buffers grow to the longest sequence
+// seen and are then reused.
+type CoVScratch struct {
+	start []int
+	group []float64
+}
+
+// DenseIdentifierCoV is IdentifierCoV for phase IDs in [0, len(phases)),
+// as footprint-table classification produces them. It groups the CPIs by
+// a stable counting sort into s, so each phase's values keep interval
+// order, and sums the per-phase terms in ascending ID order; once s has
+// grown it allocates nothing.
+func DenseIdentifierCoV(phases []int, cpis []float64, s *CoVScratch) (cov float64, numPhases int) {
+	if len(phases) != len(cpis) {
+		panic("stats: phases and cpis length mismatch")
+	}
+	n := len(phases)
+	if n == 0 {
 		return 0, 0
 	}
-	groups := make(map[int][]float64)
-	keys := make([]int, 0, 16)
+	if cap(s.start) < n+1 {
+		s.start = make([]int, n+1)
+		s.group = make([]float64, n)
+	}
+	// start[p+1] counts phase p; the prefix sum turns start[p] into the
+	// offset of phase p's group, and the scatter advances it to the end.
+	start, group := s.start[:n+1], s.group[:n]
+	clear(start)
+	for _, p := range phases {
+		start[p+1]++
+	}
+	for p := 1; p <= n; p++ {
+		start[p] += start[p-1]
+	}
 	for i, p := range phases {
-		if _, seen := groups[p]; !seen {
-			keys = append(keys, p)
-		}
-		groups[p] = append(groups[p], cpis[i])
+		group[start[p]] = cpis[i]
+		start[p]++
 	}
-	// Sum in sorted key order: float addition is not associative, and a
-	// map-ordered sum would make the metric run-to-run nondeterministic.
-	sort.Ints(keys)
-	total := float64(len(phases))
+	// Sum in ascending ID order: float addition is not associative, so
+	// the order is part of the result.
+	total := float64(n)
 	var weighted float64
-	for _, p := range keys {
-		g := groups[p]
+	lo := 0
+	for p := 0; p < n; p++ {
+		g := group[lo:start[p]]
+		lo = start[p]
+		if len(g) == 0 {
+			continue
+		}
 		weighted += CoV(g) * float64(len(g)) / total
+		numPhases++
 	}
-	return weighted, len(groups)
+	return weighted, numPhases
 }
 
 // CurvePoint is one operating point of a phase detector: a threshold

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +85,66 @@ func TestIdentifierCoVEmpty(t *testing.T) {
 	cov, n := IdentifierCoV(nil, nil)
 	if cov != 0 || n != 0 {
 		t.Errorf("empty = (%v,%d), want (0,0)", cov, n)
+	}
+}
+
+// mapIdentifierCoV is the map-grouping form of IdentifierCoV: each
+// phase's CPIs in interval order, the weighted sum in ascending ID
+// order. The counting-sort grouping must reproduce it bit for bit.
+func mapIdentifierCoV(phases []int, cpis []float64) (float64, int) {
+	groups := make(map[int][]float64)
+	var keys []int
+	for i, p := range phases {
+		if _, seen := groups[p]; !seen {
+			keys = append(keys, p)
+		}
+		groups[p] = append(groups[p], cpis[i])
+	}
+	sort.Ints(keys)
+	var weighted float64
+	for _, p := range keys {
+		g := groups[p]
+		weighted += CoV(g) * float64(len(g)) / float64(len(phases))
+	}
+	return weighted, len(groups)
+}
+
+// TestIdentifierCoVMatchesMapGrouping compares both entry points with
+// the map grouping using ==: dense IDs (some unused) straight through
+// DenseIdentifierCoV with reused scratch, and arbitrary IDs — negative
+// and far out of range — through IdentifierCoV's ranking.
+func TestIdentifierCoVMatchesMapGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s CoVScratch
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(60)
+		dense := make([]int, n)
+		sparse := make([]int, n)
+		cpis := make([]float64, n)
+		for i := range dense {
+			dense[i] = rng.Intn(1 + rng.Intn(n))
+			sparse[i] = dense[i]*1000 - 7000
+			cpis[i] = 0.5 + rng.Float64()*3
+		}
+		wantCov, wantN := mapIdentifierCoV(dense, cpis)
+		if cov, k := DenseIdentifierCoV(dense, cpis, &s); cov != wantCov || k != wantN {
+			t.Fatalf("dense trial %d: (%v, %d), want (%v, %d)", trial, cov, k, wantCov, wantN)
+		}
+		if cov, k := IdentifierCoV(sparse, cpis); cov != wantCov || k != wantN {
+			t.Fatalf("ranked trial %d: (%v, %d), want (%v, %d)", trial, cov, k, wantCov, wantN)
+		}
+	}
+}
+
+// TestDenseIdentifierCoVAllocatesNothing guards the sweep's per-setting
+// CoV: once the scratch has grown, grouping allocates nothing.
+func TestDenseIdentifierCoVAllocatesNothing(t *testing.T) {
+	phases := []int{0, 1, 0, 2, 1, 0, 3, 3}
+	cpis := []float64{1, 2, 1.5, 3, 2.5, 1.2, 4, 4.4}
+	var s CoVScratch
+	DenseIdentifierCoV(phases, cpis, &s)
+	if allocs := testing.AllocsPerRun(100, func() { DenseIdentifierCoV(phases, cpis, &s) }); allocs != 0 {
+		t.Errorf("DenseIdentifierCoV allocated %v times per call, want 0", allocs)
 	}
 }
 

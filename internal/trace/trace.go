@@ -60,7 +60,9 @@ func WriteJSONL(w io.Writer, recs []core.IntervalSignature) error {
 	return bw.Flush()
 }
 
-// ReadJSONL reads a JSONL stream written by WriteJSONL.
+// ReadJSONL reads a JSONL stream written by WriteJSONL. It rejects a
+// record that SplitByProc or classification could not take: a negative
+// proc or index, or a BBV whose length differs from the first record's.
 func ReadJSONL(r io.Reader) ([]core.IntervalSignature, error) {
 	var out []core.IntervalSignature
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -74,6 +76,16 @@ func ReadJSONL(r io.Reader) ([]core.IntervalSignature, error) {
 		if len(jr.WSS) != core.WSSWords {
 			return nil, fmt.Errorf("trace: interval %d has %d WSS words, want %d",
 				len(out), len(jr.WSS), core.WSSWords)
+		}
+		if jr.Proc < 0 || jr.Index < 0 {
+			return nil, fmt.Errorf("trace: interval %d has proc %d, index %d; both must be non-negative",
+				len(out), jr.Proc, jr.Index)
+		}
+		// Classification takes Manhattan distances between any two
+		// intervals of a processor, which needs one BBV length throughout.
+		if len(out) > 0 && len(jr.BBV) != len(out[0].BBV) {
+			return nil, fmt.Errorf("trace: interval %d (proc %d, index %d) has %d BBV entries, want %d as in interval 0",
+				len(out), jr.Proc, jr.Index, len(jr.BBV), len(out[0].BBV))
 		}
 		sig := core.IntervalSignature{
 			Proc:           jr.Proc,

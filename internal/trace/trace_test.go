@@ -55,6 +55,44 @@ func TestJSONLRejectsBadWSS(t *testing.T) {
 	}
 }
 
+// TestJSONLRejectsUnusableRecords covers records that would panic
+// later stages: classification takes Manhattan distances between BBVs
+// of one length, and SplitByProc indexes by proc.
+func TestJSONLRejectsUnusableRecords(t *testing.T) {
+	wss := `,"wss":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]`
+	for _, tc := range []struct {
+		name, stream, wantErr string
+	}{
+		{
+			name: "bbv length changes",
+			stream: `{"proc":0,"index":0,"bbv":[0.5,0.5]` + wss + `}` + "\n" +
+				`{"proc":0,"index":1,"bbv":[1]` + wss + `}` + "\n",
+			wantErr: "interval 1 (proc 0, index 1) has 1 BBV entries, want 2",
+		},
+		{
+			name:    "negative proc",
+			stream:  `{"proc":-1,"index":0,"bbv":[1]` + wss + `}` + "\n",
+			wantErr: "interval 0 has proc -1, index 0",
+		},
+		{
+			name: "negative index",
+			stream: `{"proc":0,"index":0,"bbv":[1]` + wss + `}` + "\n" +
+				`{"proc":0,"index":-3,"bbv":[1]` + wss + `}` + "\n",
+			wantErr: "interval 1 has proc 0, index -3",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs, err := ReadJSONL(strings.NewReader(tc.stream))
+			if err == nil {
+				t.Fatalf("accepted %d records", len(recs))
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not name the interval (want %q)", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestJSONLRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader("{oops\n")); err == nil {
 		t.Error("garbage must error")
