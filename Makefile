@@ -190,4 +190,4 @@ chaos-smoke:
 	$(GO) build -o "$$tmp/dsmphased" ./cmd/dsmphased && \
 	"$$tmp/dsmphased" -chaos 4 -chaos-seed 1 -data "$$tmp/data" -experiments "$$tmp/experiments" > "$$tmp/chaos.json"
 
-ci: build fmt-check vet test coherence-race resilience-race bench bench-e2e-smoke bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke service-smoke chaos-smoke
+ci: build fmt-check vet test coherence-race resilience-race bench bench-smoke bench-e2e-smoke bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke service-smoke chaos-smoke

@@ -171,11 +171,15 @@ type Params struct {
 }
 
 // validate checks the parameters shared by every backend.
+// MaxProcs is the largest supported system: directory sharer sets are
+// one 64-bit mask.
+const MaxProcs = 64
+
 func (p Params) validate() {
 	if p.N <= 0 {
 		panic("coherence: need at least one processor")
 	}
-	if p.N > 64 {
+	if p.N > MaxProcs {
 		panic("coherence: sharer bitmask limits the system to 64 processors")
 	}
 	if p.Net.Nodes() != p.N {

@@ -384,13 +384,16 @@ func TestTraceCaptureRoundTrip(t *testing.T) {
 // TestShardArtifactRejectsUnusableTrace checks that a trace a shard
 // artifact carries passes the trace reader's record checks: a cell
 // whose trace changes BBV length or names a negative processor fails
-// with an error instead of panicking the sweep or SplitByProc.
+// with an error instead of panicking the sweep or SplitByProc, and one
+// naming a processor past the largest system fails instead of making
+// SplitByProc allocate a slot per processor up to it.
 func TestShardArtifactRejectsUnusableTrace(t *testing.T) {
 	wss := `,"wss":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]`
 	for name, tr := range map[string]string{
 		"bbv length": `{"proc":0,"index":0,"bbv":[0.5,0.5]` + wss + `}` + "\n" +
 			`{"proc":0,"index":1,"bbv":[1]` + wss + `}` + "\n",
 		"negative proc": `{"proc":-1,"index":0,"bbv":[1]` + wss + `}` + "\n",
+		"huge proc":     `{"proc":2000000000,"index":0,"bbv":[1]` + wss + `}` + "\n",
 	} {
 		t.Run(name, func(t *testing.T) {
 			ref := 0

@@ -6,10 +6,12 @@
 // with the smallest local cycle count (ties to the lowest processor ID).
 // Combined with busy-until accounting in the network links, memory banks
 // and directories, this yields deterministic, contention-sensitive
-// timing without a global event queue. The production scheduler executes
-// the min-clock processor in batches up to the runner-up's clock
-// (run-until-horizon, sched.go), which commits the exact interleaving of
-// the per-instruction scan at a fraction of the scheduling cost.
+// timing without a global event queue. The production scheduler runs
+// the min-clock processor until its next shared event (a memory access,
+// an interval end, the budget) lies past the runner-up's clock
+// (run-until-horizon, sched.go), which commits shared events in the
+// per-instruction scan's exact order at a fraction of the scheduling
+// cost.
 package machine
 
 import (

@@ -303,26 +303,61 @@ func (m *Machine) releaseBarrier() {
 	m.barriers++
 }
 
-// step commits one instruction on p.
-func (m *Machine) step(p *proc) error {
-	if p.pos >= len(p.buf) {
-		// Refill; a thread may legitimately emit several empty batches
-		// (e.g. skipping work items it does not own), so loop.
-		for {
-			p.emitter.Reset()
-			if !p.thread.NextBatch(p.emitter) {
-				p.done = true
-				// A partial trailing interval is dropped, matching the
-				// paper's whole-interval accounting.
-				return nil
-			}
-			if p.emitter.Len() > 0 {
-				p.buf = p.emitter.Take()
-				p.pos = 0
-				break
-			}
+// fill makes p.buf[p.pos] the thread's next instruction, pulling
+// batches as needed. It reports false — marking p done — once the
+// thread has run to completion. The buffered fast path inlines.
+func (p *proc) fill() bool {
+	return p.pos < len(p.buf) || p.refill()
+}
+
+// refill pulls batches until one is non-empty; a thread may
+// legitimately emit several empty batches (e.g. skipping work items it
+// does not own).
+func (p *proc) refill() bool {
+	for {
+		p.emitter.Reset()
+		if !p.thread.NextBatch(p.emitter) {
+			// A partial trailing interval is dropped, matching the
+			// paper's whole-interval accounting.
+			p.done = true
+			return false
+		}
+		if p.emitter.Len() > 0 {
+			p.buf = p.emitter.Take()
+			p.pos = 0
+			return true
 		}
 	}
+}
+
+// step commits one instruction on p.
+func (m *Machine) step(p *proc) error {
+	if !p.fill() {
+		return nil
+	}
+	return m.commit(p)
+}
+
+// shared reports whether committing in, p's next instruction, is a
+// shared event — one whose outcome depends on its place in the global
+// (clock, id) order: a load or store (protocol, network, and the F
+// vectors other processors' interval ends read), the instruction that
+// closes p's interval (it gathers every F vector and may occupy the
+// network), or the one over the budget (the error names p). A barrier
+// arrival is private: the release time is the latest arrival clock in
+// any order.
+func (m *Machine) shared(p *proc, in *isa.Inst) bool {
+	if in.Op.IsMem() {
+		return true
+	}
+	if in.Op != isa.OpSync && p.instrs+1 >= m.cfg.IntervalInstructions {
+		return true
+	}
+	return m.cfg.MaxInstructions > 0 && p.totalInstrs >= m.cfg.MaxInstructions
+}
+
+// commit executes p.buf[p.pos], which fill has made available.
+func (m *Machine) commit(p *proc) error {
 	in := p.buf[p.pos]
 	p.pos++
 

@@ -1,84 +1,97 @@
 package machine
 
-// Run-until-horizon scheduling (DESIGN.md §10).
-//
-// The naive scheduler re-scans all P processors to find the minimum
-// clock before every committed instruction — O(instrs × P). But the
-// scan's answer is sticky: after the min-clock processor commits one
-// instruction it usually still holds the minimum clock, so the naive
-// scheduler would pick it again. The horizon scheduler exploits that:
-// it keeps runnable processors in a binary min-heap ordered by
-// (clock, id), takes the root, reads the runner-up's key once (the heap
-// is untouched while the taken processor runs, so the runner-up is
-// stable), and lets the processor execute a whole batch of instructions
-// until it stops being the scheduling winner or blocks (barrier
-// arrival / thread completion). The heap is then repaired with a single
-// sift-down of the root — no pop/push pair. Scheduling cost amortizes
-// to O(log P) heap work per batch instead of O(P) per instruction, and
-// the instruction interleaving — hence every timestamp, cache state and
-// statistic — is exactly the one the naive scan produces, which
-// TestSchedulerEquivalence pins and Config.NaiveScheduler lets any test
-// re-check against the oracle.
+import "math"
 
-// procLess orders processors by (clock, id): the scheduling winner is
-// the runnable processor with the smallest clock, ties broken by lowest
+// Run-until-horizon scheduling with shared-event lookahead (DESIGN.md
+// §10).
+//
+// The naive scheduler re-scans all P processors for the minimum
+// (clock, id) before every committed instruction — O(instrs × P) — and
+// so commits all instructions merged in ascending (clock, id) order.
+// Only the order of shared events (Machine.shared) is observable; every
+// other instruction touches only its own processor's state. The horizon
+// scheduler keeps runnable processors in a binary min-heap keyed by
+// (clock, id), takes the root, reads the runner-up's key once (nothing
+// else moves while the root runs), and commits the root's instructions
+// until it blocks (barrier arrival / thread completion) or its next
+// instruction is a shared event past that key. The heap is then
+// repaired with one sift-down of the root — no pop/push pair.
+//
+// Private instructions only add to a clock, so every heap key is at
+// most its processor's next shared-event key; a shared event commits
+// only below the runner-up's key, hence below every other processor's
+// next shared event. Shared events therefore commit in the naive scan's
+// order and see the state they see there: the output is byte-identical
+// (TestSchedulerEquivalence; Config.NaiveScheduler is the oracle). The
+// lookahead pulls batches earlier than the scan would, which the
+// isa.Thread contract — NextBatch depends only on the thread's own
+// state — makes invisible.
+
+// heapSlot is one runnable processor with its (clock, id) key held
+// inline, so sifting compares without dereferencing the processor.
+type heapSlot struct {
+	clock float64
+	id    int
+	p     *proc
+}
+
+// less orders slots by (clock, id): the scheduling winner is the
+// runnable processor with the smallest clock, ties broken by lowest
 // processor ID — the same total order pickRunnable's ID-ordered scan
 // implements, which is what makes runs deterministic.
-func procLess(a, b *proc) bool {
+func (a *heapSlot) less(b *heapSlot) bool {
 	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
 }
 
-// procHeap is a binary min-heap of runnable processors under procLess.
-// Only the root's clock ever changes (the taken processor runs while
-// everyone else stands still), so the heap needs no decrease-key:
-// takeMin, run the batch, fix — or removeMin when the processor
-// blocked.
+// procHeap is a binary min-heap of runnable processors. Only the
+// root's key ever changes (the taken processor runs while everyone
+// else stands still), so the heap needs no decrease-key: takeMin, run,
+// fix — or removeMin when the processor blocked.
 type procHeap struct {
-	h []*proc
+	h []heapSlot
 }
 
 func newProcHeap(capacity int) *procHeap {
-	return &procHeap{h: make([]*proc, 0, capacity)}
+	return &procHeap{h: make([]heapSlot, 0, capacity)}
 }
 
-func (ph *procHeap) len() int { return len(ph.h) }
-
-// takeMin returns the scheduling winner (the root, left in place) and
-// the runner-up — the procLess-least of the root's children, which is
-// the second element of the heap's total order. It asserts the
-// determinism contract: among equal clocks, processors pop in ascending
-// ID order (a violation would mean the heap invariant broke and
-// replicated runs could diverge). The caller runs min, then calls fix
-// (still runnable) or removeMin (blocked).
-func (ph *procHeap) takeMin() (min, runnerUp *proc) {
-	switch len(ph.h) {
+// takeMin returns the scheduling winner (the root, left in place), or
+// nil for an empty heap, and the runner-up's key — the least of the
+// root's children, the second element of the heap's total order — or
+// (+Inf, 0) when the winner runs alone. It asserts the determinism
+// contract: among equal clocks, processors pop in ascending ID order (a
+// violation would mean the heap invariant broke and replicated runs
+// could diverge). The caller runs min, then calls fix (still runnable)
+// or removeMin (blocked).
+func (ph *procHeap) takeMin() (min *proc, nextClock float64, nextID int) {
+	h := ph.h
+	switch len(h) {
 	case 0:
-		return nil, nil
+		return nil, 0, 0
 	case 1:
-		return ph.h[0], nil
-	case 2:
-		min, runnerUp = ph.h[0], ph.h[1]
-	default:
-		min, runnerUp = ph.h[0], ph.h[1]
-		if procLess(ph.h[2], runnerUp) {
-			runnerUp = ph.h[2]
-		}
+		return h[0].p, math.Inf(1), 0
 	}
-	if runnerUp.clock == min.clock && runnerUp.id < min.id {
+	next := &h[1]
+	if len(h) > 2 && h[2].less(next) {
+		next = &h[2]
+	}
+	if next.clock == h[0].clock && next.id < h[0].id {
 		panic("machine: scheduler heap pops equal clocks out of ID order")
 	}
-	return min, runnerUp
+	return h[0].p, next.clock, next.id
 }
 
-// fix restores the heap order after the root's clock advanced.
-func (ph *procHeap) fix() { ph.siftDown(0) }
+// fix records the root's advanced clock and restores the heap order.
+func (ph *procHeap) fix(clock float64) {
+	ph.h[0].clock = clock
+	ph.siftDown(0)
+}
 
-// removeMin deletes the root (whose clock may have advanced past any
-// other entry by the time it blocked).
+// removeMin deletes the root.
 func (ph *procHeap) removeMin() {
 	n := len(ph.h)
 	last := ph.h[n-1]
-	ph.h[n-1] = nil
+	ph.h[n-1] = heapSlot{}
 	ph.h = ph.h[:n-1]
 	if n > 1 {
 		ph.h[0] = last
@@ -87,11 +100,11 @@ func (ph *procHeap) removeMin() {
 }
 
 func (ph *procHeap) push(p *proc) {
-	ph.h = append(ph.h, p)
+	ph.h = append(ph.h, heapSlot{clock: p.clock, id: p.id, p: p})
 	i := len(ph.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !procLess(ph.h[i], ph.h[parent]) {
+		if !ph.h[i].less(&ph.h[parent]) {
 			break
 		}
 		ph.h[i], ph.h[parent] = ph.h[parent], ph.h[i]
@@ -100,20 +113,21 @@ func (ph *procHeap) push(p *proc) {
 }
 
 func (ph *procHeap) siftDown(i int) {
-	n := len(ph.h)
+	h := ph.h
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && procLess(ph.h[l], ph.h[smallest]) {
+		if l < n && h[l].less(&h[smallest]) {
 			smallest = l
 		}
-		if r < n && procLess(ph.h[r], ph.h[smallest]) {
+		if r < n && h[r].less(&h[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
 			return
 		}
-		ph.h[i], ph.h[smallest] = ph.h[smallest], ph.h[i]
+		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
 }
@@ -128,7 +142,7 @@ func (m *Machine) runHorizon() error {
 		}
 	}
 	for {
-		p, next := heap.takeMin()
+		p, nextClock, nextID := heap.takeMin()
 		if p == nil {
 			if m.allDone() {
 				return nil
@@ -144,21 +158,23 @@ func (m *Machine) runHorizon() error {
 			}
 			return errDeadlock
 		}
-		// The horizon: p runs while it would still win the naive scan,
-		// i.e. while (p.clock, p.id) < (next.clock, next.id). next is
-		// stable for the whole batch — nothing else advances while p
-		// runs. With no other runnable processor the horizon is
-		// infinite: p runs until it blocks.
+		// p runs until its next instruction is a shared event past the
+		// horizon (nextClock, nextID), or until it blocks.
 		for {
-			if err := m.step(p); err != nil {
-				return err
-			}
-			if p.done || p.atBarrier {
+			if !p.fill() {
 				heap.removeMin()
 				break
 			}
-			if next != nil && (p.clock > next.clock || (p.clock == next.clock && p.id > next.id)) {
-				heap.fix()
+			if (p.clock > nextClock || (p.clock == nextClock && p.id > nextID)) &&
+				m.shared(p, &p.buf[p.pos]) {
+				heap.fix(p.clock)
+				break
+			}
+			if err := m.commit(p); err != nil {
+				return err
+			}
+			if p.atBarrier {
+				heap.removeMin()
 				break
 			}
 		}

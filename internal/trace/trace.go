@@ -16,6 +16,7 @@ import (
 	"io"
 	"strconv"
 
+	"dsmphase/internal/coherence"
 	"dsmphase/internal/core"
 )
 
@@ -62,7 +63,9 @@ func WriteJSONL(w io.Writer, recs []core.IntervalSignature) error {
 
 // ReadJSONL reads a JSONL stream written by WriteJSONL. It rejects a
 // record that SplitByProc or classification could not take: a negative
-// proc or index, or a BBV whose length differs from the first record's.
+// proc or index, a proc no simulated system has (SplitByProc allocates
+// one slot per processor up to the largest), or a BBV whose length
+// differs from the first record's.
 func ReadJSONL(r io.Reader) ([]core.IntervalSignature, error) {
 	var out []core.IntervalSignature
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -80,6 +83,10 @@ func ReadJSONL(r io.Reader) ([]core.IntervalSignature, error) {
 		if jr.Proc < 0 || jr.Index < 0 {
 			return nil, fmt.Errorf("trace: interval %d has proc %d, index %d; both must be non-negative",
 				len(out), jr.Proc, jr.Index)
+		}
+		if jr.Proc >= coherence.MaxProcs {
+			return nil, fmt.Errorf("trace: interval %d has proc %d; systems have at most %d processors",
+				len(out), jr.Proc, coherence.MaxProcs)
 		}
 		// Classification takes Manhattan distances between any two
 		// intervals of a processor, which needs one BBV length throughout.

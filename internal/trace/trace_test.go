@@ -57,7 +57,8 @@ func TestJSONLRejectsBadWSS(t *testing.T) {
 
 // TestJSONLRejectsUnusableRecords covers records that would panic
 // later stages: classification takes Manhattan distances between BBVs
-// of one length, and SplitByProc indexes by proc.
+// of one length, and SplitByProc indexes by proc and allocates a slot
+// per processor up to the largest.
 func TestJSONLRejectsUnusableRecords(t *testing.T) {
 	wss := `,"wss":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]`
 	for _, tc := range []struct {
@@ -73,6 +74,17 @@ func TestJSONLRejectsUnusableRecords(t *testing.T) {
 			name:    "negative proc",
 			stream:  `{"proc":-1,"index":0,"bbv":[1]` + wss + `}` + "\n",
 			wantErr: "interval 0 has proc -1, index 0",
+		},
+		{
+			name:    "proc past the largest system",
+			stream:  `{"proc":2000000000,"index":0,"bbv":[1]` + wss + `}` + "\n",
+			wantErr: "interval 0 has proc 2000000000; systems have at most 64 processors",
+		},
+		{
+			name: "first proc past the largest system",
+			stream: `{"proc":63,"index":0,"bbv":[1]` + wss + `}` + "\n" +
+				`{"proc":64,"index":0,"bbv":[1]` + wss + `}` + "\n",
+			wantErr: "interval 1 has proc 64",
 		},
 		{
 			name: "negative index",
