@@ -117,12 +117,15 @@ tuning-smoke:
 # End-to-end smoke of cross-machine sharding: run a tiny grid as two
 # shards, merge the artifacts, and require the merged report to be
 # byte-identical to the unsharded run (docs/MERGE_FORMAT.md's core
-# guarantee, exercised through the real CLI) — once for the default
-# scorecard and once for one figure's curves under -format csv.
+# guarantee, exercised through the real CLI) — for the default
+# scorecard, one figure's curves under -format csv, and the tuning
+# grid under -format json. Then the resume path: a rerun of a finished
+# -shard-dir shard must resume every cell from its cell stream and
+# rewrite a byte-identical artifact.
 shard-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/experiments" ./cmd/experiments; \
-	for extra in "-replicates 2 -tuning" "-grids figure4 -format csv"; do \
+	for extra in "-replicates 2 -tuning" "-grids figure4 -format csv" "-grids tuning -format json"; do \
 		flags="-size test -interval 40000 -apps lu $$extra"; \
 		"$$tmp/experiments" $$flags > "$$tmp/unsharded"; \
 		"$$tmp/experiments" $$flags -shard 0/2 -shard-out "$$tmp/s0.json"; \
@@ -131,7 +134,15 @@ shard-smoke:
 		diff "$$tmp/unsharded" "$$tmp/merged"; \
 		rm -f "$$tmp"/s*.json "$$tmp"/s*.cells.jsonl; \
 		echo "shard-smoke: $$extra: merged output byte-identical"; \
-	done
+	done; \
+	flags="-size test -interval 40000 -apps lu -shard 0/2 -shard-dir $$tmp/d"; \
+	"$$tmp/experiments" $$flags 2> "$$tmp/first.log"; \
+	cp "$$tmp/d/shard_0_of_2.json" "$$tmp/first.json"; \
+	"$$tmp/experiments" $$flags 2> "$$tmp/resume.log"; \
+	cmp "$$tmp/first.json" "$$tmp/d/shard_0_of_2.json"; \
+	resumed=$$(grep -o 'resumed [0-9]* cells' "$$tmp/resume.log") || \
+		{ echo "shard-smoke: resume: no 'resumed N cells' line on stderr" >&2; cat "$$tmp/resume.log" >&2; exit 1; }; \
+	echo "shard-smoke: resume: $$resumed, artifact byte-identical"
 
 # End-to-end smoke of the workload-definition front ends: run the
 # committed example specs — two DSL files and one ingested trace —

@@ -544,7 +544,11 @@ func BenchmarkAblation_TuningLoop(b *testing.B) {
 	)
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		rep, err := spec.RunTuning(harness.Options{Parallel: 1})
+		results, _, err := harness.RunGrids([]harness.NamedGrid{{Name: "tuning", Tuning: true, Spec: spec}}, 0, 1, harness.Options{Parallel: 1}, false, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := spec.AssembleTuning(results[0])
 		if err != nil {
 			b.Fatal(err)
 		}

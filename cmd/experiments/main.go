@@ -183,11 +183,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Build the encoders before any simulation runs: a format typo must
-	// fail in milliseconds, not after the grids finished.
-	encs, err := newGridEncoders(grids, *format)
-	if err != nil {
-		return err
+	// Build the -format encoders before any simulation runs: a format
+	// typo must fail in milliseconds, not after the grids finished.
+	var encs []dsmphase.GridEncoder
+	if *format != "" {
+		for _, g := range grids {
+			enc, err := g.Encoder(*format, g.Name)
+			if err != nil {
+				return err
+			}
+			encs = append(encs, enc)
+		}
 	}
 
 	// The ETA prior: a previous run's persisted per-cell timings.
@@ -200,18 +206,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		etaPer, etaCells = prior.MeanCellWall()
 	}
-	// Each Spec.Run gets a fresh printer so the ETA never mixes plans.
-	makeOpts := func() dsmphase.EngineOptions {
-		opts := dsmphase.EngineOptions{Parallel: *parallel}
-		if *progress {
-			opts.Progress = dsmphase.SeededProgressPrinter(stderr, etaPer, etaCells)
-		}
-		return opts
+	opts := dsmphase.EngineOptions{Parallel: *parallel}
+	if *progress {
+		opts.Progress = dsmphase.SeededProgressPrinter(stderr, etaPer, etaCells)
 	}
 	start := time.Now()
 
 	if *shardArg != "" {
-		if err := runShard(grids, *shardArg, *shardOut, *shardDir, *shardTrace, stdout, stderr, makeOpts); err != nil {
+		if err := runShard(grids, *shardArg, *shardOut, *shardDir, *shardTrace, stdout, stderr, opts); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "total runtime: %v (parallel=%d)\n",
@@ -219,14 +221,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// Produce each grid's report: simulated here, reassembled from shard
-	// artifacts, or served by a dsmphased coordinator. All paths flow
-	// through the same aggregation, so the rendered bytes agree.
-	reports := map[string]*dsmphase.Report{}
-	var tuningRep *dsmphase.TuningReport
+	// Produce each grid's plan-ordered results: run here, reassembled
+	// from shard artifacts, or served by a dsmphased coordinator. All
+	// paths flow through the same aggregation, so the rendered bytes
+	// agree.
+	var results [][]dsmphase.CellResult
 	switch {
 	case *mergeFlag:
-		if reports, tuningRep, err = mergeGrids(grids, fs.Args(), stderr); err != nil {
+		if results, err = mergeGrids(grids, fs.Args(), stderr); err != nil {
 			return err
 		}
 	case *submitURL != "":
@@ -240,33 +242,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Workloads:    workloadSources,
 			AllowPartial: *allowPart,
 		}
-		if reports, tuningRep, err = runSubmit(*submitURL, grids, req, stderr); err != nil {
+		if results, err = runSubmit(*submitURL, grids, req, stderr); err != nil {
 			return err
 		}
 	default:
-		for _, g := range grids {
-			if g.Tuning {
-				if tuningRep, err = g.Spec.RunTuning(makeOpts()); err != nil {
-					return err
-				}
-			} else {
-				reports[g.Name] = g.Spec.Run(makeOpts())
-			}
+		if results, _, err = dsmphase.RunGrids(grids, 0, 1, opts, false, nil); err != nil {
+			return err
 		}
 	}
 
 	if encs == nil {
-		if err := scorecard(stdout, size, *seed, reports, tuningRep); err != nil {
+		if err := scorecard(stdout, size, *seed, grids, results); err != nil {
 			return err
 		}
 	}
 	for i, enc := range encs {
-		if grids[i].Tuning {
-			err = enc.tuning.Encode(stdout, tuningRep)
-		} else {
-			err = enc.report.Encode(stdout, reports[grids[i].Name])
-		}
-		if err != nil {
+		if err := enc(stdout, results[i]); err != nil {
 			return err
 		}
 	}
@@ -275,74 +266,62 @@ func run(args []string, stdout, stderr io.Writer) error {
 		time.Since(start).Round(time.Millisecond), *parallel)
 
 	// Per-cell isolation keeps a partial report useful, but a run where
-	// every cell failed produced no evaluation at all — exit non-zero so
-	// scripted consumers notice.
-	fig2, fig4 := reports["figure2"], reports["figure4"]
-	if fig2 != nil && fig4 != nil && len(fig2.Curves()) == 0 && len(fig4.Curves()) == 0 {
-		if err := fig2.FirstError(); err != nil {
-			return fmt.Errorf("every cell failed; first error: %w", err)
+	// every cell of every grid failed produced no evaluation at all —
+	// exit non-zero so scripted consumers notice.
+	var first error
+	for _, rs := range results {
+		for _, r := range rs {
+			if r.Err == nil {
+				return nil
+			}
+			if first == nil {
+				first = r.Err
+			}
 		}
-		if err := fig4.FirstError(); err != nil {
-			return fmt.Errorf("every cell failed; first error: %w", err)
-		}
+	}
+	if first != nil {
+		return fmt.Errorf("every cell failed; first error: %w", first)
 	}
 	return nil
 }
 
-// gridEncoder is one grid's -format encoder; Tuning grids use the
-// TuningReport family, the rest the Report one.
-type gridEncoder struct {
-	report dsmphase.Encoder
-	tuning dsmphase.TuningEncoder
-}
-
-// newGridEncoders builds the -format encoder of every selected grid,
-// titled with the grid name. An empty format returns nil (the
-// scorecard); an unknown one fails here, before any simulation runs.
-func newGridEncoders(grids []dsmphase.NamedGrid, format string) ([]gridEncoder, error) {
-	if format == "" {
-		return nil, nil
-	}
-	encs := make([]gridEncoder, len(grids))
-	for i, g := range grids {
-		var err error
-		if g.Tuning {
-			encs[i].tuning, err = dsmphase.NewTuningEncoder(format, g.Name)
-		} else {
-			encs[i].report, err = dsmphase.NewEncoder(format, g.Name)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return encs, nil
-}
-
 // scorecard prints the default report: the Figure 2 and Figure 4
 // claim checks, the §III-B overhead estimate, and the ablation and
-// tuning grids as markdown when selected.
-func scorecard(w io.Writer, size dsmphase.Size, seed uint64, reports map[string]*dsmphase.Report, tuningRep *dsmphase.TuningReport) error {
+// tuning grids as markdown when selected. results holds each grid's
+// plan-ordered cell results.
+func scorecard(w io.Writer, size dsmphase.Size, seed uint64, grids []dsmphase.NamedGrid, results [][]dsmphase.CellResult) error {
+	index := map[string]int{}
+	for i, g := range grids {
+		index[g.Name] = i
+	}
+	report := func(name string) *dsmphase.Report {
+		if i, ok := index[name]; ok {
+			return grids[i].Spec.Assemble(results[i])
+		}
+		return nil
+	}
 	fmt.Fprintf(w, "# Experiment report (size=%s, seed=%d)\n\n", size, seed)
-	if rep := reports["figure2"]; rep != nil {
+	if rep := report("figure2"); rep != nil {
 		reportFigure2(w, rep)
 	}
-	if rep := reports["figure4"]; rep != nil {
+	if rep := report("figure4"); rep != nil {
 		reportFigure4(w, rep)
 	}
 	reportOverhead(w)
-	if rep := reports["ablation"]; rep != nil {
+	if rep := report("ablation"); rep != nil {
 		if err := reportAblation(w, rep); err != nil {
 			return err
 		}
 	}
-	if tuningRep == nil {
+	i, ok := index["tuning"]
+	if !ok {
 		return nil
 	}
-	enc, err := dsmphase.NewTuningEncoder("markdown", "Adaptive tuning — detector × predictor × controller")
+	enc, err := grids[i].Encoder("markdown", "Adaptive tuning — detector × predictor × controller")
 	if err != nil {
 		return err
 	}
-	return enc.Encode(w, tuningRep)
+	return enc(w, results[i])
 }
 
 // applyPreset rewrites flag defaults from a named preset, keeping any
@@ -379,7 +358,7 @@ func applyPreset(fs *flag.FlagSet, name string, paper func()) error {
 // results reused verbatim, so the resumed artifact matches an
 // uninterrupted run. -shard-dir derives the canonical output path
 // inside a work directory (the dsmphased worker handshake).
-func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace bool, stdout, stderr io.Writer, makeOpts func() dsmphase.EngineOptions) error {
+func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace bool, stdout, stderr io.Writer, opts dsmphase.EngineOptions) error {
 	shard, of, err := dsmphase.ParseShard(shardArg)
 	if err != nil {
 		return err
@@ -391,79 +370,32 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 		out = filepath.Join(dir, fmt.Sprintf("shard_%d_of_%d.json", shard, of))
 	}
 	var cs *dsmphase.CellStream
-	var prior map[string]*dsmphase.StreamedGrid
 	if out != "-" {
 		streamPath := dsmphase.CellStreamPath(out)
-		if prior, err = dsmphase.ReadCellStream(streamPath); err != nil {
+		var restarted bool
+		if cs, restarted, err = dsmphase.ResumeCellStream(streamPath, grids, shard, of); err != nil {
 			return err
 		}
-		// Resume safety: every recovered section must match its grid's
-		// current plan exactly (fingerprint, shard coordinates, cell
-		// count). A stream from different flags is stale — drop it whole.
-		valid := true
-		for name, sg := range prior {
-			var g *dsmphase.NamedGrid
-			for i := range grids {
-				if grids[i].Name == name {
-					g = &grids[i]
-				}
-			}
-			if g == nil || !sg.Matches(name, g.Spec.Plan().Fingerprint(), shard, of, g.Spec.Plan().Len()) {
-				valid = false
-				break
-			}
-		}
-		if !valid {
+		if restarted {
 			fmt.Fprintf(stderr, "experiments: cell stream %s does not match this plan; restarting the shard\n", streamPath)
-			if err := os.Remove(streamPath); err != nil {
-				return err
-			}
-			prior = nil
-		}
-		if cs, err = dsmphase.OpenCellStream(streamPath); err != nil {
-			return err
 		}
 	}
+	results, resumed, err := dsmphase.RunGrids(grids, shard, of, opts, withTrace, cs)
+	if cs != nil {
+		if cerr := cs.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return err
+	}
 	art := &dsmphase.ShardArtifact{Format: dsmphase.ShardFormat, Shard: shard, Of: of}
-	resumed := 0
-	for _, g := range grids {
-		opts := makeOpts()
-		if g.Tuning {
-			// The tuning grid needs the online adaptive-loop hook so each
-			// cell's artifact entry carries the scorecard payload.
-			hook, err := g.Spec.TuningHook()
-			if err != nil {
-				return err
-			}
-			opts.Hook = hook
-		}
-		if withTrace {
-			opts.Hook = dsmphase.TraceHook(opts.Hook)
-		}
-		var results []dsmphase.CellResult
-		if cs != nil {
-			var pcells []dsmphase.ShardCell
-			if sg := prior[g.Name]; sg != nil {
-				pcells = sg.Cells
-			}
-			var n int
-			if results, n, err = g.Spec.RunShardStreamed(g.Name, shard, of, opts, cs, pcells); err != nil {
-				return err
-			}
-			resumed += n
-		} else {
-			results = g.Spec.RunShard(shard, of, opts)
-		}
-		sg, err := dsmphase.NewShardGrid(g.Name, g.Spec, results, g.Tuning, withTrace)
+	for i, g := range grids {
+		sg, err := dsmphase.NewShardGrid(g.Name, g.Spec, results[i], g.Tuning, withTrace)
 		if err != nil {
 			return err
 		}
 		art.Grids = append(art.Grids, sg)
-	}
-	if cs != nil {
-		if err := cs.Close(); err != nil {
-			return err
-		}
 	}
 	if resumed > 0 {
 		fmt.Fprintf(stderr, "experiments: resumed %d cells from the shard's cell stream\n", resumed)
@@ -482,24 +414,23 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 }
 
 // runSubmit is the service-client mode: one job per selected grid is
-// posted to a dsmphased coordinator, and the served artifacts are
-// reassembled through the same MergeShards/Assemble aggregation the
-// local paths use — so the rendered report is byte-identical to a
-// direct run of the same flags.
-func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, stderr io.Writer) (map[string]*dsmphase.Report, *dsmphase.TuningReport, error) {
+// posted to a dsmphased coordinator, and each served artifact is
+// reassembled into the grid's plan-ordered results with MergeShards,
+// as the local paths are — so the rendered report is byte-identical to
+// a direct run of the same flags.
+func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, stderr io.Writer) ([][]dsmphase.CellResult, error) {
 	client := &service.Client{BaseURL: url}
-	reports := map[string]*dsmphase.Report{}
-	var tuningRep *dsmphase.TuningReport
+	var all [][]dsmphase.CellResult
 	for _, g := range grids {
 		r := req
 		r.Grid = g.Name
 		st, err := client.Submit(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fmt.Fprintf(stderr, "experiments: submitted %s as %s (%s)\n", g.Name, st.ID, st.State)
 		if st, err = client.Wait(st.ID, 0); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if st.Cached {
 			fmt.Fprintf(stderr, "experiments: %s served from the coordinator's result cache\n", st.ID)
@@ -510,60 +441,48 @@ func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, s
 		}
 		art, err := client.Artifact(st.ID)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		results, err := dsmphase.MergeShards(g.Spec, g.Name, []*dsmphase.ShardArtifact{art})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if g.Tuning {
-			if tuningRep, err = g.Spec.AssembleTuning(results); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			reports[g.Name] = g.Spec.Assemble(results)
-		}
+		all = append(all, results)
 	}
-	return reports, tuningRep, nil
+	return all, nil
 }
 
 // mergeGrids reads a complete shard-artifact set and reassembles every
-// grid's report through the same aggregation path the unsharded run
-// uses. An artifact grid the merge-side flags did not select (e.g.
-// shards ran with -ablation, the merge without) is noted on stderr so
-// the data is not silently dropped; the reverse — a selected grid the
-// artifacts lack — is a hard error from MergeShards.
-func mergeGrids(grids []dsmphase.NamedGrid, files []string, stderr io.Writer) (map[string]*dsmphase.Report, *dsmphase.TuningReport, error) {
+// grid's plan-ordered results, which render through the same
+// aggregation path the unsharded run uses. An artifact grid the
+// merge-side flags did not select (e.g. shards ran with -ablation, the
+// merge without) is noted on stderr so the data is not silently
+// dropped; the reverse — a selected grid the artifacts lack — is a hard
+// error from MergeShards.
+func mergeGrids(grids []dsmphase.NamedGrid, files []string, stderr io.Writer) ([][]dsmphase.CellResult, error) {
 	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("-merge needs shard artifact files as arguments")
+		return nil, fmt.Errorf("-merge needs shard artifact files as arguments")
 	}
 	arts, err := dsmphase.ReadShardArtifactFiles(files)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	reports := map[string]*dsmphase.Report{}
-	var tuningRep *dsmphase.TuningReport
+	var all [][]dsmphase.CellResult
 	selected := map[string]bool{}
 	for _, g := range grids {
 		selected[g.Name] = true
 		results, err := dsmphase.MergeShards(g.Spec, g.Name, arts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if g.Tuning {
-			if tuningRep, err = g.Spec.AssembleTuning(results); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			reports[g.Name] = g.Spec.Assemble(results)
-		}
+		all = append(all, results)
 	}
 	for _, ag := range arts[0].Grids {
 		if !selected[ag.Name] {
 			fmt.Fprintf(stderr, "experiments: note: shard artifacts carry grid %q, which the merge flags did not select; rerun -merge with the shard run's flags to render it\n", ag.Name)
 		}
 	}
-	return reports, tuningRep, nil
+	return all, nil
 }
 
 // reportAblation appends the ablation grid's markdown scorecard.

@@ -81,16 +81,29 @@ func TestReportIsolatesUnknownWorkload(t *testing.T) {
 }
 
 // TestAllCellsFailingReturnsError checks that a run producing no
-// evaluation at all (every cell failed) exits non-zero, while partial
-// failures (TestReportIsolatesUnknownWorkload) still succeed.
+// evaluation at all (every cell failed) exits non-zero whatever the
+// grid selection and output format, while partial failures
+// (TestReportIsolatesUnknownWorkload) still succeed.
 func TestAllCellsFailingReturnsError(t *testing.T) {
-	var out, errOut bytes.Buffer
-	err := run([]string{"-size", "test", "-interval", "40000", "-apps", "nope"}, &out, &errOut)
-	if err == nil {
-		t.Error("all-cells-failed run returned nil")
-	}
-	if !strings.Contains(out.String(), "skipped `nope") {
-		t.Errorf("report body missing skip lines:\n%s", out.String())
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		body  string // expected in the printed report
+	}{
+		{"scorecard", nil, "skipped `nope"},
+		{"figure4-csv", []string{"-grids", "figure4", "-format", "csv"}, "variant,app,procs"},
+		{"tuning-text", []string{"-grids", "tuning", "-format", "text"}, "failed: workloads: unknown workload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			args := append([]string{"-size", "test", "-interval", "40000", "-apps", "nope"}, tc.extra...)
+			if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), "every cell failed") {
+				t.Errorf("all-cells-failed run returned %v, want an every-cell-failed error", err)
+			}
+			if !strings.Contains(out.String(), tc.body) {
+				t.Errorf("report body missing %q:\n%s", tc.body, out.String())
+			}
+		})
 	}
 }
 
@@ -210,7 +223,8 @@ func TestTuningFormatValidation(t *testing.T) {
 // TestFormatMatchesMergeAndSpec pins the -format front end: for every
 // named grid and encoder, `-grids G -format F` prints the same bytes as
 // the -merge of its 2-shard split and as encoder F (titled G) over a
-// direct BuildGrid(G).Spec run.
+// direct RunGrids run of BuildGrid(G), aggregated with Assemble or
+// AssembleTuning.
 func TestFormatMatchesMergeAndSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report run")
@@ -222,14 +236,18 @@ func TestFormatMatchesMergeAndSpec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			results, _, err := dsmphase.RunGrids([]dsmphase.NamedGrid{g}, 0, 1, dsmphase.EngineOptions{Parallel: 4}, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var rep *dsmphase.Report
 			var tuningRep *dsmphase.TuningReport
 			if g.Tuning {
-				if tuningRep, err = g.Spec.RunTuning(dsmphase.EngineOptions{Parallel: 4}); err != nil {
+				if tuningRep, err = g.Spec.AssembleTuning(results[0]); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				rep = g.Spec.Run(dsmphase.EngineOptions{Parallel: 4})
+				rep = g.Spec.Assemble(results[0])
 			}
 			files := shardFiles(t, 2, "-grids", name)
 			for _, format := range dsmphase.EncoderNames() {
@@ -252,11 +270,11 @@ func TestFormatMatchesMergeAndSpec(t *testing.T) {
 				}
 				flags := []string{"-grids", name, "-format", format, "-parallel", "4"}
 				if got := report(t, flags...); got != want.String() {
-					t.Errorf("%s: -format output differs from the encoder over Spec.Run:\n--- spec ---\n%s\n--- cli ---\n%s",
+					t.Errorf("%s: -format output differs from the encoder over RunGrids:\n--- direct ---\n%s\n--- cli ---\n%s",
 						format, want.String(), got)
 				}
 				if got := report(t, append(append(flags, "-merge"), files...)...); got != want.String() {
-					t.Errorf("%s: merged -format output differs from the encoder over Spec.Run", format)
+					t.Errorf("%s: merged -format output differs from the encoder over RunGrids", format)
 				}
 			}
 		})

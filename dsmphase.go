@@ -200,14 +200,8 @@ type CellResult = harness.CellResult
 // EngineOptions configures the parallel plan runner.
 type EngineOptions = harness.Options
 
-// Runner executes plans across a bounded goroutine pool.
-type Runner = harness.Runner
-
 // NewPlan returns an empty experiment plan.
 func NewPlan() *Plan { return harness.NewPlan() }
-
-// NewRunner returns a plan runner with the given options.
-func NewRunner(opts EngineOptions) *Runner { return harness.NewRunner(opts) }
 
 // RunPlan executes every cell of a plan across the worker pool and
 // returns results in plan order; worker count never changes the output.
@@ -229,7 +223,8 @@ func DeriveSeed(base uint64, workload string, procs, replicate int) uint64 {
 func NewETA() *ETA { return harness.NewETA() }
 
 // ProgressPrinter returns a Progress callback printing per-cell
-// completions with timing and an ETA; use one per Run.
+// completions with timing and an ETA; use one per RunPlan or RunGrids
+// call.
 func ProgressPrinter(w io.Writer) func(done, total int, r CellResult) {
 	return harness.ProgressPrinter(w)
 }
@@ -518,8 +513,9 @@ type TuningConfigResult = harness.TuningConfigResult
 // TuningReport is an executed tuning grid: win-rate, regret,
 // convergence, accuracy and overhead per (variant, app, procs, detector,
 // predictor, controller), each mean ± 95% CI across replicates. Build a
-// Spec with WithPredictors/WithControllers/WithPhaseBudget and run
-// Spec.RunTuning to produce one.
+// Spec with WithPredictors/WithControllers/WithPhaseBudget, run it as a
+// NamedGrid with Tuning set through RunGrids, and aggregate the results
+// with Spec.AssembleTuning (or render them with NamedGrid.Encoder).
 type TuningReport = harness.TuningReport
 
 // TuningEncoder renders a TuningReport in one output format.
@@ -559,14 +555,15 @@ func OperatingPoint(c Curve, phaseBudget float64) (thBBV, thDDS float64) {
 // harness.CellHook); the tuning driver is built on it.
 type CellHook = harness.CellHook
 
-// ---- Cross-machine sharding: Spec → shard artifacts → merged report ----
+// ---- Cross-machine sharding: grids → shard artifacts → merged report ----
 //
-// A Spec's grid shards across machines: worker i runs
-// Spec.RunShard(i, n) (or RunTuningShard) and serializes the results
-// with NewShardGrid + WriteShardArtifact; the merge side reads the n
-// artifacts, reassembles plan-ordered results with MergeShards, and
-// Spec.Assemble / Spec.AssembleTuning reproduce the unsharded report
-// byte for byte in every encoder format. See docs/MERGE_FORMAT.md.
+// Named grids shard across machines: worker i runs RunGrids(grids, i,
+// n, ...) and serializes each grid's results with NewShardGrid +
+// WriteShardArtifact; the merge side reads the n artifacts, reassembles
+// each grid's plan-ordered results with MergeShards, and
+// NamedGrid.Encoder (Spec.Assemble / Spec.AssembleTuning underneath)
+// reproduces the unsharded report byte for byte in every format. See
+// docs/MERGE_FORMAT.md.
 
 // ShardFormat is the versioned format tag of a shard artifact.
 const ShardFormat = harness.ShardFormat
@@ -676,6 +673,19 @@ func BuildGrid(name string, gp GridParams) (NamedGrid, error) { return harness.B
 // GridNames returns the registered grid names, sorted.
 func GridNames() []string { return harness.GridNames() }
 
+// GridEncoder renders one grid's plan-ordered cell results in one
+// format (see NamedGrid.Encoder).
+type GridEncoder = harness.GridEncoder
+
+// RunGrids executes shard i of n of every grid (0 of 1 is the whole
+// plan) and returns each grid's plan-indexed results. It installs each
+// tuning grid's TuningHook, wraps hooks in TraceHook when trace is set,
+// and with a CellStream streams completed cells and resumes from the
+// ones ResumeCellStream recovered.
+func RunGrids(grids []NamedGrid, shard, of int, opts EngineOptions, trace bool, cs *CellStream) ([][]CellResult, int, error) {
+	return harness.RunGrids(grids, shard, of, opts, trace, cs)
+}
+
 // ---- Per-cell shard streaming (durability + resume) ----
 
 // CellStreamFormat is the versioned format tag of a cell stream.
@@ -697,8 +707,12 @@ type StreamedGrid = harness.StreamedGrid
 // path.
 func CellStreamPath(artifact string) string { return harness.CellStreamPath(artifact) }
 
-// OpenCellStream opens (creating or appending) a stream file.
-func OpenCellStream(path string) (*CellStream, error) { return harness.OpenCellStream(path) }
+// ResumeCellStream opens the stream file of a RunGrids shard run and
+// recovers the cells an earlier attempt of the same run left in it; a
+// stream from different flags is deleted and restarted reports it.
+func ResumeCellStream(path string, grids []NamedGrid, shard, of int) (cs *CellStream, restarted bool, err error) {
+	return harness.ResumeCellStream(path, grids, shard, of)
+}
 
 // ReadCellStream recovers a stream file's grids (tolerating a torn
 // tail).

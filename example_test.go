@@ -34,25 +34,34 @@ func ExampleNewSpec() {
 	// lu 2P BBV+DDV: curve with 31 points
 }
 
-// Shard a Spec across workers and merge the artifacts: the merged
-// report is byte-identical to the unsharded run in every encoder
-// format. In production each shard runs on its own machine
-// (cmd/experiments -shard i/n); here both run in-process.
+// Shard named grids across workers with RunGrids and merge the
+// artifacts: the merged report is byte-identical to the unsharded run
+// (shard 0 of 1) in every encoder format. In production each shard
+// runs on its own machine (cmd/experiments -shard i/n); here both run
+// in-process.
 func ExampleMergeShards() {
-	spec := tinySpec()
+	grids := []dsmphase.NamedGrid{{Name: "example", Spec: tinySpec()}}
+	opts := dsmphase.EngineOptions{Parallel: 2}
 
-	// Each worker runs its deterministic partition and serializes it.
+	// Each worker runs its deterministic partition of every grid and
+	// serializes it.
 	var artifacts []*dsmphase.ShardArtifact
 	for shard := 0; shard < 2; shard++ {
-		results := spec.RunShard(shard, 2, dsmphase.EngineOptions{Parallel: 2})
-		grid, err := dsmphase.NewShardGrid("example", spec, results, false, false)
+		results, _, err := dsmphase.RunGrids(grids, shard, 2, opts, false, nil)
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
+		art := &dsmphase.ShardArtifact{Format: dsmphase.ShardFormat, Shard: shard, Of: 2}
+		for i, g := range grids {
+			grid, err := dsmphase.NewShardGrid(g.Name, g.Spec, results[i], g.Tuning, false)
+			if err != nil {
+				fmt.Println(err)
+				return
+			}
+			art.Grids = append(art.Grids, grid)
+		}
 		var wire bytes.Buffer // stands in for the file shipped between machines
-		art := &dsmphase.ShardArtifact{Format: dsmphase.ShardFormat, Shard: shard, Of: 2,
-			Grids: []dsmphase.ShardGrid{grid}}
 		if err := dsmphase.WriteShardArtifact(&wire, art); err != nil {
 			fmt.Println(err)
 			return
@@ -65,20 +74,24 @@ func ExampleMergeShards() {
 		artifacts = append(artifacts, back)
 	}
 
-	// The merge side reassembles plan-ordered results and aggregates
-	// them through the same path Run uses.
-	results, err := dsmphase.MergeShards(spec, "example", artifacts)
+	// The merge side reassembles a grid's plan-ordered results and
+	// renders them through the same encoder as the unsharded run.
+	g := grids[0]
+	merged, err := dsmphase.MergeShards(g.Spec, g.Name, artifacts)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	merged := spec.Assemble(results)
-
-	enc, _ := dsmphase.NewEncoder("csv", "")
-	var fromShards, unsharded bytes.Buffer
-	enc.Encode(&fromShards, merged)
-	enc.Encode(&unsharded, spec.Run(dsmphase.EngineOptions{Parallel: 2}))
-	fmt.Println("byte-identical:", bytes.Equal(fromShards.Bytes(), unsharded.Bytes()))
+	unsharded, _, err := dsmphase.RunGrids(grids, 0, 1, opts, false, nil)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	enc, _ := g.Encoder("csv", "")
+	var fromShards, direct bytes.Buffer
+	enc(&fromShards, merged)
+	enc(&direct, unsharded[0])
+	fmt.Println("byte-identical:", bytes.Equal(fromShards.Bytes(), direct.Bytes()))
 	// Output:
 	// byte-identical: true
 }

@@ -153,8 +153,9 @@ func TestFacadePredictors(t *testing.T) {
 }
 
 // TestFacadeRunTuning exercises the public closed-loop surface: the
-// predictor registry, the tuning Spec axes, RunTuning and a tuning
-// encoder, end to end on a real tiny simulation.
+// predictor registry, the tuning Spec axes, a tuning grid through
+// RunGrids and AssembleTuning, and a tuning encoder, end to end on a
+// real tiny simulation.
 func TestFacadeRunTuning(t *testing.T) {
 	if _, err := dsmphase.PredictorByName("markov"); err != nil {
 		t.Fatal(err)
@@ -171,7 +172,12 @@ func TestFacadeRunTuning(t *testing.T) {
 		dsmphase.WithControllers(dsmphase.ControllerSpec{Name: "trial-1", TrialsPerConfig: 1}),
 		dsmphase.WithPhaseBudget(dsmphase.DefaultPhaseBudget),
 	)
-	rep, err := spec.RunTuning(dsmphase.EngineOptions{Parallel: 2})
+	results, _, err := dsmphase.RunGrids([]dsmphase.NamedGrid{{Name: "tuning", Tuning: true, Spec: spec}},
+		0, 1, dsmphase.EngineOptions{Parallel: 2}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := spec.AssembleTuning(results[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 func checksumFixture(t *testing.T) *ShardArtifact {
 	t.Helper()
 	s := shardSpec()
-	results := s.RunShard(0, 2, Options{Parallel: 2})
+	results := runGrid(t, NamedGrid{Name: "grid", Spec: s}, 0, 2, Options{Parallel: 2})
 	grid, err := NewShardGrid("grid", s, results, false, false)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 
 // The sharded experiment engine. A figure or study is a Plan of
 // independent cells — one (workload, procs, seed, detector, tweak)
-// point each — and a Runner executes the plan across a bounded worker
+// point each — and RunPlan executes the plan across a bounded worker
 // pool. Cells that share a simulation (the same execution swept by
 // different detectors, as in Figure 4) are deduplicated through a
 // memoizing record cache, so BBV and BBV+DDV sweeps reuse one machine
@@ -165,7 +165,7 @@ type CellResult struct {
 // engine's output to stay worker-count independent.
 type CellHook func(c Cell, m *machine.Machine, curve CurveResult, sum machine.Summary) any
 
-// Options configures a Runner.
+// Options configures a plan run.
 type Options struct {
 	// Parallel bounds the worker pool; <= 0 uses runtime.GOMAXPROCS(0).
 	Parallel int
@@ -177,14 +177,6 @@ type Options struct {
 	// simulation is still resident; see CellHook.
 	Hook CellHook
 }
-
-// Runner executes plans over a bounded goroutine pool.
-type Runner struct {
-	opts Options
-}
-
-// NewRunner returns a runner with the given options.
-func NewRunner(opts Options) *Runner { return &Runner{opts: opts} }
 
 // simEntry memoizes one simulation shared by several cells. The first
 // worker to reach the entry runs the machine; the rest block on the
@@ -220,17 +212,17 @@ func (e *simEntry) release() {
 	e.mu.Unlock()
 }
 
-// Run executes every cell of the plan and returns results in plan
-// order. It never returns early: each cell's error is isolated in its
-// CellResult.
-func (r *Runner) Run(p *Plan) []CellResult {
+// RunPlan executes every cell of the plan over a bounded goroutine pool
+// and returns results in plan order. It never returns early: each
+// cell's error is isolated in its CellResult.
+func RunPlan(p *Plan, opts Options) []CellResult {
 	cells := p.Cells()
 	n := len(cells)
 	results := make([]CellResult, n)
 	if n == 0 {
 		return results
 	}
-	workers := r.opts.Parallel
+	workers := opts.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -277,17 +269,17 @@ func (r *Runner) Run(p *Plan) []CellResult {
 					res.Err = err
 				} else {
 					res.Curve = SweepMachine(m, c.Run, c.Kind, sum)
-					if r.opts.Hook != nil {
-						res.Extra = r.opts.Hook(c, m, res.Curve, sum)
+					if opts.Hook != nil {
+						res.Extra = opts.Hook(c, m, res.Curve, sum)
 					}
 				}
 				e.release()
 				res.Wall = time.Since(start)
 				results[i] = res
-				if r.opts.Progress != nil {
+				if opts.Progress != nil {
 					mu.Lock()
 					done++
-					r.opts.Progress(done, n, res)
+					opts.Progress(done, n, res)
 					mu.Unlock()
 				}
 			}
@@ -299,11 +291,6 @@ func (r *Runner) Run(p *Plan) []CellResult {
 	close(jobs)
 	wg.Wait()
 	return results
-}
-
-// RunPlan executes a plan with a one-shot runner.
-func RunPlan(p *Plan, opts Options) []CellResult {
-	return NewRunner(opts).Run(p)
 }
 
 // ETA estimates a run's remaining wall time from completed cells,
@@ -388,7 +375,7 @@ type EventSink func(ProgressEvent)
 // ProgressEvents adapts an EventSink into an Options.Progress callback,
 // annotating each completion with a fresh ETA clock seeded by the
 // (perCell, cells) prior — zeros clear the prior. Use one adapter per
-// Run so the estimator never mixes plans.
+// RunPlan or RunGrids call so the estimator never mixes runs.
 func ProgressEvents(sink EventSink, perCell time.Duration, cells int) func(done, total int, r CellResult) {
 	eta := NewETA().Seed(perCell, cells)
 	return func(done, total int, r CellResult) {
@@ -410,8 +397,8 @@ func ProgressEvents(sink EventSink, perCell time.Duration, cells int) func(done,
 
 // ProgressPrinter returns an Options.Progress callback that prints one
 // "[done/total] label (cell 12ms, eta 3s)" line per completed cell to
-// w, with a fresh ETA clock. Use one printer per Run so the estimator
-// never mixes plans.
+// w, with a fresh ETA clock. Use one printer per RunPlan or RunGrids
+// call so the estimator never mixes runs.
 func ProgressPrinter(w io.Writer) func(done, total int, r CellResult) {
 	return SeededProgressPrinter(w, 0, 0)
 }

@@ -79,7 +79,7 @@ func TestGoldenEncoders(t *testing.T) {
 // the CoV curve, live phase streams, online AdaptiveLoop per processor)
 // on deterministic simulations, so the scorecard bytes are too.
 var goldenTuningReport = sync.OnceValue(func() *TuningReport {
-	rep, err := NewSpec(
+	rep, err := runTuning(NewSpec(
 		WithApps("fmm"),
 		WithProcs(2),
 		WithDetectors(core.DetectorBBV, core.DetectorBBVDDV),
@@ -89,7 +89,7 @@ var goldenTuningReport = sync.OnceValue(func() *TuningReport {
 		WithReplicates(2),
 		WithPredictors("last-phase", "markov"),
 		WithControllers(ControllerSpec{Name: "trial-1", TrialsPerConfig: 1}),
-	).RunTuning(Options{Parallel: 4})
+	), Options{Parallel: 4})
 	if err != nil {
 		panic(err)
 	}

@@ -5,29 +5,31 @@
 //
 // The package is layered, bottom up:
 //
-//   - The engine (engine.go): a Plan of independent Cells executed by a
-//     Runner over a bounded worker pool, with a memoizing record cache
+//   - The engine (engine.go): RunPlan executes a Plan of independent
+//     Cells over a bounded worker pool, with a memoizing record cache
 //     (cells sharing a simulation share one machine run), per-cell error
 //     isolation and ordered aggregation — output is independent of the
 //     worker count.
 //   - The declarative surface (spec.go, report.go, encoders.go): a Spec
 //     describes a grid (workloads × procs × detectors × replicates ×
-//     named variants) and compiles it onto the engine; Spec.Run
-//     aggregates cells into a Report of per-configuration mean ± 95% CI
-//     bands, rendered by the pluggable text/CSV/JSON/markdown Encoders.
-//     Spec.Assemble is the aggregation half alone, for results that
-//     arrive from elsewhere (a shard merge).
-//   - The tuning driver (tuning.go, tuning_encoders.go): Spec.RunTuning
+//     named variants) and compiles it onto the engine; Spec.Assemble
+//     aggregates plan-ordered cells into a Report of per-configuration
+//     mean ± 95% CI bands, rendered by the pluggable
+//     text/CSV/JSON/markdown Encoders.
+//   - The tuning driver (tuning.go, tuning_encoders.go): Spec.TuningHook
 //     closes the paper's detect → predict → reconfigure loop online over
-//     live simulations through the engine's CellHook and aggregates a
-//     replicate-banded TuningReport scorecard, with its own encoder
-//     family.
-//   - Cross-machine sharding (shard.go): Spec.RunShard runs a
-//     hash-partitioned subset of the grid and serializes it as a
-//     versioned JSON shard artifact (docs/MERGE_FORMAT.md); MergeShards
-//     validates a complete shard set and reassembles the plan-ordered
-//     results so Assemble/AssembleTuning reproduce the unsharded
-//     report byte for byte.
+//     live simulations through the engine's CellHook, and
+//     Spec.AssembleTuning aggregates a replicate-banded TuningReport
+//     scorecard, with its own encoder family.
+//   - The grid runner (grids.go): RunGrids is the one place named grids
+//     execute — whole or one hash-partitioned shard, with each grid's
+//     hook installed and optional cell streaming for resume — and
+//     NamedGrid.Encoder picks each grid's aggregation and encoder family.
+//   - Cross-machine sharding (shard.go, stream.go): a shard's results
+//     serialize as a versioned JSON shard artifact (docs/MERGE_FORMAT.md);
+//     MergeShards validates a complete shard set and reassembles the
+//     plan-ordered results so Assemble/AssembleTuning reproduce the
+//     unsharded report byte for byte.
 //
 // Everything above the simulator is a pure function of deterministic
 // inputs — seeds derive order-free via DeriveSeed, aggregation is in

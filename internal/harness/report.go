@@ -49,13 +49,16 @@ type Report struct {
 	Wall time.Duration
 }
 
-// Run executes the Spec on the sharded engine and aggregates the cells
-// into per-configuration bands. The engine's ordered aggregation makes
-// the report independent of the worker count, and DeriveSeed makes each
+// Run executes the Spec as one plain grid through RunGrids (so
+// opts.Hook is ignored) and aggregates the cells into
+// per-configuration bands. The engine's ordered aggregation makes the
+// report independent of the worker count, and DeriveSeed makes each
 // configuration's band independent of the grid's enumeration order.
 func (s *Spec) Run(opts Options) *Report {
 	start := time.Now()
-	rep := s.Assemble(RunPlan(s.Plan(), opts))
+	// A plain grid run without a stream has no error path.
+	results, _, _ := RunGrids([]NamedGrid{{Spec: s}}, 0, 1, opts, false, nil)
+	rep := s.Assemble(results[0])
 	rep.Wall = time.Since(start)
 	return rep
 }

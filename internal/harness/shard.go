@@ -22,8 +22,8 @@ import (
 
 // Cross-machine sharding. A Spec's cell grid is embarrassingly parallel
 // above the cell level, so a sweep can be split across machines: each
-// worker runs `Spec.RunShard(i, n)` (or RunTuningShard) and serializes
-// its cell results into a versioned JSON shard artifact; a merge step
+// worker runs `RunGrids(grids, i, n, ...)` and serializes its cell
+// results into a versioned JSON shard artifact; a merge step
 // reads the n artifacts, validates that they describe the same plan
 // (fingerprints), reassembles the plan-ordered cell-result list and
 // feeds it through the same Assemble/AssembleTuning aggregation the
@@ -91,16 +91,6 @@ func (p *Plan) ShardIndices(shard, of int) []int {
 	return out
 }
 
-// Shard returns the sub-plan holding shard `shard` of `of`, in plan
-// order.
-func (p *Plan) Shard(shard, of int) *Plan {
-	sub := NewPlan()
-	for _, i := range p.ShardIndices(shard, of) {
-		sub.AddCell(p.cells[i])
-	}
-	return sub
-}
-
 // Fingerprint deterministically summarizes the plan's full cell list —
 // identities and order — as a 16-hex-digit string. Two plans fingerprint
 // equal exactly when a shard of one can be merged into the other, so
@@ -122,41 +112,6 @@ func (p *Plan) Fingerprint() string {
 		}
 	}
 	return fmt.Sprintf("%016x", h)
-}
-
-// RunPlanShard executes only the cells of shard `shard` of `of` and
-// returns their results carrying ORIGINAL plan indices, so shard
-// outputs from different machines can be reassembled positionally.
-func RunPlanShard(p *Plan, shard, of int, opts Options) []CellResult {
-	idxs := p.ShardIndices(shard, of)
-	results := RunPlan(p.Shard(shard, of), opts)
-	for j := range results {
-		results[j].Index = idxs[j]
-	}
-	return results
-}
-
-// Shard returns the sub-plan of the Spec's grid assigned to shard
-// `shard` of `of`.
-func (s *Spec) Shard(shard, of int) *Plan {
-	return s.Plan().Shard(shard, of)
-}
-
-// RunShard executes the Spec's shard on the engine; results carry
-// original plan indices, ready for a shard artifact.
-func (s *Spec) RunShard(shard, of int, opts Options) []CellResult {
-	return RunPlanShard(s.Plan(), shard, of, opts)
-}
-
-// RunTuningShard is RunShard with the Spec's tuning hook installed, so
-// each cell's result carries the per-(predictor, controller) payload
-// AssembleTuning needs. Any Hook already set on opts is replaced.
-func (s *Spec) RunTuningShard(shard, of int, opts Options) ([]CellResult, error) {
-	var err error
-	if opts.Hook, err = s.TuningHook(); err != nil {
-		return nil, err
-	}
-	return s.RunShard(shard, of, opts), nil
 }
 
 // TracedExtra is the payload produced by TraceHook: the cell's recorded
@@ -352,8 +307,8 @@ type ShardTuningValue struct {
 }
 
 // NewShardGrid captures one Spec's shard results as an artifact grid.
-// tuning marks a grid run through RunTuningShard (its axes are recorded
-// for merge-side validation); includeTrace serializes each cell's
+// tuning marks a tuning grid (its axes are recorded for merge-side
+// validation); includeTrace serializes each cell's
 // interval records when the run captured them via TraceHook — once per
 // simulation: sibling cells sweeping the same execution get a TraceRef
 // to the owning cell instead of a duplicate copy.

@@ -161,13 +161,23 @@ func roundTripArtifact(t *testing.T, a *ShardArtifact) *ShardArtifact {
 	return back
 }
 
+// runGrid runs shard `shard` of `of` of one grid through RunGrids.
+func runGrid(t *testing.T, g NamedGrid, shard, of int, opts Options) []CellResult {
+	t.Helper()
+	results, _, err := RunGrids([]NamedGrid{g}, shard, of, opts, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0]
+}
+
 // shardArtifacts runs every shard of a spec (plain grid) and returns
 // the serialized-and-reread artifacts.
 func shardArtifacts(t *testing.T, s *Spec, of int) []*ShardArtifact {
 	t.Helper()
 	arts := make([]*ShardArtifact, of)
 	for shard := 0; shard < of; shard++ {
-		results := s.RunShard(shard, of, Options{Parallel: 2})
+		results := runGrid(t, NamedGrid{Name: "grid", Spec: s}, shard, of, Options{Parallel: 2})
 		grid, err := NewShardGrid("grid", s, results, false, false)
 		if err != nil {
 			t.Fatal(err)
@@ -205,14 +215,14 @@ func TestMergeByteIdentity(t *testing.T) {
 }
 
 // TestMergeTuningByteIdentity is the tuning-grid analogue: sharded
-// RunTuningShard outputs merged through AssembleTuning must reproduce
-// the unsharded scorecard byte for byte in every format.
+// RunGrids outputs merged through AssembleTuning must reproduce the
+// unsharded scorecard byte for byte in every format.
 func TestMergeTuningByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed shard runs")
 	}
 	spec := shardTuningSpec()
-	unsharded, err := spec.RunTuning(Options{Parallel: 4})
+	unsharded, err := runTuning(spec, Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +230,7 @@ func TestMergeTuningByteIdentity(t *testing.T) {
 	for of := 1; of <= 3; of++ {
 		arts := make([]*ShardArtifact, of)
 		for shard := 0; shard < of; shard++ {
-			results, err := spec.RunTuningShard(shard, of, Options{Parallel: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := runGrid(t, NamedGrid{Name: "tuning", Tuning: true, Spec: spec}, shard, of, Options{Parallel: 2})
 			grid, err := NewShardGrid("tuning", spec, results, true, false)
 			if err != nil {
 				t.Fatal(err)
@@ -324,7 +331,11 @@ func TestTraceCaptureRoundTrip(t *testing.T) {
 	spec := NewSpec(WithApps("fmm"), WithProcs(2),
 		WithDetectors(core.DetectorBBV, core.DetectorBBVDDV),
 		WithSize(workloads.SizeTest), WithInterval(20_000))
-	results := RunPlanShard(spec.Plan(), 0, 1, Options{Parallel: 2, Hook: TraceHook(nil)})
+	all, _, err := RunGrids([]NamedGrid{{Name: "grid", Spec: spec}}, 0, 1, Options{Parallel: 2}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := all[0]
 	grid, err := NewShardGrid("grid", spec, results, false, true)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +431,7 @@ func TestGoldenShardArtifact(t *testing.T) {
 	}
 	spec := NewSpec(WithApps("fmm"), WithProcs(2), WithSize(workloads.SizeTest),
 		WithInterval(20_000))
-	results := spec.RunShard(0, 1, Options{Parallel: 2})
+	results := runGrid(t, NamedGrid{Name: "golden", Spec: spec}, 0, 1, Options{Parallel: 2})
 	for i := range results {
 		results[i].Wall = 0 // the only nondeterministic field
 	}

@@ -74,7 +74,7 @@ type Spec struct {
 	replicates int
 	variants   []Variant
 
-	// Tuning axes (RunTuning only; Run ignores them).
+	// Tuning axes (TuningHook and AssembleTuning only).
 	predictors  []string
 	controllers []ControllerSpec
 	phaseBudget float64
@@ -199,13 +199,13 @@ func WithoutBaseline() Option {
 
 // WithPredictors selects the phase predictors of a tuning grid by
 // registry name ("last-phase", "markov", "run-length"). Empty keeps the
-// full registry. Only RunTuning consumes this axis.
+// full registry. Only a tuning grid consumes this axis.
 func WithPredictors(names ...string) Option {
 	return func(s *Spec) { s.predictors = names }
 }
 
 // WithControllers selects the tuning controllers of a tuning grid. Empty
-// keeps DefaultControllers. Only RunTuning consumes this axis.
+// keeps DefaultControllers. Only a tuning grid consumes this axis.
 func WithControllers(specs ...ControllerSpec) Option {
 	return func(s *Spec) { s.controllers = specs }
 }
@@ -214,7 +214,7 @@ func WithControllers(specs ...ControllerSpec) Option {
 // willing to tune; the detector's operating thresholds are chosen as the
 // lowest-CoV point of its CoV curve within this budget (the paper's
 // prescription). Values ≤ 0 keep the default budget of 8. Only
-// RunTuning consumes this knob.
+// a tuning grid consumes this knob.
 func WithPhaseBudget(budget float64) Option {
 	return func(s *Spec) { s.phaseBudget = budget }
 }

@@ -73,15 +73,8 @@ type CellStream struct {
 	mu  sync.Mutex
 	f   *os.File
 	err error // first write error; surfaced by Close
-}
-
-// OpenCellStream opens (creating or appending) a stream file.
-func OpenCellStream(path string) (*CellStream, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &CellStream{f: f}, nil
+	// prior holds the cells ResumeCellStream recovered, per grid.
+	prior map[string]*StreamedGrid
 }
 
 // writeLine marshals one line and appends it with a single write.
@@ -96,13 +89,6 @@ func (cs *CellStream) writeLine(l streamLine) {
 		cs.err = err
 	}
 	cs.mu.Unlock()
-}
-
-// BeginGrid opens a grid section. Resume attempts repeat the identical
-// header; the reader treats repeats as continuation.
-func (cs *CellStream) BeginGrid(h CellStreamHeader) {
-	h.Format = CellStreamFormat
-	cs.writeLine(streamLine{Header: &h})
 }
 
 // appendCell streams one completed cell of a grid. Unlike the artifact,
@@ -201,77 +187,88 @@ func ReadCellStream(path string) (map[string]*StreamedGrid, error) {
 	return grids, nil
 }
 
-// RunShardStreamed is RunShard with durability: completed cells are
-// appended to cs as they finish (cs nil disables streaming), and cells
-// recovered from a previous attempt's stream (prior) are skipped —
-// their serialized results are reused verbatim, so the returned result
-// set (and any artifact built from it) is byte-identical to an
-// uninterrupted run. Returns the plan-indexed results and how many
-// cells were resumed rather than run.
-//
-// Callers must validate prior against the plan first (see
-// StreamedGrid.Matches); a prior cell whose index is not part of this
-// shard is an error. opts.Hook must match the original run's hook
-// (e.g. TuningHook) so freshly-run cells carry the same payloads as
-// resumed ones.
-func (s *Spec) RunShardStreamed(grid string, shard, of int, opts Options, cs *CellStream, prior []ShardCell) (results []CellResult, resumed int, err error) {
-	p := s.Plan()
-	idxs := p.ShardIndices(shard, of)
-	if cs != nil {
-		cs.BeginGrid(CellStreamHeader{
-			Grid:        grid,
-			Fingerprint: p.Fingerprint(),
-			Shard:       shard,
-			Of:          of,
-			Cells:       p.Len(),
-		})
+// ResumeCellStream opens the stream file of a RunGrids shard run for
+// appending and recovers the cells an earlier attempt of the same run
+// left in it; RunGrids reuses them instead of running those cells
+// again. Every recovered section must match its grid's plan exactly
+// (fingerprint, shard coordinates, cell count). A stream holding any
+// other section was written under different flags, so it is deleted
+// whole, the run starts over, and restarted reports it.
+func ResumeCellStream(path string, grids []NamedGrid, shard, of int) (cs *CellStream, restarted bool, err error) {
+	prior, err := ReadCellStream(path)
+	if err != nil {
+		return nil, false, err
+	}
+	want := make(map[string]CellStreamHeader, len(grids))
+	for _, g := range grids {
+		want[g.Name] = streamHeader(g.Name, g.Spec.Plan(), shard, of)
+	}
+	for name, sg := range prior {
+		if h, ok := want[name]; !ok || sg.Header != h {
+			if err := os.Remove(path); err != nil {
+				return nil, false, err
+			}
+			prior, restarted = nil, true
+			break
+		}
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, false, err
+	}
+	return &CellStream{f: f, prior: prior}, restarted, nil
+}
+
+// streamHeader is the header of a grid's stream section in a shard run.
+func streamHeader(grid string, p *Plan, shard, of int) CellStreamHeader {
+	return CellStreamHeader{
+		Format:      CellStreamFormat,
+		Grid:        grid,
+		Fingerprint: p.Fingerprint(),
+		Shard:       shard,
+		Of:          of,
+		Cells:       p.Len(),
+	}
+}
+
+// resumeGrid opens a grid's section of a RunGrids shard run and fills
+// results from the cells recovered for it, marking them in have;
+// results and have are indexed like idxs, the shard's plan indices. It
+// returns how many cells it filled. A recovered cell outside the shard
+// is an error, not a silent merge; a duplicate line (two resumed
+// attempts) keeps the first.
+func (cs *CellStream) resumeGrid(grid string, p *Plan, shard, of int, idxs []int, results []CellResult, have []bool) (int, error) {
+	// Resume attempts repeat the identical header; the reader treats
+	// repeats as continuation.
+	h := streamHeader(grid, p, shard, of)
+	cs.writeLine(streamLine{Header: &h})
+	sg := cs.prior[grid]
+	if sg == nil {
+		return 0, nil
+	}
+	if sg.Header != h {
+		return 0, fmt.Errorf("harness: resume %s: the stream was written for a different plan or shard", grid)
 	}
 	pos := make(map[int]int, len(idxs)) // plan index → position in idxs
 	for j, i := range idxs {
 		pos[i] = j
 	}
-	results = make([]CellResult, len(idxs))
-	have := make([]bool, len(idxs))
-	for _, sc := range prior {
+	resumed := 0
+	for _, sc := range sg.Cells {
 		j, ok := pos[sc.Index]
 		if !ok {
-			return nil, 0, fmt.Errorf("harness: resume %s: streamed cell %d is not part of shard %d/%d", grid, sc.Index, shard, of)
+			return 0, fmt.Errorf("harness: resume %s: streamed cell %d is not part of shard %d/%d", grid, sc.Index, shard, of)
 		}
 		if have[j] {
-			continue // duplicate line (e.g. two resume attempts); first wins
+			continue
 		}
 		r, err := sc.CellResult()
 		if err != nil {
-			return nil, 0, fmt.Errorf("harness: resume %s: %w", grid, err)
+			return 0, fmt.Errorf("harness: resume %s: %w", grid, err)
 		}
 		results[j] = r
 		have[j] = true
 		resumed++
 	}
-	// Compile the remainder into a sub-plan, remembering each sub-cell's
-	// position so results land plan-indexed.
-	sub := NewPlan()
-	var subPos []int
-	cells := p.Cells()
-	for j, i := range idxs {
-		if !have[j] {
-			sub.AddCell(cells[i])
-			subPos = append(subPos, j)
-		}
-	}
-	inner := opts.Progress
-	opts.Progress = func(done, total int, r CellResult) {
-		r.Index = idxs[subPos[r.Index]] // sub-local → original plan index
-		if cs != nil {
-			cs.appendCell(grid, r)
-		}
-		if inner != nil {
-			inner(done, total, r)
-		}
-	}
-	for k, r := range RunPlan(sub, opts) {
-		r.Index = idxs[subPos[k]]
-		results[subPos[k]] = r
-	}
-	return results, resumed, nil
+	return resumed, nil
 }

@@ -45,6 +45,27 @@ func normalizedGrid(t *testing.T, s *Spec, results []CellResult) []byte {
 	return buf
 }
 
+// runStreamed runs shard `shard` of `of` of one grid through RunGrids,
+// resuming from and streaming to the cell stream at path.
+func runStreamed(t *testing.T, g NamedGrid, shard, of int, path string, opts Options) (results []CellResult, resumed int) {
+	t.Helper()
+	cs, restarted, err := ResumeCellStream(path, []NamedGrid{g}, shard, of)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restarted {
+		t.Fatal("stream of the same run judged stale")
+	}
+	all, resumed, err := RunGrids([]NamedGrid{g}, shard, of, opts, false, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return all[0], resumed
+}
+
 // truncateStream rewrites a stream file keeping the header lines plus
 // the first keep cell lines — simulating a run killed mid-shard (the
 // durable prefix survives, nothing else does).
@@ -84,20 +105,11 @@ func truncateStream(t *testing.T, path string, keep int) {
 // byte-identical, full stop — to an uninterrupted run.
 func TestRunShardStreamedResume(t *testing.T) {
 	s := streamSpec()
+	g := NamedGrid{Name: "g", Spec: s}
 	dir := t.TempDir()
 	streamPath := filepath.Join(dir, "shard_0_of_1.cells.jsonl")
 
-	cs, err := OpenCellStream(streamPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, resumed, err := s.RunShardStreamed("g", 0, 1, Options{Parallel: 2}, cs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
+	full, resumed := runStreamed(t, g, 0, 1, streamPath, Options{Parallel: 2})
 	if resumed != 0 {
 		t.Fatalf("fresh run resumed %d cells, want 0", resumed)
 	}
@@ -123,19 +135,9 @@ func TestRunShardStreamedResume(t *testing.T) {
 		t.Fatalf("recovered %d cells, want %d", len(sg.Cells), keep)
 	}
 
-	cs, err = OpenCellStream(streamPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ran := 0
 	opts := Options{Parallel: 2, Progress: func(done, total int, r CellResult) { ran++ }}
-	got, resumed, err := s.RunShardStreamed("g", 0, 1, opts, cs, sg.Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
+	got, resumed := runStreamed(t, g, 0, 1, streamPath, opts)
 	if resumed != keep {
 		t.Fatalf("resumed %d cells, want %d", resumed, keep)
 	}
@@ -182,16 +184,7 @@ func TestReadCellStreamTornTail(t *testing.T) {
 	s := streamSpec()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.cells.jsonl")
-	cs, err := OpenCellStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.RunShardStreamed("g", 0, 1, Options{Parallel: 2}, cs, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
+	runStreamed(t, NamedGrid{Name: "g", Spec: s}, 0, 1, path, Options{Parallel: 2})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -245,18 +238,58 @@ func TestReadCellStreamHeaderChange(t *testing.T) {
 	}
 }
 
-// TestRunShardStreamedRejectsForeignCell: a prior cell whose plan index
-// does not belong to this shard is a hard error, not a silent merge.
+// TestRunShardStreamedRejectsForeignCell: a recovered cell whose plan
+// index does not belong to the resumed shard is a hard error, not a
+// silent merge.
 func TestRunShardStreamedRejectsForeignCell(t *testing.T) {
-	s := streamSpec()
-	idxs := s.Plan().ShardIndices(0, 2)
-	other := s.Plan().ShardIndices(1, 2)
-	if len(idxs) == 0 || len(other) == 0 {
+	g := NamedGrid{Name: "g", Spec: streamSpec()}
+	p := g.Spec.Plan()
+	other := p.ShardIndices(1, 2)
+	if len(p.ShardIndices(0, 2)) == 0 || len(other) == 0 {
 		t.Skip("degenerate partition")
 	}
-	foreign := []ShardCell{{Index: other[0]}}
-	if _, _, err := s.RunShardStreamed("g", 0, 2, Options{}, nil, foreign); err == nil {
+	path := filepath.Join(t.TempDir(), "shard_0_of_2.cells.jsonl")
+	var lines bytes.Buffer
+	for _, l := range []streamLine{
+		{Header: &CellStreamHeader{Format: CellStreamFormat, Grid: "g", Fingerprint: p.Fingerprint(), Shard: 0, Of: 2, Cells: p.Len()}},
+		{Grid: "g", Cell: &ShardCell{Index: other[0]}},
+	} {
+		b, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines.Write(append(b, '\n'))
+	}
+	if err := os.WriteFile(path, lines.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cs, restarted, err := ResumeCellStream(path, []NamedGrid{g}, 0, 2)
+	if err != nil || restarted {
+		t.Fatalf("ResumeCellStream = restarted %v, %v; want the section kept", restarted, err)
+	}
+	defer cs.Close()
+	if _, _, err := RunGrids([]NamedGrid{g}, 0, 2, Options{}, false, cs); err == nil {
 		t.Fatal("foreign prior cell accepted")
+	}
+}
+
+// TestResumeCellStreamRestartsStale: a stream holding a section from
+// different flags is deleted whole, and the run starts over.
+func TestResumeCellStreamRestartsStale(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard_0_of_1.cells.jsonl")
+	runStreamed(t, NamedGrid{Name: "g", Spec: streamSpec()}, 0, 1, path, Options{Parallel: 2})
+	other := NamedGrid{Name: "g", Spec: NewSpec(WithApps("lu"), WithProcs(2),
+		WithSize(workloads.SizeTest), WithInterval(20_000), WithSeed(7))}
+	cs, restarted, err := ResumeCellStream(path, []NamedGrid{other}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	if !restarted {
+		t.Fatal("stream of a different plan resumed")
+	}
+	if _, resumed, err := RunGrids([]NamedGrid{other}, 0, 1, Options{Parallel: 2}, false, cs); err != nil || resumed != 0 {
+		t.Fatalf("restarted run resumed %d cells (%v), want 0", resumed, err)
 	}
 }
 

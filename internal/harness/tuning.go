@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"dsmphase/internal/core"
 	"dsmphase/internal/machine"
@@ -23,7 +22,8 @@ import (
 // controller) interval by interval through its online Step API. The
 // per-interval hardware costs come from the canonical three-setting
 // remote-aggressiveness model (TuningCosts). Replicates band every
-// scorecard metric with 95% CIs exactly like Spec.Run does for CoV.
+// scorecard metric with 95% CIs exactly like Spec.Assemble does for
+// CoV.
 
 // DefaultPhaseBudget is the default maximum number of phases a tuning
 // controller is willing to trial (see WithPhaseBudget).
@@ -176,8 +176,6 @@ type TuningReport struct {
 	Controllers []ControllerSpec
 	// Configs holds the scorecard rows in grid order.
 	Configs []TuningConfigResult
-	// Wall is the run's total wall-clock time; encoders must not emit it.
-	Wall time.Duration
 }
 
 // FirstError returns the first failed row's first error, or nil.
@@ -192,7 +190,7 @@ func (r *TuningReport) FirstError() error {
 
 // cellTuning is the engine-hook payload: one TuningValue per
 // (predictor, controller) pair, predictor-major — the same order
-// RunTuning enumerates scorecard rows.
+// AssembleTuning enumerates scorecard rows.
 type cellTuning struct {
 	rows []TuningValue
 }
@@ -231,7 +229,7 @@ func tuningHook(preds []string, ctls []ControllerSpec, budget float64) CellHook 
 					// One loop per (processor, predictor, controller):
 					// predictors and controllers are stateful, and the
 					// paper's mechanism is per-node.
-					p, _ := predictor.ByName(pn) // names validated by RunTuning
+					p, _ := predictor.ByName(pn) // names validated by TuningHook
 					loop := tuning.NewAdaptiveLoop(
 						tuning.NewController(TuningHardwareConfigs, cs.TrialsPerConfig), p)
 					for i, actual := range ps.ids {
@@ -273,31 +271,11 @@ func tuningHook(preds []string, ctls []ControllerSpec, budget float64) CellHook 
 	}
 }
 
-// RunTuning executes the Spec's tuning grid: every grid cell simulated
-// and swept on the sharded engine, then driven through the online
-// adaptive loop for every predictor × controller pair, aggregated into a
-// replicate-banded TuningReport. Like Spec.Run, the output is
-// independent of the worker count. Any Hook already set on opts is
-// replaced by the tuning driver.
-func (s *Spec) RunTuning(opts Options) (*TuningReport, error) {
-	var err error
-	if opts.Hook, err = s.TuningHook(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	rep, err := s.AssembleTuning(RunPlan(s.Plan(), opts))
-	if err != nil {
-		return nil, err
-	}
-	rep.Wall = time.Since(start)
-	return rep, nil
-}
-
 // TuningHook validates the Spec's tuning axes and returns the engine
-// hook that drives the online adaptive loop for every cell. Sharded
-// tuning runs (Spec.RunTuningShard) install the same hook, so a shard
-// worker computes exactly the per-cell payload the merge-side
-// AssembleTuning expects.
+// hook that drives the online adaptive loop for every cell. RunGrids
+// installs it on every tuning grid, sharded or not, so a shard worker
+// computes exactly the per-cell payload the merge-side AssembleTuning
+// expects.
 func (s *Spec) TuningHook() (CellHook, error) {
 	preds := s.Predictors()
 	for _, name := range preds {
@@ -315,9 +293,9 @@ func (s *Spec) TuningHook() (CellHook, error) {
 
 // AssembleTuning folds plan-ordered cell results — whose Extra payloads
 // were produced by the Spec's TuningHook — into the replicate-banded
-// TuningReport: the aggregation half of RunTuning, split out so merged
-// shard results flow through the identical path and produce identical
-// scorecard bytes in every format.
+// TuningReport. Unsharded, resumed and merged shard results all flow
+// through it, so they produce identical scorecard bytes in every
+// format.
 func (s *Spec) AssembleTuning(results []CellResult) (*TuningReport, error) {
 	preds := s.Predictors()
 	ctls := s.Controllers()

@@ -27,9 +27,19 @@ func tuningSpec(opts ...Option) *Spec {
 	return NewSpec(append(base, opts...)...)
 }
 
+// runTuning executes a tuning Spec as the tuning grid through RunGrids
+// and aggregates its scorecard.
+func runTuning(s *Spec, opts Options) (*TuningReport, error) {
+	results, _, err := RunGrids([]NamedGrid{{Name: "tuning", Tuning: true, Spec: s}}, 0, 1, opts, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s.AssembleTuning(results[0])
+}
+
 // tuningReport memoizes the shared grid run across tests.
 var tuningReport = sync.OnceValue(func() *TuningReport {
-	rep, err := tuningSpec().RunTuning(Options{Parallel: 4})
+	rep, err := runTuning(tuningSpec(), Options{Parallel: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -107,11 +117,11 @@ func TestRunTuningDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed tuning run")
 	}
-	serial, err := tuningSpec().RunTuning(Options{Parallel: 1})
+	serial, err := runTuning(tuningSpec(), Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := tuningSpec().RunTuning(Options{Parallel: 8})
+	parallel, err := runTuning(tuningSpec(), Options{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +144,13 @@ func TestRunTuningDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunTuningValidation checks unknown predictors and degenerate
-// controllers are rejected before any simulation runs.
+// TestRunTuningValidation checks RunGrids rejects unknown predictors
+// and degenerate controllers before any simulation runs.
 func TestRunTuningValidation(t *testing.T) {
-	if _, err := tuningSpec(WithPredictors("psychic")).RunTuning(Options{}); err == nil {
+	if _, err := runTuning(tuningSpec(WithPredictors("psychic")), Options{}); err == nil {
 		t.Error("unknown predictor accepted")
 	}
-	if _, err := tuningSpec(WithControllers(ControllerSpec{Name: "zero"})).RunTuning(Options{}); err == nil {
+	if _, err := runTuning(tuningSpec(WithControllers(ControllerSpec{Name: "zero"})), Options{}); err == nil {
 		t.Error("zero-trial controller accepted")
 	}
 }
@@ -148,13 +158,13 @@ func TestRunTuningValidation(t *testing.T) {
 // TestRunTuningIsolatesFailedCells checks a failing workload reports
 // per-row errors without sinking the run.
 func TestRunTuningIsolatesFailedCells(t *testing.T) {
-	rep, err := NewSpec(
+	rep, err := runTuning(NewSpec(
 		WithApps("nope"),
 		WithProcs(2),
 		WithSize(workloads.SizeTest),
 		WithPredictors("last-phase"),
 		WithControllers(ControllerSpec{Name: "trial-1", TrialsPerConfig: 1}),
-	).RunTuning(Options{Parallel: 2})
+	), Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,50 +114,31 @@ func chaosRequest(grid string) JobRequest {
 }
 
 // buildChaosRef runs the request's grid directly — no shards, no
-// workers, no coordinator — and captures the oracle's reference bytes.
+// workers, no coordinator — and captures the oracle's reference bytes
+// from that one run.
 func buildChaosRef(req JobRequest) (*chaosRef, error) {
 	req.normalize()
 	g, err := req.compile()
 	if err != nil {
 		return nil, err
 	}
-	ref := &chaosRef{grid: g, reports: map[string][]byte{}, cells: map[int]harness.ShardCell{}}
-	var results []harness.CellResult
-	if g.Tuning {
-		ref.formats = harness.TuningEncoderNames()
-		rep, err := g.Spec.RunTuning(harness.Options{})
+	all, _, err := harness.RunGrids([]harness.NamedGrid{g}, 0, 1, harness.Options{}, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	results := all[0]
+	// Both encoder families register the same format names.
+	ref := &chaosRef{grid: g, formats: harness.EncoderNames(), reports: map[string][]byte{}, cells: map[int]harness.ShardCell{}}
+	for _, format := range ref.formats {
+		enc, err := g.Encoder(format, req.Grid)
 		if err != nil {
 			return nil, err
 		}
-		for _, format := range ref.formats {
-			enc, err := harness.NewTuningEncoder(format, req.Grid)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := enc.Encode(&buf, rep); err != nil {
-				return nil, err
-			}
-			ref.reports[format] = buf.Bytes()
-		}
-		if results, err = g.Spec.RunTuningShard(0, 1, harness.Options{}); err != nil {
+		var buf bytes.Buffer
+		if err := enc(&buf, results); err != nil {
 			return nil, err
 		}
-	} else {
-		ref.formats = harness.EncoderNames()
-		rep := g.Spec.Run(harness.Options{})
-		for _, format := range ref.formats {
-			enc, err := harness.NewEncoder(format, req.Grid)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := enc.Encode(&buf, rep); err != nil {
-				return nil, err
-			}
-			ref.reports[format] = buf.Bytes()
-		}
-		results = g.Spec.RunShard(0, 1, harness.Options{})
+		ref.reports[format] = buf.Bytes()
 	}
 	sg, err := harness.NewShardGrid(g.Name, g.Spec, results, g.Tuning, false)
 	if err != nil {

@@ -1195,11 +1195,10 @@ func (j *Job) Artifact(c *Coordinator) (*harness.ShardArtifact, error) {
 }
 
 // RenderReport encodes a done job's report in the named format —
-// through MergeShards + Assemble, the identical aggregation a direct
-// Spec.Run uses, so the bytes match a local run exactly. Plain grids
-// render with the Report encoder family, tuning grids with the
-// TuningReport family (8 encoders in all). An empty title defaults to
-// the grid name.
+// through MergeShards and the grid's encoder (Assemble or
+// AssembleTuning underneath), the identical aggregation a direct run
+// uses, so the bytes match a local run exactly. An empty title defaults
+// to the grid name.
 func (j *Job) RenderReport(c *Coordinator, w io.Writer, format, title string) error {
 	art, err := j.Artifact(c)
 	if err != nil {
@@ -1208,24 +1207,13 @@ func (j *Job) RenderReport(c *Coordinator, w io.Writer, format, title string) er
 	if title == "" {
 		title = j.Req.Grid
 	}
+	enc, err := j.Grid.Encoder(format, title)
+	if err != nil {
+		return err
+	}
 	results, err := harness.MergeShards(j.Grid.Spec, j.Grid.Name, []*harness.ShardArtifact{art})
 	if err != nil {
 		return err
 	}
-	if j.Grid.Tuning {
-		enc, err := harness.NewTuningEncoder(format, title)
-		if err != nil {
-			return err
-		}
-		rep, err := j.Grid.Spec.AssembleTuning(results)
-		if err != nil {
-			return err
-		}
-		return enc.Encode(w, rep)
-	}
-	enc, err := harness.NewEncoder(format, title)
-	if err != nil {
-		return err
-	}
-	return enc.Encode(w, j.Grid.Spec.Assemble(results))
+	return enc(w, results)
 }

@@ -78,9 +78,13 @@ func directReport(t *testing.T, req JobRequest, format string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, _, err := harness.RunGrids([]harness.NamedGrid{g}, 0, 1, harness.Options{}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if g.Tuning {
-		rep, err := g.Spec.RunTuning(harness.Options{})
+		rep, err := g.Spec.AssembleTuning(results[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +100,7 @@ func directReport(t *testing.T, req JobRequest, format string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(&buf, g.Spec.Run(harness.Options{})); err != nil {
+		if err := enc.Encode(&buf, g.Spec.Assemble(results[0])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +235,7 @@ func TestClientReportTitleRoundTrip(t *testing.T) {
 }
 
 // TestServiceTuningEndToEnd covers the other encoder family: a tuning
-// grid served through RunTuningShard and the TuningEncoder set.
+// grid served through tuning shard workers and the TuningEncoder set.
 func TestServiceTuningEndToEnd(t *testing.T) {
 	coord := newTestCoordinator(t, nil)
 	srv := httptest.NewServer(coord.Handler())
