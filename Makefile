@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-e2e-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke coherence-race resilience-race chaos-smoke ci
+.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-e2e-smoke bench-check bench-ab golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke coherence-race resilience-race chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,18 @@ bench-check:
 	$(GO) test -bench 'BenchmarkTableI' -benchtime 1s -run '^$$' . > "$$tmp" && \
 	$(GO) run ./cmd/benchjson -label current -out "$$tmp.json" < "$$tmp" && \
 	$(GO) run ./cmd/benchjson -check BENCH_baseline.json "$$tmp.json"
+
+# Paired A/B comparison of the repository benchmark (not part of ci):
+# BASE exported under .bench_build/ab/ and the working tree run
+# bench/run.sh in alternating pairs; prints median, IQR and win count
+# per workload and end-to-end metric, and fails when a working-tree
+# median is worse than BASE's by more than the BENCHMARK.json bound.
+#   make bench-ab BASE=<rev> [WORKLOADS=paper-grid,served] [PAIRS=10] [SEED=1]
+PAIRS ?= 10
+SEED ?= 1
+bench-ab:
+	@[ -n "$(BASE)" ] || { echo "usage: make bench-ab BASE=<rev> [WORKLOADS=a,b] [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	$(GO) run ./cmd/benchab -base '$(BASE)' -workloads '$(WORKLOADS)' -pairs $(PAIRS) -seed $(SEED)
 
 # End-to-end smoke of the coordinator service: start dsmphased on a
 # free port with two local workers, submit the figure2 test grid
@@ -179,10 +191,13 @@ fuzz-smoke:
 	echo "fuzz-smoke: campaign clean, detector finding reproduced"
 
 # The protocol seam's dedicated gate: both coherence backends (the
-# conformance suite included) and the machine layer that selects
-# between them, under the race detector.
+# conformance suite included), the caches they recycle, the machine
+# layer that selects between them, and the harness test that recycles
+# caches across concurrent simulations (the pool's Get/Put under
+# RunPlan's workers), under the race detector.
 coherence-race:
-	$(GO) test -race ./internal/coherence/... ./internal/machine/...
+	$(GO) test -race ./internal/cache/... ./internal/coherence/... ./internal/machine/...
+	$(GO) test -race -run 'TestSimulateRecyclesCaches' ./internal/harness
 
 # The resilience seam's dedicated gate: the coordinator and the fault
 # plane under the race detector — retries, quarantine, degraded

@@ -18,6 +18,7 @@ import (
 	"text/tabwriter"
 
 	"dsmphase"
+	"dsmphase/internal/coherence"
 	"dsmphase/internal/isa"
 	"dsmphase/internal/network"
 	"dsmphase/internal/prof"
@@ -107,16 +108,7 @@ func main() {
 	fmt.Fprintf(w, "sampling intervals\t%d\n", sum.Intervals)
 	fmt.Fprintf(w, "branch prediction accuracy\t%.2f%%\n", 100*m.GshareAccuracy())
 
-	ps := m.Protocol().Stats()
-	fmt.Fprintf(w, "loads / stores\t%d / %d\n", ps.Loads, ps.Stores)
-	fmt.Fprintf(w, "L1 hits / L2 hits\t%d / %d\n", ps.L1Hits, ps.L2Hits)
-	fmt.Fprintf(w, "directory trips (remote)\t%d (%d)\n", ps.DirectoryTrips, ps.RemoteTrips)
-	fmt.Fprintf(w, "invalidations / forwards\t%d / %d\n", ps.Invalidations, ps.Forwards)
-	fmt.Fprintf(w, "writebacks\t%d\n", ps.Writebacks)
-	if proto == dsmphase.ProtocolIVY {
-		fmt.Fprintf(w, "page faults / transfers\t%d / %d\n", ps.PageFaults, ps.PageTransfers)
-		fmt.Fprintf(w, "page invalidations\t%d\n", ps.PageInvalidations)
-	}
+	writeProtocolStats(w, proto, m.Protocol().Stats())
 
 	ns := m.Network().Stats()
 	fmt.Fprintf(w, "network messages / bytes\t%d / %d\n", ns.Messages, ns.Bytes)
@@ -158,6 +150,28 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d address-trace records to %s\n", n, *accesses)
+	}
+}
+
+// writeProtocolStats writes the coherence counters that apply to the
+// run's backend as tab-separated rows: line-level cache and directory
+// counters for the directory backend; resident-page hits, manager
+// trips, forwards and the page counters for IVY, which never moves
+// L2Hits, Invalidations or Writebacks.
+func writeProtocolStats(w io.Writer, kind coherence.Kind, ps coherence.Stats) {
+	fmt.Fprintf(w, "loads / stores\t%d / %d\n", ps.Loads, ps.Stores)
+	switch kind {
+	case coherence.KindIVY:
+		fmt.Fprintf(w, "resident-page hits\t%d\n", ps.L1Hits)
+		fmt.Fprintf(w, "manager trips (remote)\t%d (%d)\n", ps.DirectoryTrips, ps.RemoteTrips)
+		fmt.Fprintf(w, "forwards\t%d\n", ps.Forwards)
+		fmt.Fprintf(w, "page faults / transfers\t%d / %d\n", ps.PageFaults, ps.PageTransfers)
+		fmt.Fprintf(w, "page invalidations\t%d\n", ps.PageInvalidations)
+	default:
+		fmt.Fprintf(w, "L1 hits / L2 hits\t%d / %d\n", ps.L1Hits, ps.L2Hits)
+		fmt.Fprintf(w, "directory trips (remote)\t%d (%d)\n", ps.DirectoryTrips, ps.RemoteTrips)
+		fmt.Fprintf(w, "invalidations / forwards\t%d / %d\n", ps.Invalidations, ps.Forwards)
+		fmt.Fprintf(w, "writebacks\t%d\n", ps.Writebacks)
 	}
 }
 

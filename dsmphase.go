@@ -330,7 +330,10 @@ func AppsPanel(name string) ([]string, bool) { return harness.AppsPanel(name) }
 // ResolveApps expands a panel alias; empty resolves to the paper panel.
 func ResolveApps(apps []string) []string { return harness.ResolveApps(apps) }
 
-// Simulate runs one workload on the simulated machine.
+// Simulate runs one workload on the simulated machine. The returned
+// machine is released: its records, network and protocol statistics
+// stay readable, but its caches already serve the next simulation, so
+// it cannot run again or check coherence invariants.
 func Simulate(rc RunConfig) (*Machine, Summary, error) { return harness.Simulate(rc) }
 
 // RunCurve simulates one configuration and sweeps one detector over it.

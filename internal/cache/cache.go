@@ -80,6 +80,14 @@ type Cache struct {
 	lruTick   []uint64
 	clock     uint64
 	st        Stats
+	// touched lists the sets that received a line since the last Reset,
+	// and touchedBits marks them (one bit per set), so Reset clears only
+	// those sets. Both are maintained on the InsertWay miss path: every
+	// other mutator acts on a resident line, whose set is already
+	// listed. touched is allocated at full capacity so recording never
+	// allocates.
+	touched     []int32
+	touchedBits []uint64
 }
 
 // noTag marks an invalid slot's tag. No reachable line address collides
@@ -111,14 +119,16 @@ func New(cfg Config) *Cache {
 	}
 	n := sets * cfg.Ways
 	c := &Cache{
-		cfg:       cfg,
-		sets:      sets,
-		ways:      cfg.Ways,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, n),
-		state:     make([]State, n),
-		lruTick:   make([]uint64, n),
+		cfg:         cfg,
+		sets:        sets,
+		ways:        cfg.Ways,
+		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:     uint64(sets - 1),
+		tags:        make([]uint64, n),
+		state:       make([]State, n),
+		lruTick:     make([]uint64, n),
+		touched:     make([]int32, 0, sets),
+		touchedBits: make([]uint64, (sets+63)/64),
 	}
 	for i := range c.tags {
 		c.tags[i] = noTag
@@ -228,6 +238,10 @@ func (c *Cache) InsertWay(addr uint64, st State) (Victim, int32) {
 		return Victim{}, int32(idx)
 	}
 	set := c.setOf(line)
+	if w, b := set>>6, uint64(1)<<(set&63); c.touchedBits[w]&b == 0 {
+		c.touchedBits[w] |= b
+		c.touched = append(c.touched, int32(set))
+	}
 	base := set * c.ways
 	victim := base
 	for w := 0; w < c.ways; w++ {
@@ -287,11 +301,21 @@ func (c *Cache) Stats() Stats { return c.st }
 // ResetStats zeroes statistics; contents are preserved.
 func (c *Cache) ResetStats() { c.st = Stats{} }
 
-// Flush invalidates every line (contents and stats clock preserved
-// semantics: statistics are not reset).
-func (c *Cache) Flush() {
-	for i := range c.state {
-		c.state[i] = Invalid
-		c.tags[i] = noTag
+// Reset restores the freshly built state — every line invalid, LRU
+// clock and statistics zero — so a cache can serve a new simulation
+// without reallocating. It clears only the sets that received a line
+// since the last Reset.
+func (c *Cache) Reset() {
+	for _, set := range c.touched {
+		base := int(set) * c.ways
+		for i := base; i < base+c.ways; i++ {
+			c.tags[i] = noTag
+			c.state[i] = Invalid
+			c.lruTick[i] = 0
+		}
+		c.touchedBits[set>>6] = 0
 	}
+	c.touched = c.touched[:0]
+	c.clock = 0
+	c.st = Stats{}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -140,13 +142,123 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+func TestReset(t *testing.T) {
 	c := small()
 	c.Insert(0x40, Modified)
-	c.Flush()
+	c.Insert(0x80, Shared)
+	c.Lookup(0x40)
+	c.Reset()
 	if hit, _ := c.Probe(0x40); hit {
-		t.Error("flush must invalidate everything")
+		t.Error("reset must invalidate everything")
 	}
+	if hit, _ := c.Probe(0x80); hit {
+		t.Error("reset must invalidate everything")
+	}
+	if s := c.Stats(); s != (Stats{}) {
+		t.Errorf("reset must zero the statistics, got %+v", s)
+	}
+	assertFresh(t, c)
+}
+
+// assertFresh requires c's contents, LRU clock, statistics and
+// touched-set bookkeeping to equal a newly built cache's.
+func assertFresh(t *testing.T, c *Cache) {
+	t.Helper()
+	f := New(c.cfg)
+	if !slices.Equal(c.tags, f.tags) || !slices.Equal(c.state, f.state) ||
+		!slices.Equal(c.lruTick, f.lruTick) || !slices.Equal(c.touchedBits, f.touchedBits) {
+		t.Fatal("reset left line, LRU or touched-set state behind")
+	}
+	if c.clock != 0 || c.st != (Stats{}) || len(c.touched) != 0 {
+		t.Fatalf("reset left clock %d, stats %+v, %d touched sets", c.clock, c.st, len(c.touched))
+	}
+}
+
+// Property: a cache dirtied by earlier runs and then Reset behaves
+// exactly like a newly built one — every Lookup, Insert, SetState,
+// Invalidate and Touch returns the same hits, victims and way indices,
+// and the statistics agree. Three rounds per seed, so a Reset that
+// leaves its own bookkeeping stale shows in the round after next.
+func TestResetMatchesNewProperty(t *testing.T) {
+	cfg := Config{SizeBytes: 1024, Ways: 4, LineBytes: 32, HitCycles: 1} // 8 sets
+	f := func(seed uint64) bool {
+		reused := New(cfg)
+		for round := uint64(0); round < 3; round++ {
+			fresh := New(cfg)
+			if !sameBehavior(t, reused, fresh, rand.New(rand.NewPCG(seed, round))) {
+				return false
+			}
+			reused.Reset()
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameBehavior drives a and b with one random operation sequence over
+// a 64-line footprint and reports whether every result and the final
+// statistics agree.
+func sameBehavior(t *testing.T, a, b *Cache, r *rand.Rand) bool {
+	t.Helper()
+	states := []State{Invalid, Shared, Modified}
+	var hint int32 = -1
+	var hintLine uint64
+	for i := 0; i < 300; i++ {
+		addr := uint64(r.IntN(64))*32 + uint64(r.IntN(32))
+		st := states[r.IntN(3)]
+		switch r.IntN(5) {
+		case 0:
+			ia, ha, sa := a.LookupWay(addr)
+			ib, hb, sb := b.LookupWay(addr)
+			if ia != ib || ha != hb || sa != sb {
+				t.Logf("op %d LookupWay(%#x): (%d,%v,%v) vs (%d,%v,%v)", i, addr, ia, ha, sa, ib, hb, sb)
+				return false
+			}
+			if ha {
+				hint, hintLine = ia, addr>>5
+			}
+		case 1:
+			if st == Invalid {
+				st = Shared
+			}
+			va, ia := a.InsertWay(addr, st)
+			vb, ib := b.InsertWay(addr, st)
+			if va != vb || ia != ib {
+				t.Logf("op %d InsertWay(%#x): (%+v,%d) vs (%+v,%d)", i, addr, va, ia, vb, ib)
+				return false
+			}
+			hint, hintLine = ia, addr>>5
+		case 2:
+			if a.SetState(addr, st) != b.SetState(addr, st) {
+				t.Logf("op %d SetState(%#x, %v) disagrees", i, addr, st)
+				return false
+			}
+		case 3:
+			pa, oka := a.Invalidate(addr)
+			pb, okb := b.Invalidate(addr)
+			if pa != pb || oka != okb {
+				t.Logf("op %d Invalidate(%#x): (%v,%v) vs (%v,%v)", i, addr, pa, oka, pb, okb)
+				return false
+			}
+		case 4:
+			ra := hint >= 0 && a.tags[hint] == hintLine
+			if rb := hint >= 0 && b.tags[hint] == hintLine; ra != rb {
+				t.Logf("op %d: way hint %d resident in one cache only", i, hint)
+				return false
+			}
+			if ra {
+				a.Touch(hint, hintLine)
+				b.Touch(hint, hintLine)
+			}
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Logf("stats %+v vs %+v", a.Stats(), b.Stats())
+		return false
+	}
+	return true
 }
 
 func TestDirectMappedConflict(t *testing.T) {

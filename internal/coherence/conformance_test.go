@@ -159,52 +159,79 @@ func TestConformancePrivateTraces(t *testing.T) {
 	}
 }
 
-// TestConformanceSeededFuzz drives both backends with the same
-// pseudo-random shared-and-private traffic (default 4 kB IVY pages, so
-// the backends genuinely diverge in timing) and checks the properties
-// that must survive any interleaving: per-processor completion times
-// are monotone (runTrace asserts it), each backend's invariants hold
-// throughout — single writer / multiple readers in each backend's own
-// granularity — and every access completes.
+// managerModes returns the IVY variants the shared-traffic tests run:
+// the fixed distributed manager (each page managed by its home node)
+// and the central manager (a HomeMap with shift ≥ 64 puts every page's
+// manager at node 0).
+func managerModes(ivy Params) map[string]Params {
+	central := ivy
+	central.Net = network.New(ivy.N, network.DefaultConfig())
+	central.Home = NewHomeMap(64, ivy.N)
+	return map[string]Params{"distributed": ivy, "central": central}
+}
+
+// backends returns a directory backend and one IVY backend per manager
+// mode, labeled for failure messages.
+func backends(n int) map[string]Protocol {
+	dirP, ivyP := confParams(n, DefaultPageBytes)
+	out := map[string]Protocol{"directory": NewDirectory(dirP)}
+	for mode, p := range managerModes(ivyP) {
+		out["ivy/"+mode] = NewIVY(p)
+	}
+	return out
+}
+
+// sharedTrace builds a seeded trace of n processors: half the traffic
+// lands in a 4-page shared region at home 0, half in the processor's
+// private region, one access in four a store.
+func sharedTrace(n, accesses int, seed uint64) []confAccess {
+	var trace []confAccess
+	h := rng.Hash64(seed)
+	for i := 0; i < accesses; i++ {
+		h = rng.Hash64(h)
+		proc := int(h % uint64(n))
+		h = rng.Hash64(h)
+		var addr uint64
+		if h&1 == 0 {
+			h = rng.Hash64(h)
+			addr = confAddr(0, h%(4*DefaultPageBytes)&^7)
+		} else {
+			h = rng.Hash64(h)
+			addr = confAddr(proc, 1<<19|h%(16<<10)&^7)
+		}
+		h = rng.Hash64(h)
+		trace = append(trace, confAccess{proc: proc, addr: addr, write: h&3 == 0})
+	}
+	return trace
+}
+
+// TestConformanceSeededFuzz drives every backend — IVY under both
+// manager modes — with the same pseudo-random shared-and-private
+// traffic (default 4 kB IVY pages, so the backends genuinely diverge in
+// timing) and checks the properties that must survive any
+// interleaving: per-processor completion times are monotone (runTrace
+// asserts it), each backend's invariants hold throughout — single
+// writer / multiple readers in each backend's own granularity — and
+// every access completes.
 func TestConformanceSeededFuzz(t *testing.T) {
 	const (
 		n        = 4
 		accesses = 4_000
 	)
 	for seed := uint64(1); seed <= 3; seed++ {
-		dirP, ivyP := confParams(n, DefaultPageBytes)
-		backends := []Protocol{NewDirectory(dirP), NewIVY(ivyP)}
-		var trace []confAccess
-		h := rng.Hash64(seed)
-		for i := 0; i < accesses; i++ {
-			h = rng.Hash64(h)
-			proc := int(h % n)
-			h = rng.Hash64(h)
-			// Half the traffic lands in a 4-page shared region at home 0,
-			// half in the processor's private region.
-			var addr uint64
-			if h&1 == 0 {
-				h = rng.Hash64(h)
-				addr = confAddr(0, h%(4*DefaultPageBytes)&^7)
-			} else {
-				h = rng.Hash64(h)
-				addr = confAddr(proc, 1<<19|h%(16<<10)&^7)
-			}
-			h = rng.Hash64(h)
-			trace = append(trace, confAccess{proc: proc, addr: addr, write: h&3 == 0})
-		}
-		for _, p := range backends {
+		trace := sharedTrace(n, accesses, seed)
+		for name, p := range backends(n) {
 			res := runTrace(t, p, trace)
 			if len(res) != len(trace) {
-				t.Fatalf("%s: %d results for %d accesses", p.Kind(), len(res), len(trace))
+				t.Fatalf("%s: %d results for %d accesses", name, len(res), len(trace))
 			}
 			if err := p.CheckInvariants(); err != nil {
-				t.Errorf("seed %d %s: %v", seed, p.Kind(), err)
+				t.Errorf("seed %d %s: %v", seed, name, err)
 			}
 			st := p.Stats()
 			if st.Loads+st.Stores != uint64(len(trace)) {
 				t.Errorf("seed %d %s: %d+%d ops accounted, want %d",
-					seed, p.Kind(), st.Loads, st.Stores, len(trace))
+					seed, name, st.Loads, st.Stores, len(trace))
 			}
 		}
 	}
@@ -212,12 +239,11 @@ func TestConformanceSeededFuzz(t *testing.T) {
 
 // TestConformanceInvariantsMidTrace re-checks invariants repeatedly
 // while shared traffic is in flight, not just at the end — a backend
-// whose directory table and residency tables disagree transiently
-// would slip past an end-only check.
+// whose directory rows and cached copies (or whose page rows) pass
+// through an inconsistent state would slip past an end-only check.
 func TestConformanceInvariantsMidTrace(t *testing.T) {
 	const n = 4
-	dirP, ivyP := confParams(n, DefaultPageBytes)
-	for _, p := range []Protocol{NewDirectory(dirP), NewIVY(ivyP)} {
+	for name, p := range backends(n) {
 		clocks := make([]uint64, n)
 		h := rng.Hash64(42)
 		for i := 0; i < 1_000; i++ {
@@ -230,7 +256,7 @@ func TestConformanceInvariantsMidTrace(t *testing.T) {
 			clocks[proc] = res.Done
 			if i%50 == 0 {
 				if err := p.CheckInvariants(); err != nil {
-					t.Fatalf("%s after access %d: %v", p.Kind(), i, err)
+					t.Fatalf("%s after access %d: %v", name, i, err)
 				}
 			}
 		}

@@ -48,52 +48,51 @@ type Entry struct {
 // Directory tracks the lines homed at one node. Lines never referenced
 // have no entry (implicitly Uncached).
 type Directory struct {
-	lines map[uint64]Entry
+	lines table[Entry]
 }
 
 // NewDirectoryTable returns an empty directory.
-func NewDirectoryTable() *Directory {
-	return &Directory{lines: make(map[uint64]Entry)}
-}
+func NewDirectoryTable() *Directory { return &Directory{} }
 
 // Lookup returns the entry for a line (zero Entry if absent).
 func (d *Directory) Lookup(line uint64) Entry {
-	return d.lines[line]
+	e, _ := d.lines.get(line)
+	return e
 }
 
 // setEntry stores or clears an entry.
 func (d *Directory) setEntry(line uint64, e Entry) {
 	if e.State == Uncached {
-		delete(d.lines, line)
+		d.lines.del(line)
 		return
 	}
-	d.lines[line] = e
+	d.lines.put(line, e)
 }
 
 // AddSharer transitions the line to SharedState including proc.
 func (d *Directory) AddSharer(line uint64, proc int) {
-	e := d.lines[line]
+	e := d.lines.slot(line)
 	e.Sharers |= 1 << uint(proc)
 	e.State = SharedState
 	e.Owner = -1
-	d.lines[line] = e
 }
 
 // SetOwner transitions the line to ModifiedState owned by proc.
 func (d *Directory) SetOwner(line uint64, proc int) {
-	d.lines[line] = Entry{Sharers: 1 << uint(proc), Owner: int8(proc), State: ModifiedState}
+	d.lines.put(line, Entry{Sharers: 1 << uint(proc), Owner: int8(proc), State: ModifiedState})
 }
 
 // RemoveSharer drops proc from the sharer set (a replacement hint). If
 // the set empties, the line becomes Uncached.
 func (d *Directory) RemoveSharer(line uint64, proc int) {
-	e, ok := d.lines[line]
-	if !ok {
+	i := d.lines.find(line)
+	if i < 0 {
 		return
 	}
+	e := &d.lines.vals[i]
 	e.Sharers &^= 1 << uint(proc)
 	if e.Sharers == 0 {
-		delete(d.lines, line)
+		d.lines.remove(i)
 		return
 	}
 	if e.State == ModifiedState && e.Owner == int8(proc) {
@@ -103,18 +102,13 @@ func (d *Directory) RemoveSharer(line uint64, proc int) {
 		e.State = SharedState
 		e.Owner = -1
 	}
-	d.lines[line] = e
 }
 
 // Clear removes the line entirely (after a writeback of a modified line).
-func (d *Directory) Clear(line uint64) { delete(d.lines, line) }
+func (d *Directory) Clear(line uint64) { d.lines.del(line) }
 
 // Len returns the number of tracked lines.
-func (d *Directory) Len() int { return len(d.lines) }
+func (d *Directory) Len() int { return d.lines.len() }
 
-// ForEach visits every tracked line (iteration order unspecified).
-func (d *Directory) ForEach(fn func(line uint64, e Entry)) {
-	for l, e := range d.lines {
-		fn(l, e)
-	}
-}
+// ForEach visits every tracked line (in table order).
+func (d *Directory) ForEach(fn func(line uint64, e Entry)) { d.lines.each(fn) }

@@ -7,22 +7,18 @@ import (
 	"dsmphase/internal/network"
 )
 
-// pageAccess is a node's access right to a resident page.
-type pageAccess uint8
-
-const (
-	// pageReadOnly: the node holds a read-only copy.
-	pageReadOnly pageAccess = iota + 1
-	// pageReadWrite: the node is the owner with exclusive write access.
-	pageReadWrite
-)
-
-// ivyEntry is a manager row for one page: which nodes hold a copy and
-// which of them owns the latest data. Owner is -1 while the page has
-// never been faulted in (its only copy is the home node's memory).
-type ivyEntry struct {
-	Copyset uint64
-	Owner   int8
+// ivyPage is one page's row: which nodes hold a copy, which of them
+// owns the latest data, and whether the owner holds it read-write.
+// Node q holds the page iff bit q of Copyset is set, and may write it
+// iff Writable && q == Owner — so a node's access right is derived from
+// the row, and no per-node residency table can disagree with the
+// manager. A page with no row — read as the zero row, whose Copyset is
+// empty — has never been faulted in (its only copy is the home node's
+// memory).
+type ivyPage struct {
+	Copyset  uint64
+	Owner    int8
+	Writable bool
 }
 
 // IVY is the page-granular DSM backend in the style of Li & Hudak's
@@ -61,12 +57,11 @@ type IVY struct {
 	linesPerPage int
 	// hit is the resident-page access latency (Params.L1.HitCycles).
 	hit uint64
-	// tables[node] maps resident page -> access right.
-	tables []map[uint64]pageAccess
-	// dir maps page -> manager entry. Manager state is keyed globally;
-	// the page's home node only matters for latency charging.
-	dir map[uint64]ivyEntry
-	st  Stats
+	// pages holds one row per faulted-in page. Manager state is keyed
+	// globally; the page's home node only matters for latency charging.
+	pages    table[ivyPage]
+	st       Stats
+	released bool
 }
 
 // NewIVY assembles an IVY engine. Params.Home maps a page address to
@@ -97,8 +92,6 @@ func NewIVY(params Params) *IVY {
 		lineB:        uint64(lineB),
 		linesPerPage: pageB / lineB,
 		hit:          params.L1.HitCycles,
-		tables:       make([]map[uint64]pageAccess, n),
-		dir:          make(map[uint64]ivyEntry),
 	}
 	for i := 0; i < n; i++ {
 		p.mems[i] = memory.New(params.Mem)
@@ -127,16 +120,15 @@ func (p *IVY) Memory(i int) *memory.SDRAM { return p.mems[i] }
 // Stats returns a copy of the protocol statistics.
 func (p *IVY) Stats() Stats { return p.st }
 
-// ResetStats zeroes the counters; page tables, manager and timing state
-// are preserved.
+// ResetStats zeroes the counters; page rows and timing state are
+// preserved.
 func (p *IVY) ResetStats() { p.st = Stats{} }
 
-// entry returns the manager row for a page (unowned if never faulted).
-func (p *IVY) entry(page uint64) ivyEntry {
-	if e, ok := p.dir[page]; ok {
-		return e
-	}
-	return ivyEntry{Owner: -1}
+// Release drops the page table. Stats stays valid; Access and
+// CheckInvariants panic afterwards.
+func (p *IVY) Release() {
+	p.pages = table[ivyPage]{}
+	p.released = true
 }
 
 // pageMsgBytes is the size of a whole-page data message (page plus the
@@ -146,14 +138,18 @@ func (p *IVY) pageMsgBytes() int { return int(p.pageB) + p.costs.CtrlBytes }
 // Access executes a load (write=false) or store (write=true) by proc at
 // byte address addr starting at time now.
 func (p *IVY) Access(now uint64, proc int, addr uint64, write bool) AccessResult {
+	if p.released {
+		panic(errReleased)
+	}
 	if write {
 		p.st.Stores++
 	} else {
 		p.st.Loads++
 	}
 	page := addr >> p.pageShift
-	acc := p.tables[proc][page]
-	if acc == pageReadWrite || (acc == pageReadOnly && !write) {
+	e, _ := p.pages.get(page)
+	held := e.Copyset&(1<<uint(proc)) != 0
+	if held && (!write || (e.Writable && int(e.Owner) == proc)) {
 		// Resident with sufficient rights: local access.
 		p.st.L1Hits++
 		return AccessResult{Done: now + p.hit, HitLevel: 1}
@@ -161,13 +157,13 @@ func (p *IVY) Access(now uint64, proc int, addr uint64, write bool) AccessResult
 	t := now + p.hit // fault detection
 	p.st.PageFaults++
 	switch {
-	case acc == pageReadOnly:
+	case held:
 		// Write to a read-only copy: upgrade in place.
-		return p.upgradeFault(t, proc, page)
+		return p.upgradeFault(t, proc, page, e)
 	case write:
-		return p.writeFault(t, proc, page)
+		return p.writeFault(t, proc, page, e)
 	default:
-		return p.readFault(t, proc, page)
+		return p.readFault(t, proc, page, e)
 	}
 }
 
@@ -197,13 +193,12 @@ func (p *IVY) readPage(t uint64, node int, page uint64) uint64 {
 	return done
 }
 
-// readFault installs a read-only copy at proc.
-func (p *IVY) readFault(t uint64, proc int, page uint64) AccessResult {
+// readFault installs a read-only copy at proc; e is the page's row.
+func (p *IVY) readFault(t uint64, proc int, page uint64, e ivyPage) AccessResult {
 	var res AccessResult
 	mgr := p.home.Home(page)
 	t = p.managerTrip(t, proc, mgr, &res)
-	e := p.entry(page)
-	if e.Owner < 0 {
+	if e.Copyset == 0 {
 		// First fault: home memory supplies the page, requester becomes
 		// the owner (holding it read-only until someone writes).
 		res.MemoryAccess = true
@@ -222,14 +217,13 @@ func (p *IVY) readFault(t uint64, proc int, page uint64) AccessResult {
 		if o != mgr {
 			t = p.net.Send(t, mgr, o, p.costs.CtrlBytes)
 		}
-		p.tables[o][page] = pageReadOnly
+		e.Writable = false
 		t = p.net.Send(t, o, proc, p.pageMsgBytes())
 		res.Remote = true
 	}
 	p.st.PageTransfers++
 	e.Copyset |= 1 << uint(proc)
-	p.dir[page] = e
-	p.install(proc, page, pageReadOnly)
+	p.pages.put(page, e)
 	res.Done = t
 	return res
 }
@@ -238,22 +232,21 @@ func (p *IVY) readFault(t uint64, proc int, page uint64) AccessResult {
 // every other copy is invalidated and ownership transfers without a
 // page copy — the analogue of the directory backend's upgrade, and like
 // it, no memory or page data moves.
-func (p *IVY) upgradeFault(t uint64, proc int, page uint64) AccessResult {
+func (p *IVY) upgradeFault(t uint64, proc int, page uint64, e ivyPage) AccessResult {
 	var res AccessResult
 	// The page data is already resident — only the access right changes —
 	// so, exactly like the directory upgrade, this classifies as a hit.
 	res.HitLevel = 1
 	mgr := p.home.Home(page)
 	t = p.managerTrip(t, proc, mgr, &res)
-	e := p.entry(page)
-	t = p.invalidateCopies(t, mgr, proc, page, &e, &res)
+	t = p.invalidateCopies(t, mgr, proc, &e, &res)
 	if mgr != proc {
 		// Grant message back to the requester.
 		t = p.net.Send(t, mgr, proc, p.costs.CtrlBytes)
 	}
 	e.Owner = int8(proc)
-	p.dir[page] = e
-	p.tables[proc][page] = pageReadWrite
+	e.Writable = true
+	p.pages.put(page, e)
 	res.Done = t
 	return res
 }
@@ -261,12 +254,11 @@ func (p *IVY) upgradeFault(t uint64, proc int, page uint64) AccessResult {
 // writeFault installs a read-write copy at a proc holding nothing:
 // every existing copy is invalidated, the page moves from its owner
 // (or, on a first fault, home memory), and ownership transfers.
-func (p *IVY) writeFault(t uint64, proc int, page uint64) AccessResult {
+func (p *IVY) writeFault(t uint64, proc int, page uint64, e ivyPage) AccessResult {
 	var res AccessResult
 	mgr := p.home.Home(page)
 	t = p.managerTrip(t, proc, mgr, &res)
-	e := p.entry(page)
-	if e.Owner < 0 {
+	if e.Copyset == 0 {
 		res.MemoryAccess = true
 		t = p.readPage(t, mgr, page)
 		if mgr != proc {
@@ -283,41 +275,28 @@ func (p *IVY) writeFault(t uint64, proc int, page uint64) AccessResult {
 		if o != mgr {
 			data = p.net.Send(data, mgr, o, p.costs.CtrlBytes)
 		}
-		delete(p.tables[o], page)
 		e.Copyset &^= 1 << uint(o)
 		p.st.PageInvalidations++
 		res.Invalidations++
 		data = p.net.Send(data, o, proc, p.pageMsgBytes())
 		res.Remote = true
-		acks := p.invalidateCopies(t, mgr, proc, page, &e, &res)
+		acks := p.invalidateCopies(t, mgr, proc, &e, &res)
 		t = data
 		if acks > t {
 			t = acks
 		}
 	}
 	p.st.PageTransfers++
-	e.Owner = int8(proc)
-	e.Copyset = 1 << uint(proc)
-	p.dir[page] = e
-	p.install(proc, page, pageReadWrite)
+	p.pages.put(page, ivyPage{Copyset: 1 << uint(proc), Owner: int8(proc), Writable: true})
 	res.Done = t
 	return res
 }
 
-// install records a resident page at proc, allocating the node's table
-// lazily.
-func (p *IVY) install(proc int, page uint64, acc pageAccess) {
-	if p.tables[proc] == nil {
-		p.tables[proc] = make(map[uint64]pageAccess)
-	}
-	p.tables[proc][page] = acc
-}
-
 // invalidateCopies sends invalidations from the manager to every
-// copyset member except requester, drops their copies, and returns the
-// time the last acknowledgment reaches the manager. The entry's copyset
-// shrinks to the requester's bit (if held).
-func (p *IVY) invalidateCopies(t uint64, mgr, requester int, page uint64, e *ivyEntry, res *AccessResult) uint64 {
+// copyset member except requester and returns the time the last
+// acknowledgment reaches the manager. The row's copyset shrinks to the
+// requester's bit (if held).
+func (p *IVY) invalidateCopies(t uint64, mgr, requester int, e *ivyPage, res *AccessResult) uint64 {
 	latest := t
 	for s := 0; s < p.n; s++ {
 		if s == requester || e.Copyset&(1<<uint(s)) == 0 {
@@ -326,7 +305,6 @@ func (p *IVY) invalidateCopies(t uint64, mgr, requester int, page uint64, e *ivy
 		p.st.PageInvalidations++
 		res.Invalidations++
 		arr := p.net.Send(t, mgr, s, p.costs.CtrlBytes)
-		delete(p.tables[s], page)
 		ack := p.net.Send(arr, s, mgr, p.costs.CtrlBytes)
 		if ack > latest {
 			latest = ack
@@ -337,47 +315,24 @@ func (p *IVY) invalidateCopies(t uint64, mgr, requester int, page uint64, e *ivy
 }
 
 // CheckInvariants validates IVY's global safety property — single
-// writer, multiple readers over pages — plus manager/table consistency.
+// writer, multiple readers over pages — on every page row: the owner is
+// a node that holds the page, and a writable page has no other copy.
 // Intended for tests.
 func (p *IVY) CheckInvariants() error {
-	for page, e := range p.dir {
-		if e.Owner < 0 || int(e.Owner) >= p.n {
-			return errf("page %#x: invalid owner %d", page, e.Owner)
-		}
-		if e.Copyset&(1<<uint(e.Owner)) == 0 {
-			return errf("page %#x: owner %d outside copyset %#x", page, e.Owner, e.Copyset)
-		}
-		ownerAcc := p.tables[e.Owner][page]
-		if ownerAcc == 0 {
-			return errf("page %#x: owner %d holds no copy", page, e.Owner)
-		}
-		for q := 0; q < p.n; q++ {
-			acc := pageAccess(0)
-			if p.tables[q] != nil {
-				acc = p.tables[q][page]
-			}
-			inSet := e.Copyset&(1<<uint(q)) != 0
-			if (acc != 0) != inSet {
-				return errf("page %#x: node %d residency %v disagrees with copyset %#x",
-					page, q, acc != 0, e.Copyset)
-			}
-			if acc == pageReadWrite {
-				if q != int(e.Owner) {
-					return errf("page %#x: writer %d is not the owner %d", page, q, e.Owner)
-				}
-				if e.Copyset != 1<<uint(q) {
-					return errf("page %#x: writable at %d with other copies %#x", page, q, e.Copyset)
-				}
-			}
-		}
+	if p.released {
+		panic(errReleased)
 	}
-	// No node may hold a page the manager has no row for.
-	for q := 0; q < p.n; q++ {
-		for page := range p.tables[q] {
-			if _, ok := p.dir[page]; !ok {
-				return errf("page %#x: resident at %d but unknown to its manager", page, q)
-			}
+	var err error
+	p.pages.each(func(page uint64, e ivyPage) {
+		switch {
+		case err != nil:
+		case e.Owner < 0 || int(e.Owner) >= p.n:
+			err = errf("page %#x: invalid owner %d", page, e.Owner)
+		case e.Copyset&(1<<uint(e.Owner)) == 0:
+			err = errf("page %#x: owner %d outside copyset %#x", page, e.Owner, e.Copyset)
+		case e.Writable && e.Copyset != 1<<uint(e.Owner):
+			err = errf("page %#x: writable at %d with other copies %#x", page, e.Owner, e.Copyset)
 		}
-	}
-	return nil
+	})
+	return err
 }

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/bits"
+	"sync"
 
 	"dsmphase/internal/cache"
 	"dsmphase/internal/memory"
@@ -41,8 +42,25 @@ type DirectoryProtocol struct {
 	// holds a valid line, and inclusion invalidates the L1 slot whenever
 	// the L2 copy is displaced, so a live hint can never be stale
 	// (cache.Touch asserts it).
-	l2way [][]int32
-	st    Stats
+	l2way    [][]int32
+	st       Stats
+	released bool
+}
+
+// cachePools holds one sync.Pool of reset caches per geometry
+// (cache.Config → *sync.Pool). Release puts a simulation's L1s and L2s
+// back and NewDirectory takes them out, so consecutive simulations of
+// a grid share cache storage instead of allocating (and zeroing) a
+// Table I L2 per processor each.
+var cachePools sync.Map
+
+// cachePool returns the pool for one cache geometry.
+func cachePool(cfg cache.Config) *sync.Pool {
+	if p, ok := cachePools.Load(cfg); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := cachePools.LoadOrStore(cfg, &sync.Pool{New: func() any { return cache.New(cfg) }})
+	return p.(*sync.Pool)
 }
 
 // NewDirectory assembles a directory-MSI engine. Params.Home maps a
@@ -69,9 +87,10 @@ func NewDirectory(params Params) *DirectoryProtocol {
 	}
 	p.lineShift = uint(bits.TrailingZeros64(p.lineB))
 	l1Slots := params.L1.SizeBytes / params.L1.LineBytes
+	l1Pool, l2Pool := cachePool(params.L1), cachePool(params.L2)
 	for i := 0; i < n; i++ {
-		p.l1[i] = cache.New(params.L1)
-		p.l2[i] = cache.New(params.L2)
+		p.l1[i] = l1Pool.Get().(*cache.Cache)
+		p.l2[i] = l2Pool.Get().(*cache.Cache)
 		p.dirs[i] = NewDirectoryTable()
 		p.mems[i] = memory.New(params.Mem)
 		p.l2way[i] = make([]int32, l1Slots)
@@ -110,12 +129,33 @@ func (p *DirectoryProtocol) Stats() Stats { return p.st }
 // preserved.
 func (p *DirectoryProtocol) ResetStats() { p.st = Stats{} }
 
+// Release resets every processor's L1 and L2 and returns them to their
+// geometry's pool, and drops the directories. Stats stays valid; Access
+// and CheckInvariants panic afterwards.
+func (p *DirectoryProtocol) Release() {
+	if p.released {
+		return
+	}
+	for _, level := range [][]*cache.Cache{p.l1, p.l2} {
+		pool := cachePool(level[0].Config())
+		for _, c := range level {
+			c.Reset()
+			pool.Put(c)
+		}
+	}
+	p.l1, p.l2, p.dirs, p.l2way = nil, nil, nil, nil
+	p.released = true
+}
+
 // lineAddrBytes converts a line address back to a byte address.
 func (p *DirectoryProtocol) lineAddrBytes(line uint64) uint64 { return line << p.lineShift }
 
 // Access executes a load (write=false) or store (write=true) by proc at
 // byte address addr starting at time now.
 func (p *DirectoryProtocol) Access(now uint64, proc int, addr uint64, write bool) AccessResult {
+	if p.released {
+		panic(errReleased)
+	}
 	if write {
 		p.st.Stores++
 	} else {
@@ -363,6 +403,9 @@ func (p *DirectoryProtocol) invalidateSharers(t uint64, h, requester int, line u
 // CheckInvariants validates global protocol invariants, returning a
 // non-nil description on the first violation. Intended for tests.
 func (p *DirectoryProtocol) CheckInvariants() error {
+	if p.released {
+		panic(errReleased)
+	}
 	for h := 0; h < p.n; h++ {
 		var err error
 		p.dirs[h].ForEach(func(line uint64, e Entry) {

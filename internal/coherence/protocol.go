@@ -83,11 +83,15 @@ type Stats struct {
 //   - LineBytes is the coherence granularity in bytes (the cache line
 //     for the directory backend, the page for IVY).
 //   - Stats returns a snapshot of the counters; ResetStats zeroes them
-//     so a reused engine (the record cache replays per-interval records
-//     rather than machines, but engines may be re-driven by tools) can
-//     start a fresh measurement window without rebuilding state.
+//     and keeps every cache, directory, page and timing state, so a
+//     caller can open a fresh measurement window mid-run.
 //   - CheckInvariants validates the backend's global safety property
 //     (directory-cache consistency, or SWMR over pages) for tests.
+//   - Release ends the backend's simulation: it hands its storage back
+//     for reuse — the directory backend's caches go to a per-geometry
+//     pool that NewDirectory draws from — and drops its line or page
+//     state. Stats stays valid afterwards; Access and CheckInvariants
+//     panic. Release is idempotent.
 type Protocol interface {
 	Kind() Kind
 	N() int
@@ -97,7 +101,12 @@ type Protocol interface {
 	Stats() Stats
 	ResetStats()
 	CheckInvariants() error
+	Release()
 }
+
+// errReleased is the panic value of Access or CheckInvariants on a
+// released backend.
+var errReleased = protoError("coherence: protocol used after Release")
 
 // Compile-time backend checks.
 var (

@@ -73,6 +73,12 @@ type RunConfig struct {
 
 // Simulate builds the machine, runs the workload to completion and
 // returns the machine (whose records feed the sweeps) plus the summary.
+// The machine is released when its run ends, failed or not: its caches
+// go back to the pool the next simulation draws from, so a returned
+// machine carries its records, network, and protocol statistics
+// (Protocol().Stats()), but no coherence state — it cannot run again,
+// and Protocol().CheckInvariants panics. Build with machine.New to keep
+// that state.
 func Simulate(rc RunConfig) (*machine.Machine, machine.Summary, error) {
 	w, err := workloads.ByName(rc.Workload)
 	if err != nil {
@@ -88,6 +94,7 @@ func Simulate(rc RunConfig) (*machine.Machine, machine.Summary, error) {
 	}
 	m := machine.New(cfg, w.Threads(rc.Procs, rc.Size, rc.Seed))
 	sum, err := m.Run()
+	m.Release()
 	if err != nil {
 		return nil, machine.Summary{}, fmt.Errorf("harness: %s/%dP: %w", rc.Workload, rc.Procs, err)
 	}

@@ -172,6 +172,12 @@ func (m *Machine) Network() network.Topology { return m.net }
 // Protocol exposes the coherence engine (statistics, invariants).
 func (m *Machine) Protocol() coherence.Protocol { return m.proto }
 
+// Release ends the machine's simulation: the coherence backend hands its
+// caches back for reuse by later machines and drops its line or page
+// state. Records, Network and Protocol().Stats() stay valid; the machine
+// must not run again, and Protocol().CheckInvariants panics.
+func (m *Machine) Release() { m.proto.Release() }
+
 // Distance exposes the distance matrix used for DDS computation.
 func (m *Machine) Distance() *core.DistanceMatrix { return m.dist }
 
