@@ -75,12 +75,14 @@ bench-check:
 # bench/run.sh in alternating pairs; prints median, IQR and win count
 # per workload and end-to-end metric, and fails when a working-tree
 # median is worse than BASE's by more than the BENCHMARK.json bound.
-#   make bench-ab BASE=<rev> [WORKLOADS=paper-grid,served] [PAIRS=10] [SEED=1]
+# RECORD=<file> also appends the result to that JSON trajectory (a perf
+# change records its A/B in BENCH_e2e.json).
+#   make bench-ab BASE=<rev> [WORKLOADS=paper-grid,served] [PAIRS=10] [SEED=1] [RECORD=BENCH_e2e.json]
 PAIRS ?= 10
 SEED ?= 1
 bench-ab:
-	@[ -n "$(BASE)" ] || { echo "usage: make bench-ab BASE=<rev> [WORKLOADS=a,b] [PAIRS=10] [SEED=1]" >&2; exit 2; }
-	$(GO) run ./cmd/benchab -base '$(BASE)' -workloads '$(WORKLOADS)' -pairs $(PAIRS) -seed $(SEED)
+	@[ -n "$(BASE)" ] || { echo "usage: make bench-ab BASE=<rev> [WORKLOADS=a,b] [PAIRS=10] [SEED=1] [RECORD=file]" >&2; exit 2; }
+	$(GO) run ./cmd/benchab -base '$(BASE)' -workloads '$(WORKLOADS)' -pairs $(PAIRS) -seed $(SEED) $(if $(RECORD),-record '$(RECORD)')
 
 # End-to-end smoke of the coordinator service: start dsmphased on a
 # free port with two local workers, submit the figure2 test grid
@@ -183,12 +185,19 @@ workload-smoke-update:
 # panics, nondeterministic streams, hash instability) fail the gate;
 # the campaign must also still find at least one detector-degrading
 # spec — the capability the committed examples/fuzz_found corpus was
-# born from. DESIGN.md §14 describes the operators and oracles.
+# born from. DESIGN.md §14 describes the operators and oracles. Then a
+# few seconds of native fuzzing on each trace decoder: an error is
+# fine, a panic or a record that does not survive re-encoding is not.
+# Minimization is capped so a large seed's mutants do not stall the run.
 fuzz-smoke:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 	$(GO) run ./cmd/wdlfuzz -budget 40 -seed 1 -out "" -fail-on-invariant > "$$tmp" && \
 	grep -q '\[detector\]' "$$tmp" || { echo "fuzz-smoke: no detector finding in fixed-seed campaign" >&2; cat "$$tmp" >&2; exit 1; } && \
 	echo "fuzz-smoke: campaign clean, detector finding reproduced"
+	@for target in FuzzReadAccessJSONL FuzzReadJSONL; do \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s -fuzzminimizetime 50x ./internal/trace || exit 1; \
+	done; \
+	echo "fuzz-smoke: trace decoders fuzzed clean"
 
 # The protocol seam's dedicated gate: both coherence backends (the
 # conformance suite included), the caches they recycle, the machine

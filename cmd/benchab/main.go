@@ -12,6 +12,11 @@
 //	go run ./cmd/benchab -base HEAD~1 -workloads paper-grid -pairs 10 -seed 1
 //
 // or through `make bench-ab BASE=<rev> [WORKLOADS=…] [PAIRS=10] [SEED=1]`.
+//
+// With -record <file> it also appends the comparison as one entry to
+// the JSON array in file (created if missing), keeping the entries
+// already there: the committed perf trajectory BENCH_e2e.json is built
+// this way, one entry per performance change.
 package main
 
 import (
@@ -24,6 +29,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -59,13 +65,17 @@ func main() {
 		workloads = flag.String("workloads", "", "comma-separated workloads (default: every workload of BENCHMARK.json)")
 		pairs     = flag.Int("pairs", 10, "alternating base/head run pairs per workload")
 		seed      = flag.Uint64("seed", 1, "bench input seed")
+		record    = flag.String("record", "", "append the comparison as one entry to this JSON trajectory file")
 	)
 	flag.Parse()
 	if *base == "" || *pairs < 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchab -base <rev> [-workloads a,b] [-pairs 10] [-seed 1]")
+		fmt.Fprintln(os.Stderr, "usage: benchab -base <rev> [-workloads a,b] [-pairs 10] [-seed 1] [-record file]")
 		os.Exit(2)
 	}
-	ok, err := run(*base, *workloads, *pairs, *seed, os.Stdout, os.Stderr)
+	ok, e, err := run(*base, *workloads, *pairs, *seed, os.Stdout, os.Stderr)
+	if err == nil && *record != "" {
+		err = appendEntry(*record, e)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
@@ -75,14 +85,41 @@ func main() {
 	}
 }
 
-func run(base, workloadList string, pairs int, seed uint64, out, log io.Writer) (bool, error) {
+// entry is one comparison in a trajectory file.
+type entry struct {
+	// BaseCommit is the base revision. HeadCommit is the working tree's
+	// HEAD; HeadDirty says the working tree differed from it (changed
+	// or untracked files), and the working tree is what was measured.
+	BaseCommit string `json:"base_commit"`
+	HeadCommit string `json:"head_commit"`
+	HeadDirty  bool   `json:"head_dirty"`
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	Seed       uint64 `json:"seed"`
+	Pairs      int    `json:"pairs"`
+	// Workloads maps workload → end-to-end metric → summary.
+	Workloads map[string]map[string]summary `json:"workloads"`
+}
+
+// summary is one metric's paired comparison.
+type summary struct {
+	BaseMedian float64 `json:"base_median"`
+	BaseIQR    float64 `json:"base_iqr"`
+	HeadMedian float64 `json:"head_median"`
+	HeadIQR    float64 `json:"head_iqr"`
+	HeadWins   int     `json:"head_wins"`
+}
+
+func run(base, workloadList string, pairs int, seed uint64, out, log io.Writer) (bool, entry, error) {
+	e := entry{CPU: hostCPU(), NumCPU: runtime.NumCPU(), Seed: seed, Pairs: pairs,
+		Workloads: map[string]map[string]summary{}}
 	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
-		return false, err
+		return false, e, err
 	}
 	var man manifest
 	if err := json.Unmarshal(data, &man); err != nil {
-		return false, fmt.Errorf("BENCHMARK.json: %w", err)
+		return false, e, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
 	var names []string
 	for _, w := range man.Workloads {
@@ -91,10 +128,21 @@ func run(base, workloadList string, pairs int, seed uint64, out, log io.Writer) 
 	if workloadList != "" {
 		names = strings.Split(workloadList, ",")
 	}
-	baseDir, err := export(base)
-	if err != nil {
-		return false, err
+	if e.BaseCommit, err = gitOutput("rev-parse", "--verify", base+"^{commit}"); err != nil {
+		return false, e, err
 	}
+	baseDir, err := export(e.BaseCommit)
+	if err != nil {
+		return false, e, err
+	}
+	if e.HeadCommit, err = gitOutput("rev-parse", "HEAD"); err != nil {
+		return false, e, err
+	}
+	status, err := gitOutput("status", "--porcelain")
+	if err != nil {
+		return false, e, err
+	}
+	e.HeadDirty = status != ""
 	ok := true
 	for _, w := range names {
 		runs := map[string][]result{}
@@ -110,7 +158,7 @@ func run(base, workloadList string, pairs int, seed uint64, out, log io.Writer) 
 				}
 				r, err := benchOnce(dir, w, seed)
 				if err != nil {
-					return false, fmt.Errorf("%s %s: %w", w, side, err)
+					return false, e, fmt.Errorf("%s %s: %w", w, side, err)
 				}
 				fmt.Fprintf(log, "benchab: %s pair %d/%d %s:", w, i+1, pairs, side)
 				for _, m := range man.EndToEnd {
@@ -127,29 +175,75 @@ func run(base, workloadList string, pairs int, seed uint64, out, log io.Writer) 
 		fmt.Fprintf(out, "\n%s (seed %d, %d pairs, base %s)\n\n", w, seed, pairs, base)
 		fmt.Fprintln(out, "| metric | base median (IQR) | head median (IQR) | change | head wins | verdict |")
 		fmt.Fprintln(out, "|---|---|---|---|---|---|")
+		e.Workloads[w] = map[string]summary{}
 		for _, m := range man.EndToEnd {
 			c := compare(m, values(runs["base"], m.Name), values(runs["head"], m.Name))
 			fmt.Fprintln(out, c.row(m))
 			if c.regressed {
 				ok = false
 			}
+			e.Workloads[w][m.Name] = summary{c.baseMed, c.baseIQR, c.headMed, c.headIQR, c.wins}
 		}
 	}
-	return ok, nil
+	return ok, e, nil
 }
 
-// export writes the base revision's tree to .bench_build/ab/<commit>
-// and returns that directory; a tree exported by an earlier comparison
-// is reused, build cache included. git archive leaves the repository's
+// appendEntry appends e to the JSON array in path, creating the file
+// when it does not exist. Earlier entries are kept as they are, fields
+// this version does not know included; a file that is not a JSON array
+// is an error and is left untouched.
+func appendEntry(path string, e entry) error {
+	var entries []json.RawMessage
+	data, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(data, &entries); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	case !os.IsNotExist(err):
+		return err
+	}
+	raw, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	out, err := json.MarshalIndent(append(entries, raw), "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// hostCPU names the host's processor model, as /proc/cpuinfo reports
+// it, or the platform where that file is absent.
+func hostCPU() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return runtime.GOOS + "/" + runtime.GOARCH
+}
+
+func gitOutput(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+// export writes the tree of commit sha to .bench_build/ab/<sha> and
+// returns that directory; a tree exported by an earlier comparison is
+// reused, build cache included. git archive leaves the repository's
 // worktree list and index untouched, and the tree is extracted beside
 // its final name and renamed into place, so an interrupted comparison
 // leaves nothing behind but gitignored files.
-func export(rev string) (string, error) {
-	sha, err := exec.Command("git", "rev-parse", "--verify", rev+"^{commit}").Output()
-	if err != nil {
-		return "", fmt.Errorf("resolve %q: %w", rev, err)
-	}
-	dir, err := filepath.Abs(filepath.Join(".bench_build", "ab", strings.TrimSpace(string(sha))))
+func export(sha string) (string, error) {
+	dir, err := filepath.Abs(filepath.Join(".bench_build", "ab", sha))
 	if err != nil {
 		return "", err
 	}
@@ -163,10 +257,10 @@ func export(rev string) (string, error) {
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return "", err
 	}
-	cmd := exec.Command("sh", "-c", `git archive --format=tar "$1" | tar -x -C "$2"`, "sh", rev, tmp)
+	cmd := exec.Command("sh", "-c", `git archive --format=tar "$1" | tar -x -C "$2"`, "sh", sha, tmp)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
-		return "", fmt.Errorf("export %q: %w", rev, err)
+		return "", fmt.Errorf("export %s: %w", sha, err)
 	}
 	return dir, os.Rename(tmp, dir)
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -41,5 +44,70 @@ func TestCompare(t *testing.T) {
 			t.Errorf("%s: wins %d/%d regressed %v, want %d/%d %v",
 				c.name, got.wins, got.pairs, got.regressed, c.wins, len(c.base), c.regressed)
 		}
+	}
+}
+
+// TestAppendEntryKeepsEarlier checks the trajectory file grows by one
+// entry per append: a missing file is created, and earlier entries —
+// fields this version does not write included — survive an append.
+func TestAppendEntryKeepsEarlier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_e2e.json")
+	first := entry{BaseCommit: "a", HeadCommit: "b", CPU: "cpu", Seed: 1, Pairs: 10,
+		Workloads: map[string]map[string]summary{"short-interval": {"wall_s": {1.2, 0.1, 0.9, 0.05, 10}}}}
+	if err := appendEntry(path, first); err != nil {
+		t.Fatal(err)
+	}
+	// An older writer's entry with a field this version has no name for.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []map[string]any
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatal(err)
+	}
+	entries[0]["note"] = "kept"
+	if data, err = json.Marshal(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second := first
+	second.BaseCommit, second.HeadCommit = "b", "c"
+	if err := appendEntry(path, second); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var got []struct {
+		entry
+		Note string `json:"note"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d entries after two appends, want 2:\n%s", len(got), data)
+	}
+	if got[0].Note != "kept" || got[0].BaseCommit != "a" || got[1].BaseCommit != "b" || got[1].HeadCommit != "c" {
+		t.Errorf("entries not kept in order:\n%s", data)
+	}
+	if w := got[0].Workloads["short-interval"]["wall_s"]; w != first.Workloads["short-interval"]["wall_s"] {
+		t.Errorf("first entry's wall_s summary = %+v, want %+v", w, first.Workloads["short-interval"]["wall_s"])
+	}
+}
+
+func TestAppendEntryRejectsNonArray(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_e2e.json")
+	if err := os.WriteFile(path, []byte(`{"runs": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendEntry(path, entry{}); err == nil {
+		t.Fatal("appended to a file that is not a JSON array")
+	}
+	if data, _ := os.ReadFile(path); string(data) != `{"runs": []}` {
+		t.Errorf("file changed to %s", data)
 	}
 }

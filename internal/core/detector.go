@@ -124,5 +124,6 @@ func ClassifyRecorded(kind DetectorKind, tableSize int, thBBV, thDDS float64, si
 		// thBBV interpreted as the relative-distance threshold.
 		return ClassifyRecordedWSS(tableSize, thBBV, sigs)
 	}
-	return NewReplay(sigs, tableSize).Classify(kind, thBBV, thDDS)
+	ids, _ := NewReplay(sigs, tableSize).Classify(kind, thBBV, thDDS)
+	return ids
 }

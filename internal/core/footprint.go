@@ -37,6 +37,14 @@ type FootprintTable struct {
 	useDDS    bool
 	clock     uint64
 	nextPhase int
+	// aboveBBV and aboveDDS are the smallest values that failed the BBV
+	// test (a distance d > thBBV) and the DDS test (an |ΔDDS| > thDDS of
+	// an entry that passed the BBV test) since the last Reset, +Inf when
+	// none did. Every threshold in [thBBV, aboveBBV) × [thDDS, aboveDDS)
+	// gives each comparison made so far the same outcome; Replay reports
+	// that box.
+	aboveBBV float64
+	aboveDDS float64
 }
 
 // NewFootprintTable returns a table with the given number of entries and
@@ -45,7 +53,8 @@ func NewFootprintTable(size int, thBBV float64) *FootprintTable {
 	if size <= 0 {
 		panic("core: footprint table size must be positive")
 	}
-	return &FootprintTable{entries: make([]FootprintEntry, size), thBBV: thBBV}
+	return &FootprintTable{entries: make([]FootprintEntry, size), thBBV: thBBV,
+		aboveBBV: math.Inf(1), aboveDDS: math.Inf(1)}
 }
 
 // NewFootprintTableDDS returns a table that additionally requires the DDS
@@ -131,10 +140,18 @@ func (t *FootprintTable) classify(bbv, row []float64, src int, dds float64) (pha
 			d = row[e.src]
 		}
 		if d > t.thBBV {
+			if d < t.aboveBBV {
+				t.aboveBBV = d
+			}
 			continue
 		}
-		if t.useDDS && math.Abs(dds-e.DDS) > t.thDDS {
-			continue
+		if t.useDDS {
+			if dd := math.Abs(dds - e.DDS); dd > t.thDDS {
+				if dd < t.aboveDDS {
+					t.aboveDDS = dd
+				}
+				continue
+			}
 		}
 		if d < bestDist {
 			bestDist, bestIdx = d, i
@@ -160,11 +177,13 @@ func (t *FootprintTable) classify(bbv, row []float64, src int, dds float64) (pha
 	return e.PhaseID, false
 }
 
-// Reset clears all entries and the phase-ID counter.
+// Reset clears all entries, the phase-ID counter and the record of
+// failed threshold tests.
 func (t *FootprintTable) Reset() {
 	for i := range t.entries {
 		t.entries[i] = FootprintEntry{}
 	}
 	t.clock = 0
 	t.nextPhase = 0
+	t.aboveBBV, t.aboveDDS = math.Inf(1), math.Inf(1)
 }

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Replay classifies one processor's recorded signature sequence at any
 // number of threshold settings: the paper's offline threshold sweep.
 // Every distance a footprint table can need while replaying the sequence
@@ -44,7 +46,14 @@ func NewReplay(sigs []IntervalSignature, tableSize int) *Replay {
 // interval at thresholds (thBBV, thDDS): the IDs an online detector at
 // those thresholds would have produced. The slice is the replay's own
 // buffer and is overwritten by the next call.
-func (r *Replay) Classify(kind DetectorKind, thBBV, thDDS float64) []int {
+//
+// It also returns the box of settings that give the same IDs: every
+// setting in it makes every comparison of the replay the same way, so
+// (by induction over the intervals) the table evolves identically. The
+// box is taken on the thresholds configure makes effective and spans
+// every value on an axis the kind ignores (thDDS for DetectorBBV, thBBV
+// for DetectorDDS).
+func (r *Replay) Classify(kind DetectorKind, thBBV, thDDS float64) ([]int, Box) {
 	r.table.Reset()
 	r.table.configure(kind, thBBV, thDDS)
 	row := 0
@@ -52,5 +61,25 @@ func (r *Replay) Classify(kind DetectorKind, thBBV, thDDS float64) []int {
 		r.ids[i], _ = r.table.classify(nil, r.tri[row:row+i], i, r.sigs[i].DDS)
 		row += i
 	}
-	return r.ids
+	box := Box{LoBBV: thBBV, HiBBV: r.table.aboveBBV, LoDDS: thDDS, HiDDS: r.table.aboveDDS}
+	switch kind {
+	case DetectorBBV:
+		box.LoDDS, box.HiDDS = math.Inf(-1), math.Inf(1)
+	case DetectorDDS:
+		box.LoBBV, box.HiBBV = math.Inf(-1), math.Inf(1)
+	}
+	return r.ids, box
+}
+
+// Box is the half-open threshold rectangle [LoBBV, HiBBV) × [LoDDS,
+// HiDDS). It is half-open above because a table test fails on d > th:
+// a threshold equal to the smallest failing value passes it. The zero
+// Box is empty.
+type Box struct {
+	LoBBV, HiBBV, LoDDS, HiDDS float64
+}
+
+// Contains reports whether the setting (thBBV, thDDS) lies in b.
+func (b Box) Contains(thBBV, thDDS float64) bool {
+	return b.LoBBV <= thBBV && thBBV < b.HiBBV && b.LoDDS <= thDDS && thDDS < b.HiDDS
 }

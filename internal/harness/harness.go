@@ -159,10 +159,29 @@ func DefaultSweep(kind core.DetectorKind, maxDistance float64) SweepConfig {
 // the presentation curve.
 //
 // The loop is processor-outer: each processor's pairwise BBV distances
-// are computed once (core.Replay) and replayed at every setting, so only
-// one processor's distances are held at a time. Each setting still sums
-// its processors in ascending order, as a setting-outer loop would.
+// are computed once (core.Replay), so only one processor's distances are
+// held at a time. A setting inside the box of settings that replay the
+// same as an already computed neighbour (the previous DDS threshold, or
+// the previous BBV threshold at the same DDS threshold) takes that
+// neighbour's CoV and phase count; only the others are replayed. Each
+// setting still sums its processors in ascending order, as a
+// setting-outer loop would.
 func Sweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
+	out, _ := sweep(recs, sc)
+	return out
+}
+
+// sweepResult is one processor's outcome at one setting, with the box
+// of settings that replay to the same IDs.
+type sweepResult struct {
+	box    core.Box
+	cov    float64
+	phases int
+}
+
+// sweep is Sweep, also returning the number of (processor, setting)
+// replays it ran.
+func sweep(recs [][]core.IntervalSignature, sc SweepConfig) ([]stats.CurvePoint, int) {
 	if sc.TableSize <= 0 {
 		sc.TableSize = core.DefaultFootprintSize
 	}
@@ -171,16 +190,19 @@ func Sweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
 		dds = []float64{0}
 	}
 	// Each point sums its setting's per-processor CoV and phase count
-	// until the average at the end.
-	out := make([]stats.CurvePoint, 0, len(sc.BBVThresholds)*len(dds))
+	// until the average at the end. Setting k is (BBV threshold k/cols,
+	// DDS threshold k%cols).
+	cols := len(dds)
+	out := make([]stats.CurvePoint, 0, len(sc.BBVThresholds)*cols)
 	for _, tb := range sc.BBVThresholds {
 		for _, td := range dds {
 			out = append(out, stats.CurvePoint{Threshold: tb, ThresholdDDS: td})
 		}
 	}
-	procs := 0
+	procs, replays := 0, 0
 	var scratch stats.CoVScratch
 	var cpis []float64
+	res := make([]sweepResult, len(out))
 	for _, rs := range recs {
 		if len(rs) == 0 {
 			continue
@@ -190,25 +212,39 @@ func Sweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
 		for _, r := range rs {
 			cpis = append(cpis, r.CPI())
 		}
-		classify := func(tb, _ float64) []int { return core.ClassifyRecordedWSS(sc.TableSize, tb, rs) }
+		// The WSS baseline replays its own table and reports no box.
+		classify := func(tb, _ float64) ([]int, core.Box) {
+			return core.ClassifyRecordedWSS(sc.TableSize, tb, rs), core.Box{}
+		}
 		if sc.Kind != core.DetectorWSS {
 			replay := core.NewReplay(rs, sc.TableSize)
-			classify = func(tb, td float64) []int { return replay.Classify(sc.Kind, tb, td) }
+			classify = func(tb, td float64) ([]int, core.Box) { return replay.Classify(sc.Kind, tb, td) }
 		}
 		for k := range out {
-			cov, nPhases := stats.DenseIdentifierCoV(classify(out[k].Threshold, out[k].ThresholdDDS), cpis, &scratch)
-			out[k].CoV += cov
-			out[k].Phases += float64(nPhases)
+			tb, td := out[k].Threshold, out[k].ThresholdDDS
+			switch {
+			case k%cols > 0 && res[k-1].box.Contains(tb, td):
+				res[k] = res[k-1]
+			case k >= cols && res[k-cols].box.Contains(tb, td):
+				res[k] = res[k-cols]
+			default:
+				ids, box := classify(tb, td)
+				cov, nPhases := stats.DenseIdentifierCoV(ids, cpis, &scratch)
+				res[k] = sweepResult{box, cov, nPhases}
+				replays++
+			}
+			out[k].CoV += res[k].cov
+			out[k].Phases += float64(res[k].phases)
 		}
 	}
 	if procs == 0 || len(out) == 0 {
-		return nil
+		return nil, replays
 	}
 	for k := range out {
 		out[k].Phases /= float64(procs)
 		out[k].CoV /= float64(procs)
 	}
-	return out
+	return out, replays
 }
 
 // CurveResult is one named curve of a figure.

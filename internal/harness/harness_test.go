@@ -3,7 +3,9 @@ package harness
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,31 +193,94 @@ func referenceSweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.Cur
 
 // TestSweepMatchesReference checks Sweep against referenceSweep with ==
 // on every float. A 4-entry table is smaller than the interval count,
-// so the replay's LRU eviction is compared too.
+// so the replay's LRU eviction is compared too. Besides the default
+// ascending grids it sweeps descending, duplicated and shuffled
+// threshold lists, where a setting's neighbours are not below it and
+// the sweep must replay instead of reusing their result.
 func TestSweepMatchesReference(t *testing.T) {
-	rc := quickRun(t, "lu", 8)
-	rc.IntervalInstructions = 40_000 / 8
-	m, _, err := Simulate(rc)
+	reorder := map[string]func([]float64) []float64{
+		"ascending": func(xs []float64) []float64 { return xs },
+		"descending": func(xs []float64) []float64 {
+			ys := slices.Clone(xs)
+			slices.Reverse(ys)
+			return ys
+		},
+		"duplicated": func(xs []float64) []float64 {
+			var ys []float64
+			for _, x := range xs {
+				ys = append(ys, x, x)
+			}
+			return ys
+		},
+		"shuffled": func(xs []float64) []float64 {
+			ys := slices.Clone(xs)
+			rand.New(rand.NewSource(int64(len(xs)))).Shuffle(len(ys), func(i, j int) { ys[i], ys[j] = ys[j], ys[i] })
+			return ys
+		},
+	}
+	for _, procs := range []int{8, 32} {
+		rc := quickRun(t, "lu", procs)
+		rc.IntervalInstructions = 40_000 / uint64(procs)
+		m, _, err := Simulate(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := m.RecordsByProc()
+		if len(recs[0]) <= 4 {
+			t.Fatalf("%dP: %d intervals on processor 0 do not overflow the table", procs, len(recs[0]))
+		}
+		maxD := 1 + float64(m.Network().Diameter())
+		for _, order := range []string{"ascending", "descending", "duplicated", "shuffled"} {
+			for _, kind := range []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV, core.DetectorDDS} {
+				sc := DefaultSweep(kind, maxD)
+				sc.TableSize = 4
+				sc.BBVThresholds = reorder[order](sc.BBVThresholds)
+				sc.DDSThresholds = reorder[order](sc.DDSThresholds)
+				got, want := Sweep(recs, sc), referenceSweep(recs, sc)
+				if len(got) != len(want) {
+					t.Fatalf("%dP %s %v: %d points, want %d", procs, order, kind, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%dP %s %v: point %d = %+v, want %+v", procs, order, kind, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepPrunesReplays guards the pruning itself: on the lu 8P cell
+// of figure4 at a 40k interval (the short-interval benchmark's
+// configuration), most (processor, setting) pairs must reuse a
+// neighbour's result. A box that is always empty would still pass
+// TestSweepMatchesReference.
+func TestSweepPrunesReplays(t *testing.T) {
+	g, err := BuildGrid("figure4", GridParams{Apps: []string{"lu"}, Size: workloads.SizeTest, Interval: 40_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := m.RecordsByProc()
-	if len(recs[0]) <= 4 {
-		t.Fatalf("%d intervals on processor 0 do not overflow the table", len(recs[0]))
+	swept := 0
+	for _, c := range g.Spec.Plan().Cells() {
+		if c.Run.Procs != 8 {
+			continue
+		}
+		m, _, err := Simulate(c.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := m.RecordsByProc()
+		sc := DefaultSweep(c.Kind, 1+float64(m.Network().Diameter()))
+		_, replays := sweep(recs, sc)
+		settings := len(sc.BBVThresholds) * len(sc.DDSThresholds) * len(recs)
+		t.Logf("%v: %d replays for %d (processor, setting) pairs", c.Kind, replays, settings)
+		if replays == 0 || 4*replays > settings {
+			t.Errorf("%v: %d replays for %d (processor, setting) pairs, want at most a quarter", c.Kind, replays, settings)
+		}
+		swept++
 	}
-	maxD := 1 + float64(m.Network().Diameter())
-	for _, kind := range []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV, core.DetectorDDS} {
-		sc := DefaultSweep(kind, maxD)
-		sc.TableSize = 4
-		got, want := Sweep(recs, sc), referenceSweep(recs, sc)
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d points, want %d", kind, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: point %d = %+v, want %+v", kind, i, got[i], want[i])
-			}
-		}
+	if swept == 0 {
+		t.Fatal("figure4 has no lu 8P cell")
 	}
 }
 

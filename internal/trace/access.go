@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 
+	"dsmphase/internal/coherence"
 	"dsmphase/internal/isa"
 )
 
@@ -84,7 +85,9 @@ func WriteAccessJSONL(w io.Writer, recs []Access) error {
 }
 
 // ReadAccessJSONL reads a stream written by WriteAccessJSONL. Every
-// record's opcode is validated; addresses and repeat counts are taken
+// record's opcode is validated, and a proc must lie in [0,
+// coherence.MaxProcs): the workload layer allocates one stream per
+// processor up to the largest. Addresses and repeat counts are taken
 // as-is (the workload layer validates structure).
 func ReadAccessJSONL(r io.Reader) ([]Access, error) {
 	var out []Access
@@ -101,6 +104,10 @@ func ReadAccessJSONL(r io.Reader) ([]Access, error) {
 		}
 		if a.Proc < 0 {
 			return nil, fmt.Errorf("trace: access %d has negative proc %d", len(out), a.Proc)
+		}
+		if a.Proc >= coherence.MaxProcs {
+			return nil, fmt.Errorf("trace: access %d has proc %d; systems have at most %d processors",
+				len(out), a.Proc, coherence.MaxProcs)
 		}
 		if a.N < 0 {
 			return nil, fmt.Errorf("trace: access %d has negative repeat %d", len(out), a.N)

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"dsmphase/internal/isa"
@@ -338,6 +339,45 @@ func TestFromTraceSpecEquivalence(t *testing.T) {
 	}
 	if !sawSync {
 		t.Fatal("no barrier in replay")
+	}
+}
+
+// TestTraceRejectsProcPastLargestSystem checks both trace front ends
+// (FromTrace and a spec's inline trace stanza) reject a proc no system
+// has, naming the record, instead of allocating a stream per processor
+// up to it.
+func TestTraceRejectsProcPastLargestSystem(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		proc    int
+		wantErr string
+	}{
+		{"far past", 1_000_000_000_000, "record 1: proc 1000000000000; systems have at most 64 processors"},
+		{"first past", 64, "record 1: proc 64;"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := []trace.Access{
+				{Proc: 63, Op: "int", PC: 4},
+				{Proc: tc.proc, Op: "load", PC: 4096, Addr: 1 << 20},
+			}
+			_, errAPI := FromTrace("big-proc", "d", recs)
+			spec := fmt.Sprintf(`{"name": "big-proc", "description": "d", "trace": {"records": [
+			  {"proc": 63, "op": "int", "pc": 4},
+			  {"proc": %d, "op": "load", "pc": 4096, "addr": 1048576}]}}`, tc.proc)
+			_, errSpec := ParseSpec([]byte(spec))
+			for route, err := range map[string]error{"FromTrace": errAPI, "trace stanza": errSpec} {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s: error %v, want one containing %q", route, err, tc.wantErr)
+				}
+			}
+		})
+	}
+	var full []trace.Access
+	for p := 0; p < 64; p++ {
+		full = append(full, trace.Access{Proc: p, Op: "int", PC: 4})
+	}
+	if _, err := FromTrace("max-proc", "d", full); err != nil {
+		t.Errorf("a 64-processor trace rejected: %v", err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dsmphase/internal/coherence"
 	"dsmphase/internal/isa"
 	"dsmphase/internal/trace"
 )
@@ -40,6 +41,11 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 	for i, a := range recs {
 		if a.Proc < 0 {
 			return nil, fmt.Errorf("workloads: trace %q record %d: negative proc %d", name, i, a.Proc)
+		}
+		// One stream is allocated per trace processor up to the largest.
+		if a.Proc >= coherence.MaxProcs {
+			return nil, fmt.Errorf("workloads: trace %q record %d: proc %d; systems have at most %d processors",
+				name, i, a.Proc, coherence.MaxProcs)
 		}
 		if a.Proc >= procs {
 			procs = a.Proc + 1
