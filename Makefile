@@ -112,16 +112,21 @@ service-smoke:
 # unsharded run (all encoders, tuning included), and the
 # cmd/experiments output — the tuning scorecard, the shard+merge path,
 # and every grid under every -format — across worker counts, all under
-# -race.
+# -race. Last, every built-in workload's per-batch instruction stream
+# against its digest golden; that test is single-goroutine, so it runs
+# without -race (which would make it ten times slower for nothing).
 golden:
 	$(GO) test -race -run 'TestGolden|TestSpecLegacyByteIdentity|TestMergeByteIdentity|TestMergeTuningByteIdentity' ./internal/harness
 	$(GO) test -race -run 'TestParallelReportByteIdentical|TestTuningScorecardDeterministic|TestShardMergeByteIdentity|TestFormatMatchesMergeAndSpec' ./cmd/experiments
+	$(GO) test -run 'TestStreamDigests' ./internal/workloads
 
 # Regenerate the golden files (report and tuning encoders, shard
-# artifact) after an intentional format change; remember to update
-# docs/MERGE_FORMAT.md when the shard schema moves.
+# artifact, workload stream digests) after an intentional format or
+# stream change; remember to update docs/MERGE_FORMAT.md when the shard
+# schema moves.
 golden-update:
 	$(GO) test -run 'TestGolden' -update ./internal/harness
+	$(GO) test -run 'TestStreamDigests' -update ./internal/workloads
 
 # End-to-end smoke of the closed adaptive-tuning loop: the -tuning
 # scorecard must render with confidence bands on a real (tiny) grid.

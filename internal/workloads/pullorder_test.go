@@ -1,30 +1,41 @@
 package workloads
 
 import (
+	"math/bits"
 	"testing"
 
 	"dsmphase/internal/isa"
 )
 
 // streamDigest is an order-sensitive fingerprint of one thread's
-// instruction stream (FNV-1a-style mixing of every field), so the test
-// compares streams without holding them.
+// per-batch instruction stream, so tests compare streams without
+// holding them. Every field and each batch's length is mixed in
+// FNV-1a style on whole words, with a rotation after each multiply so
+// a difference in high bits (the home node of an address) reaches the
+// low bits too. Batch lengths are folded in because the scheduler interleaves
+// threads at batch granularity: two streams that concatenate
+// identically but split differently simulate differently.
 type streamDigest struct {
 	n    int
 	hash uint64
 }
 
 func (d *streamDigest) add(batch []isa.Inst) {
+	d.mix(uint64(len(batch)))
 	for _, in := range batch {
 		taken := uint64(0)
 		if in.Taken {
 			taken = 1
 		}
 		for _, x := range [...]uint64{uint64(in.Op), uint64(in.PC), in.Addr, taken} {
-			d.hash = (d.hash ^ x) * 1099511628211
+			d.mix(x)
 		}
 	}
 	d.n += len(batch)
+}
+
+func (d *streamDigest) mix(x uint64) {
+	d.hash = bits.RotateLeft64((d.hash^x)*1099511628211, 29)
 }
 
 // TestThreadsIndependentOfPullOrder pins the isa.Thread contract the
