@@ -191,9 +191,10 @@ workload-smoke-update:
 # the campaign must also still find at least one detector-degrading
 # spec — the capability the committed examples/fuzz_found corpus was
 # born from. DESIGN.md §14 describes the operators and oracles. Then a
-# few seconds of native fuzzing on each trace decoder: an error is
-# fine, a panic or a record that does not survive re-encoding is not.
-# Minimization is capped so a large seed's mutants do not stall the run.
+# few seconds of native fuzzing on each trace decoder and on trace
+# ingestion (FromTrace): an error is fine, a panic or an input that does
+# not survive re-encoding is not. Minimization is capped so a large
+# seed's mutants do not stall the run.
 fuzz-smoke:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 	$(GO) run ./cmd/wdlfuzz -budget 40 -seed 1 -out "" -fail-on-invariant > "$$tmp" && \
@@ -202,7 +203,8 @@ fuzz-smoke:
 	@for target in FuzzReadAccessJSONL FuzzReadJSONL; do \
 		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s -fuzzminimizetime 50x ./internal/trace || exit 1; \
 	done; \
-	echo "fuzz-smoke: trace decoders fuzzed clean"
+	$(GO) test -run '^$$' -fuzz '^FuzzFromTrace$$' -fuzztime 5s -fuzzminimizetime 50x ./internal/workloads || exit 1; \
+	echo "fuzz-smoke: trace decoders and trace ingestion fuzzed clean"
 
 # The protocol seam's dedicated gate: both coherence backends (the
 # conformance suite included), the caches they recycle, the machine

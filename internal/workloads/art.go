@@ -56,14 +56,6 @@ func (w Art) InputSet(sz Size) string {
 		p.Neurons, p.Weights, p.Samples, p.Epochs)
 }
 
-// Art kernel kinds.
-const (
-	artF1 = iota
-	artSearch
-	artUpdate
-	artNormalize
-)
-
 const pcArt = 0x3000_0000
 
 type artRun struct {
@@ -99,63 +91,44 @@ func (r *artRun) winner(tid, epoch, s int) int {
 // Threads implements Workload.
 func (w Art) Threads(n int, sz Size, seed uint64) []isa.Thread {
 	p := w.params(sz)
-	run := &artRun{n: n, p: p, seed: seed}
+	r := &artRun{n: n, p: p, seed: seed}
 	// Samples are data-parallel: each thread processes its share of the
 	// epoch's total, so per-processor work shrinks as the system scales
 	// (like the OMP loop scheduling in the real Art).
-	perThread := p.Samples / n
-	if perThread < 1 {
-		perThread = 1
-	}
-	out := make([]isa.Thread, n)
-	for tid := 0; tid < n; tid++ {
-		var items []item
-		for ep := 0; ep < p.Epochs; ep++ {
-			// Training pass: F1 → search → update per sample, bulk-
-			// synchronous across threads.
-			for s := 0; s < perThread; s++ {
-				items = append(items,
-					item{kind: artF1, a: tid},
-					item{kind: artSearch, a: tid},
-				)
-				// Vigilance reset: every 4th sample searches twice.
-				if s%4 == 3 {
-					items = append(items, item{kind: artSearch, a: tid})
-				}
-				items = append(items, item{kind: artUpdate, a: run.winner(tid, ep, s)})
-				items = append(items, item{kind: kindBarrier})
-			}
-			// Epoch-end normalization over this thread's own neurons.
-			items = append(items, item{kind: artNormalize, a: tid})
-			items = append(items, item{kind: kindBarrier})
-			// Test pass: F1 + search only (no updates) over half the
-			// samples — a lighter phase with a different kernel mix.
-			for s := 0; s < (perThread+1)/2; s++ {
-				items = append(items,
-					item{kind: artF1, a: tid},
-					item{kind: artSearch, a: tid},
-				)
-				items = append(items, item{kind: kindBarrier})
-			}
+	perThread := max(p.Samples/n, 1)
+	// f1, search and normalize run once per thread; the update kernel's
+	// item is the sample's winning neuron.
+	self := func(tid int) []BlockItem { return []BlockItem{{A: tid}} }
+	f1 := &kernel{List: self, Render: func(e *isa.Emitter, it BlockItem) { r.emitF1(e, it.A) }}
+	search := &kernel{List: self, Render: func(e *isa.Emitter, _ BlockItem) { r.emitSearch(e) }}
+	normalize := &kernel{List: self, Render: func(e *isa.Emitter, it BlockItem) { r.emitNormalize(e, it.A) }}
+	update := func(ep, s int) *kernel {
+		return &kernel{
+			List:   func(tid int) []BlockItem { return []BlockItem{{A: r.winner(tid, ep, s)}} },
+			Render: func(e *isa.Emitter, it BlockItem) { r.emitUpdate(e, it.A) },
 		}
-		out[tid] = &scriptThread{items: items, emit: run.emit, barrierPC: pcArt + 0xF00}
 	}
-	return out
-}
-
-func (r *artRun) emit(it item, e *isa.Emitter) {
-	switch it.kind {
-	case artF1:
-		r.emitF1(e, it.a)
-	case artSearch:
-		r.emitSearch(e)
-	case artUpdate:
-		r.emitUpdate(e, it.a)
-	case artNormalize:
-		r.emitNormalize(e, it.a)
-	default:
-		panic("art: unknown work item")
+	prog := &Program{BarrierPC: pcArt + 0xF00}
+	for ep := 0; ep < p.Epochs; ep++ {
+		// Training pass: F1 → search → update per sample, bulk-
+		// synchronous across threads.
+		for s := 0; s < perThread; s++ {
+			blocks := []Block{f1, search}
+			// Vigilance reset: every 4th sample searches twice.
+			if s%4 == 3 {
+				blocks = append(blocks, search)
+			}
+			prog.Phases = append(prog.Phases, Phase{Blocks: append(blocks, update(ep, s))})
+		}
+		// Epoch-end normalization over this thread's own neurons.
+		prog.Phases = append(prog.Phases, Phase{Blocks: []Block{normalize}})
+		// Test pass: F1 + search only (no updates) over half the
+		// samples — a lighter phase with a different kernel mix.
+		for s := 0; s < (perThread+1)/2; s++ {
+			prog.Phases = append(prog.Phases, Phase{Blocks: []Block{f1, search}})
+		}
 	}
+	return prog.Threads(n, seed)
 }
 
 // emitF1: local input-window activation scan.

@@ -178,26 +178,26 @@ func TestArtSamplesScaleDown(t *testing.T) {
 }
 
 func TestLUWorkShrinksAcrossSteps(t *testing.T) {
-	// The trailing submatrix shrinks: the first third of a thread's items
+	// The trailing submatrix shrinks: the first third of a thread's steps
 	// must carry more instructions than the last third.
 	w, _ := ByName("lu")
-	th := w.Threads(2, SizeTest, 1)[0].(*scriptThread)
-	third := len(th.items) / 3
-	count := func(items []item) int {
+	th := w.Threads(2, SizeTest, 1)[0].(*script)
+	third := len(th.steps) / 3
+	count := func(steps []step) int {
 		e := isa.NewEmitter(8192)
 		n := 0
-		for _, it := range items {
-			if it.kind == kindBarrier {
+		for _, s := range steps {
+			if s.block == nil {
 				continue
 			}
 			e.Reset()
-			th.emit(it, e)
+			s.block.Emit(th.ctx, e, s.it)
 			n += e.Len()
 		}
 		return n
 	}
-	early := count(th.items[:third])
-	late := count(th.items[len(th.items)-third:])
+	early := count(th.steps[:third])
+	late := count(th.steps[len(th.steps)-third:])
 	if early <= late {
 		t.Errorf("LU work must shrink over time: early=%d late=%d", early, late)
 	}

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -378,6 +380,63 @@ func TestTraceRejectsProcPastLargestSystem(t *testing.T) {
 	}
 	if _, err := FromTrace("max-proc", "d", full); err != nil {
 		t.Errorf("a 64-processor trace rejected: %v", err)
+	}
+}
+
+// TestTraceBoundsExpansion checks both trace front ends (FromTrace and
+// a spec's inline trace stanza) reject a trace whose n repeats expand it
+// past maxTraceInstrs, naming the record that crosses the bound, instead
+// of expanding it out of memory — and accept one that reaches the bound
+// exactly (syncs are not instructions of the replayed streams).
+func TestTraceBoundsExpansion(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		recs    []trace.Access
+		wantErr string // empty: the trace must be accepted
+	}{
+		{"one huge record", []trace.Access{
+			{Proc: 0, Op: "int", PC: 4, N: 1_000_000_000_000},
+		}, "record 0: expands the trace past 2097152 instructions"},
+		{"max int repeat", []trace.Access{
+			{Proc: 0, Op: "load", PC: 4, Addr: 64},
+			{Proc: 0, Op: "fp", PC: 8, N: math.MaxInt},
+		}, "record 1: expands the trace past"},
+		{"one past the bound", []trace.Access{
+			{Proc: 0, Op: "int", PC: 4, N: maxTraceInstrs - 1},
+			{Proc: 0, Op: "sync", PC: 12},
+			{Proc: 1, Op: "sync", PC: 12},
+			{Proc: 1, Op: "fp", PC: 8, N: 2},
+		}, "record 3: expands the trace past"},
+		{"at the bound", []trace.Access{
+			{Proc: 0, Op: "int", PC: 4, N: maxTraceInstrs - 1},
+			{Proc: 0, Op: "sync", PC: 12},
+			{Proc: 1, Op: "sync", PC: 12},
+			{Proc: 1, Op: "fp", PC: 8},
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs, err := json.Marshal(tc.recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := fmt.Sprintf(`{"name": "long-trace", "description": "d", "trace": {"records": %s}}`, recs)
+			routes := []struct {
+				name  string
+				build func() (*SpecWorkload, error)
+			}{
+				{"FromTrace", func() (*SpecWorkload, error) { return FromTrace("long-trace", "d", tc.recs) }},
+				{"trace stanza", func() (*SpecWorkload, error) { return ParseSpec([]byte(spec)) }},
+			}
+			for _, route := range routes {
+				_, err := route.build()
+				switch {
+				case tc.wantErr == "" && err != nil:
+					t.Errorf("%s: rejected: %v", route.name, err)
+				case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+					t.Errorf("%s: error %v, want one containing %q", route.name, err, tc.wantErr)
+				}
+			}
+		})
 	}
 }
 

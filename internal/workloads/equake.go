@@ -57,13 +57,6 @@ func (w Equake) InputSet(sz Size) string {
 	return fmt.Sprintf("MinneSPEC-Large analogue: %d-node mesh, degree %d, %d timesteps", p.Nodes, p.Degree, p.Steps)
 }
 
-// Equake kernel kinds.
-const (
-	eqSmvp = iota
-	eqVector
-	eqSource
-)
-
 const pcEquake = 0x4000_0000
 
 // eqChunk is the number of mesh nodes emitted per work item.
@@ -115,67 +108,52 @@ func (r *equakeRun) neighbour(v, slot int) int {
 	return u
 }
 
-// epicenterOwner is the processor owning the excitation region (the
-// first 1/32nd of the mesh).
+// epicenterSpan is the excitation region: the first 1/32nd of the
+// mesh.
 func (r *equakeRun) epicenterSpan() (lo, hi int) {
 	return 0, max(1, r.p.Nodes/32)
 }
 
-// Threads implements Workload.
+// Threads implements Workload. Each timestep is an SMVP phase and a
+// vector-update phase over the thread's owned mesh chunks; the first
+// quarter of the timesteps adds a source phase over the chunks of the
+// epicenter it owns.
 func (w Equake) Threads(n int, sz Size, seed uint64) []isa.Thread {
 	p := w.params(sz)
-	run := &equakeRun{n: n, p: p, seed: seed}
-	out := make([]isa.Thread, n)
-	for tid := 0; tid < n; tid++ {
-		lo := tid * p.Nodes / n
-		hi := (tid + 1) * p.Nodes / n
-		var items []item
-		chunks := func(kind, arg int) {
-			for s := lo; s < hi; s += eqChunk {
-				e := s + eqChunk
-				if e > hi {
-					e = hi
-				}
-				items = append(items, item{kind: kind, a: s, b: e, c: arg})
-			}
+	r := &equakeRun{n: n, p: p, seed: seed}
+	chunks := func(lo, hi int) []BlockItem {
+		var items []BlockItem
+		for s := lo; s < hi; s += eqChunk {
+			items = append(items, BlockItem{A: s, B: min(s+eqChunk, hi)})
 		}
-		elo, ehi := run.epicenterSpan()
-		for ts := 0; ts < p.Steps; ts++ {
-			chunks(eqSmvp, ts)
-			items = append(items, item{kind: kindBarrier})
-			chunks(eqVector, 0)
-			chunks(eqVector, 1)
-			items = append(items, item{kind: kindBarrier})
-			if ts < p.Steps/4 {
-				// Source excitation: only owners of the epicenter region
-				// do work here; everyone else waits at the barrier.
-				slo, shi := maxInt(lo, elo), minInt(hi, ehi)
-				for s := slo; s < shi; s += eqChunk {
-					e := s + eqChunk
-					if e > shi {
-						e = shi
-					}
-					items = append(items, item{kind: eqSource, a: s, b: e})
-				}
-				items = append(items, item{kind: kindBarrier})
-			}
+		return items
+	}
+	owned := func(tid int) []BlockItem {
+		return chunks(tid*p.Nodes/n, (tid+1)*p.Nodes/n)
+	}
+	smvp := &kernel{List: owned, Render: func(e *isa.Emitter, it BlockItem) { r.emitSmvp(e, it.A, it.B) }}
+	vector0 := &kernel{List: owned, Render: func(e *isa.Emitter, it BlockItem) { r.emitVector(e, it.A, it.B, 0) }}
+	vector1 := &kernel{List: owned, Render: func(e *isa.Emitter, it BlockItem) { r.emitVector(e, it.A, it.B, 1) }}
+	// Source excitation: only owners of the epicenter region do work
+	// here; everyone else waits at the barrier.
+	elo, ehi := r.epicenterSpan()
+	source := &kernel{
+		List: func(tid int) []BlockItem {
+			return chunks(max(tid*p.Nodes/n, elo), min((tid+1)*p.Nodes/n, ehi))
+		},
+		Render: func(e *isa.Emitter, it BlockItem) { r.emitSource(e, it.A, it.B) },
+	}
+	prog := &Program{BarrierPC: pcEquake + 0xF00}
+	for ts := 0; ts < p.Steps; ts++ {
+		prog.Phases = append(prog.Phases,
+			Phase{Blocks: []Block{smvp}},
+			Phase{Blocks: []Block{vector0, vector1}},
+		)
+		if ts < p.Steps/4 {
+			prog.Phases = append(prog.Phases, Phase{Blocks: []Block{source}})
 		}
-		out[tid] = &scriptThread{items: items, emit: run.emit, barrierPC: pcEquake + 0xF00}
 	}
-	return out
-}
-
-func (r *equakeRun) emit(it item, e *isa.Emitter) {
-	switch it.kind {
-	case eqSmvp:
-		r.emitSmvp(e, it.a, it.b)
-	case eqVector:
-		r.emitVector(e, it.a, it.b, it.c)
-	case eqSource:
-		r.emitSource(e, it.a, it.b)
-	default:
-		panic("equake: unknown work item")
-	}
+	return prog.Threads(n, seed)
 }
 
 // emitSmvp: y[v] = Σ K[v][s] · x[neighbour(v,s)] over the chunk.
@@ -215,18 +193,4 @@ func (r *equakeRun) emitSource(e *isa.Emitter, lo, hi int) {
 		e.Store(pc+8, r.xAddr(v))
 		e.LoopBranch(pc+12, v-lo, hi-lo)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -58,14 +58,6 @@ func (w FMM) InputSet(sz Size) string {
 	return fmt.Sprintf("%d particles", p.Particles)
 }
 
-// FMM kernel kinds.
-const (
-	fmmBuild = iota
-	fmmUpward
-	fmmInteract
-	fmmDownward
-)
-
 const pcFMM = 0x2000_0000
 
 const (
@@ -97,57 +89,34 @@ func (r *fmmRun) partAddr(c, idx int) uint64 {
 	return machine.AddrAt(r.cellOwner(c), partRegion+uint64(c*r.ppc+idx)*fmmParticleBytes)
 }
 
-// Threads implements Workload.
+// Threads implements Workload. Each timestep is four barrier-closed
+// phases — build, upward, interact, downward — each a kernel with one
+// item per cell the thread owns.
 func (w FMM) Threads(n int, sz Size, seed uint64) []isa.Thread {
 	p := w.params(sz)
 	cells := p.GridSide * p.GridSide
-	run := &fmmRun{n: n, p: p, cells: cells, ppc: p.Particles / cells, seed: seed}
-	out := make([]isa.Thread, n)
-	for tid := 0; tid < n; tid++ {
-		var items []item
-		// Cells owned by this thread.
-		var mine []int
+	r := &fmmRun{n: n, p: p, cells: cells, ppc: p.Particles / cells, seed: seed}
+	owned := func(tid int) []BlockItem {
+		var items []BlockItem
 		for c := 0; c < cells; c++ {
-			if run.cellOwner(c) == tid {
-				mine = append(mine, c)
+			if r.cellOwner(c) == tid {
+				items = append(items, BlockItem{A: c})
 			}
 		}
-		for ts := 0; ts < p.Steps; ts++ {
-			for _, c := range mine {
-				items = append(items, item{kind: fmmBuild, a: c, d: ts})
-			}
-			items = append(items, item{kind: kindBarrier})
-			for _, c := range mine {
-				items = append(items, item{kind: fmmUpward, a: c, d: ts})
-			}
-			items = append(items, item{kind: kindBarrier})
-			for _, c := range mine {
-				items = append(items, item{kind: fmmInteract, a: c, d: ts})
-			}
-			items = append(items, item{kind: kindBarrier})
-			for _, c := range mine {
-				items = append(items, item{kind: fmmDownward, a: c, d: ts})
-			}
-			items = append(items, item{kind: kindBarrier})
-		}
-		out[tid] = &scriptThread{items: items, emit: run.emit, barrierPC: pcFMM + 0xF00}
+		return items
 	}
-	return out
-}
-
-func (r *fmmRun) emit(it item, e *isa.Emitter) {
-	switch it.kind {
-	case fmmBuild:
-		r.emitBuild(e, it.a)
-	case fmmUpward:
-		r.emitUpward(e, it.a)
-	case fmmInteract:
-		r.emitInteract(e, it.a, it.d)
-	case fmmDownward:
-		r.emitDownward(e, it.a)
-	default:
-		panic("fmm: unknown work item")
+	phase := func(render func(e *isa.Emitter, it BlockItem)) Phase {
+		return Phase{Blocks: []Block{&kernel{List: owned, Render: render}}}
 	}
+	build := phase(func(e *isa.Emitter, it BlockItem) { r.emitBuild(e, it.A) })
+	upward := phase(func(e *isa.Emitter, it BlockItem) { r.emitUpward(e, it.A) })
+	downward := phase(func(e *isa.Emitter, it BlockItem) { r.emitDownward(e, it.A) })
+	prog := &Program{BarrierPC: pcFMM + 0xF00}
+	for ts := 0; ts < p.Steps; ts++ {
+		interact := phase(func(e *isa.Emitter, it BlockItem) { r.emitInteract(e, it.A, ts) })
+		prog.Phases = append(prog.Phases, build, upward, interact, downward)
+	}
+	return prog.Threads(n, seed)
 }
 
 // emitBuild: integer-heavy local scan assigning particles to the cell.

@@ -1,19 +1,17 @@
 package workloads
 
 // The phased access-pattern IR. A workload is a Program: an ordered
-// sequence of Phases, each a composition of primitive Blocks
-// (stride/stencil/random/tree-pointer-chase/reduction/broadcast/
-// share/replay) with an explicit placement policy, sharing degree,
-// per-thread skew and barrier structure. Programs compile onto the
-// existing scriptThread/isa.Emitter machinery, so every IR workload
-// inherits the determinism contract for free: instruction streams are
-// pure functions of (n, size, seed), independent of host, shard split
-// or worker count. The hand-written generators (fsstencil, pagethrash,
-// ocean) are expressed over this IR byte-identically to their legacy
-// emitters — pinned by TestIRStreamEquivalence — and the DSL and
-// trace-ingestion front ends (dsl.go, replay in this file) target the
-// same primitives, which is what turns "six apps" into a compositional
-// scenario space.
+// sequence of Phases, each a composition of Blocks with an explicit
+// placement policy, sharing degree, per-thread skew and barrier
+// structure. Program.Threads is the only way a workload becomes
+// threads, so every workload inherits the determinism contract:
+// instruction streams are pure functions of (n, size, seed),
+// independent of host, shard split or worker count. Regular patterns
+// compose the primitive blocks below, which the DSL and trace front
+// ends (dsl.go, tracegen.go) also target; work whose split across
+// threads is irregular (lu, radix, fmm, art, equake) is a kernel, a
+// block given by two functions. TestStreamDigests pins every
+// built-in's per-batch stream.
 
 import (
 	"dsmphase/internal/isa"
@@ -32,9 +30,8 @@ type Ctx struct {
 	Seed uint64
 }
 
-// BlockItem is one schedulable unit of a block's work — the IR
-// equivalent of the scriptThread item payload. A block splits its
-// per-thread work into items (typically chunks of rows, walks or
+// BlockItem is one schedulable unit of a block's work. A block splits
+// its per-thread work into items (typically chunks of rows, walks or
 // instructions) so the emitter produces bounded batches and the
 // scheduler can interleave threads at item granularity.
 type BlockItem struct {
@@ -66,10 +63,10 @@ type Phase struct {
 }
 
 // Program is a compiled workload: a barrier PC plus the phase
-// sequence. Threads lowers it onto scriptThread — one scriptThread
-// item per BlockItem, kindBarrier items between phases — so the
-// batching (and therefore the scheduler interleaving) of an IR
-// workload is exactly the item structure the blocks declare.
+// sequence. Threads lowers it to one script per thread — one step per
+// BlockItem, one barrier step closing each phase — so the batching
+// (and therefore the scheduler interleaving) of a workload is exactly
+// the item structure its blocks declare.
 type Program struct {
 	// BarrierPC is the static PC of the Sync instruction closing each
 	// phase.
@@ -80,38 +77,65 @@ type Program struct {
 // Threads compiles the program for n processors under the given seed.
 func (p *Program) Threads(n int, seed uint64) []isa.Thread {
 	ctx := &Ctx{N: n, Seed: seed}
-	// Assign each distinct block a stable kind index so the shared emit
-	// closure can dispatch on it.
-	var blocks []Block
-	index := map[Block]int{}
-	for _, ph := range p.Phases {
-		for _, b := range ph.Blocks {
-			if _, ok := index[b]; !ok {
-				index[b] = len(blocks)
-				blocks = append(blocks, b)
-			}
-		}
-	}
-	emit := func(it item, e *isa.Emitter) {
-		blocks[it.kind].Emit(ctx, e, BlockItem{A: it.a, B: it.b, C: it.c, D: it.d})
-	}
 	out := make([]isa.Thread, n)
 	for tid := 0; tid < n; tid++ {
-		var items []item
+		var steps []step
 		for _, ph := range p.Phases {
 			for _, b := range ph.Blocks {
-				for _, bi := range b.Items(ctx, tid) {
-					items = append(items, item{kind: index[b], a: bi.A, b: bi.B, c: bi.C, d: bi.D})
+				for _, it := range b.Items(ctx, tid) {
+					steps = append(steps, step{block: b, it: it})
 				}
 			}
 			if !ph.NoBarrier {
-				items = append(items, item{kind: kindBarrier})
+				steps = append(steps, step{})
 			}
 		}
-		out[tid] = &scriptThread{items: items, emit: emit, barrierPC: p.BarrierPC}
+		out[tid] = &script{ctx: ctx, steps: steps, barrierPC: p.BarrierPC}
 	}
 	return out
 }
+
+// step is one batch of a lowered thread: a block's work item, or a
+// barrier arrival when block is nil.
+type step struct {
+	block Block
+	it    BlockItem
+}
+
+// script is a lowered Program thread: it emits one step per batch.
+type script struct {
+	ctx       *Ctx
+	steps     []step
+	pos       int
+	barrierPC uint32
+}
+
+func (t *script) NextBatch(e *isa.Emitter) bool {
+	if t.pos >= len(t.steps) {
+		return false
+	}
+	s := t.steps[t.pos]
+	t.pos++
+	if s.block == nil {
+		e.Sync(t.barrierPC)
+	} else {
+		s.block.Emit(t.ctx, e, s.it)
+	}
+	return true
+}
+
+// kernel is a block given by two functions, for work whose split across
+// threads is irregular (owned matrix blocks or cells, sampled winners).
+// List returns thread tid's items and Render emits one; both close over
+// the workload's run state, so neither reads the Ctx.
+type kernel struct {
+	List   func(tid int) []BlockItem
+	Render func(e *isa.Emitter, it BlockItem)
+}
+
+func (k *kernel) Items(_ *Ctx, tid int) []BlockItem { return k.List(tid) }
+
+func (k *kernel) Emit(_ *Ctx, e *isa.Emitter, it BlockItem) { k.Render(e, it) }
 
 // OwnerThread as a Region home means "the node of the thread touching
 // the region" — i.e. thread-private or thread-partitioned data.

@@ -16,6 +16,47 @@ import (
 	"dsmphase/internal/machine"
 )
 
+// --- pre-IR script thread, verbatim ---------------------------------------
+
+// The legacy generators below build their threads the pre-IR way: a
+// per-thread list of kind-tagged items, dispatched through one emit
+// switch per workload.
+
+// item is one unit of scripted work: either a barrier or a workload-
+// specific kernel invocation identified by kind with up to four integer
+// arguments.
+type item struct {
+	kind       int
+	a, b, c, d int
+}
+
+// kindBarrier marks a barrier arrival.
+const kindBarrier = -1
+
+// scriptThread executes a precomputed list of work items, one item per
+// batch. Emission is delegated to the owning workload's kernel emitter.
+type scriptThread struct {
+	items []item
+	pos   int
+	emit  func(it item, e *isa.Emitter)
+	// barrierPC is the static PC of the barrier arrival instruction.
+	barrierPC uint32
+}
+
+func (t *scriptThread) NextBatch(e *isa.Emitter) bool {
+	if t.pos >= len(t.items) {
+		return false
+	}
+	it := t.items[t.pos]
+	t.pos++
+	if it.kind == kindBarrier {
+		e.Sync(t.barrierPC)
+		return true
+	}
+	t.emit(it, e)
+	return true
+}
+
 // --- legacy fsstencil (pre-IR), verbatim -----------------------------------
 
 const (

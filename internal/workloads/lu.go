@@ -92,97 +92,73 @@ func procGrid(n int) (pr, pc int) {
 	return pr, pc
 }
 
-// LU over the IR: the three kernels of factorization step k become
-// three barrier-closed phases. Ownership is irregular — a block emits
-// items only on the thread that owns the matrix block — so LU keeps
-// workload-specific Block implementations (like barnes) instead of
-// composing the generic primitives. Each BlockItem is one kernel
-// invocation, exactly the batch structure the pre-IR emitter produced
-// (pinned by TestIRStreamEquivalenceLURadix).
-
-// luFactB is step k's diagonal-block factorization: one item, on the
-// diagonal block's owner only.
-type luFactB struct {
-	r *luRun
-	k int
-}
-
-func (b *luFactB) Items(c *Ctx, tid int) []BlockItem {
-	if b.r.owner(b.k, b.k) == tid {
-		return []BlockItem{{A: b.k}}
-	}
-	return nil
-}
-
-func (b *luFactB) Emit(c *Ctx, e *isa.Emitter, it BlockItem) {
-	b.r.emitFact(e, it.A)
-}
-
-// luSolveB is step k's perimeter solve: one item per owned row block
-// (C=0), then one per owned column block (C=1), in block order.
-type luSolveB struct {
-	r *luRun
-	k int
-}
-
-func (b *luSolveB) Items(c *Ctx, tid int) []BlockItem {
-	var items []BlockItem
-	for j := b.k + 1; j < b.r.G; j++ {
-		if b.r.owner(b.k, j) == tid {
-			items = append(items, BlockItem{A: b.k, B: j})
-		}
-	}
-	for i := b.k + 1; i < b.r.G; i++ {
-		if b.r.owner(i, b.k) == tid {
-			items = append(items, BlockItem{A: b.k, B: i, C: 1})
-		}
-	}
-	return items
-}
-
-func (b *luSolveB) Emit(c *Ctx, e *isa.Emitter, it BlockItem) {
-	if it.C == 0 {
-		b.r.emitSolve(e, it.A, it.A, it.B, pcLU+0x100)
-	} else {
-		b.r.emitSolve(e, it.A, it.B, it.A, pcLU+0x200)
-	}
-}
-
-// luUpdateB is step k's trailing-submatrix update: one item per owned
-// trailing block.
-type luUpdateB struct {
-	r *luRun
-	k int
-}
-
-func (b *luUpdateB) Items(c *Ctx, tid int) []BlockItem {
-	var items []BlockItem
-	for i := b.k + 1; i < b.r.G; i++ {
-		for j := b.k + 1; j < b.r.G; j++ {
-			if b.r.owner(i, j) == tid {
-				items = append(items, BlockItem{A: i, B: j, C: b.k})
-			}
-		}
-	}
-	return items
-}
-
-func (b *luUpdateB) Emit(c *Ctx, e *isa.Emitter, it BlockItem) {
-	b.r.emitUpdate(e, it.A, it.B, it.C)
-}
-
-// Threads implements Workload.
+// Threads implements Workload. The three kernels of factorization
+// step k become three barrier-closed phases. Ownership is irregular —
+// a matrix block's work runs only on its owner — so each phase is a
+// kernel whose items are the owner's kernel invocations, exactly the
+// batch structure the pre-IR emitter produced (pinned by
+// TestIRStreamEquivalenceLURadix).
 func (w LU) Threads(n int, sz Size, seed uint64) []isa.Thread {
 	p := w.params(sz)
 	G := p.N / p.B
 	pr, pc := procGrid(n)
-	run := &luRun{n: n, G: G, B: p.B, pr: pr, pc: pc, depth: max(2, p.B/4)}
+	r := &luRun{n: n, G: G, B: p.B, pr: pr, pc: pc, depth: max(2, p.B/4)}
 	prog := &Program{BarrierPC: pcLU + 0xF00}
 	for k := 0; k < G; k++ {
+		// The diagonal block's factorization, on its owner only.
+		fact := &kernel{
+			List: func(tid int) []BlockItem {
+				if r.owner(k, k) == tid {
+					return []BlockItem{{}}
+				}
+				return nil
+			},
+			Render: func(e *isa.Emitter, _ BlockItem) { r.emitFact(e, k) },
+		}
+		// The perimeter solve: each owned row block (C=0), then each
+		// owned column block (C=1), in block order.
+		solve := &kernel{
+			List: func(tid int) []BlockItem {
+				var items []BlockItem
+				for j := k + 1; j < G; j++ {
+					if r.owner(k, j) == tid {
+						items = append(items, BlockItem{B: j})
+					}
+				}
+				for i := k + 1; i < G; i++ {
+					if r.owner(i, k) == tid {
+						items = append(items, BlockItem{B: i, C: 1})
+					}
+				}
+				return items
+			},
+			Render: func(e *isa.Emitter, it BlockItem) {
+				if it.C == 0 {
+					r.emitSolve(e, k, k, it.B, pcLU+0x100)
+				} else {
+					r.emitSolve(e, k, it.B, k, pcLU+0x200)
+				}
+			},
+		}
+		// The trailing-submatrix update: each owned trailing block.
+		update := &kernel{
+			List: func(tid int) []BlockItem {
+				var items []BlockItem
+				for i := k + 1; i < G; i++ {
+					for j := k + 1; j < G; j++ {
+						if r.owner(i, j) == tid {
+							items = append(items, BlockItem{A: i, B: j})
+						}
+					}
+				}
+				return items
+			},
+			Render: func(e *isa.Emitter, it BlockItem) { r.emitUpdate(e, it.A, it.B, k) },
+		}
 		prog.Phases = append(prog.Phases,
-			Phase{Blocks: []Block{&luFactB{r: run, k: k}}},
-			Phase{Blocks: []Block{&luSolveB{r: run, k: k}}},
-			Phase{Blocks: []Block{&luUpdateB{r: run, k: k}}},
+			Phase{Blocks: []Block{fact}},
+			Phase{Blocks: []Block{solve}},
+			Phase{Blocks: []Block{update}},
 		)
 	}
 	return prog.Threads(n, seed)
@@ -247,11 +223,4 @@ func (r *luRun) emitUpdate(e *isa.Emitter, i, j, k int) {
 		}
 		e.LoopBranch(pc+32, jj, r.B)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -42,11 +42,11 @@ func (d *streamDigest) mix(x uint64) {
 // machine's horizon scheduler relies on: NextBatch depends only on the
 // thread's own state, so pulling batches earlier or later relative to
 // the other threads cannot change any thread's stream. For every
-// registered workload — the bespoke generators, the IR-lowered
-// built-ins, the committed DSL examples and an ingested trace — each
-// thread's stream must be identical whether the threads are drained one
-// after another or round-robin one batch at a time (in reverse thread
-// order, so no pull happens in the same relative order twice).
+// registered workload — the built-ins (all lowered from Programs), the
+// committed DSL examples and an ingested trace — each thread's stream
+// must be identical whether the threads are drained one after another
+// or round-robin one batch at a time (in reverse thread order, so no
+// pull happens in the same relative order twice).
 func TestThreadsIndependentOfPullOrder(t *testing.T) {
 	for _, f := range [][]string{
 		{"adversarial_phases", "oscillate.wdl"},

@@ -90,66 +90,43 @@ func (r *radixRun) destOwner(tid, k, pass int) int {
 	return (tid + int(h%uint64(spread))) % r.n
 }
 
-// Radix over the IR: each pass is three barrier-closed phases —
-// histogram, global scan, permutation — with one BlockItem per
-// radixChunk of keys (histogram, permutation) or per thread (scan),
-// exactly the batch structure the pre-IR emitter produced (pinned by
-// TestIRStreamEquivalenceLURadix). The histogram and scan blocks carry
-// no per-pass state, so one instance serves every pass; the permute
-// block is per pass because the destination spread shrinks with it.
-
-// radixChunks lists [lo, hi) key chunks of thread tid's partition.
+// chunks lists [lo, hi) key chunks of thread tid's partition.
 func (r *radixRun) chunks(tid int) []BlockItem {
 	var items []BlockItem
 	for s := 0; s < r.perProc; s += radixChunk {
-		e := s + radixChunk
-		if e > r.perProc {
-			e = r.perProc
-		}
-		items = append(items, BlockItem{A: tid, B: s, C: e})
+		items = append(items, BlockItem{A: tid, B: s, C: min(s+radixChunk, r.perProc)})
 	}
 	return items
 }
 
-// radixHistB is the local histogram kernel.
-type radixHistB struct{ r *radixRun }
-
-func (b *radixHistB) Items(c *Ctx, tid int) []BlockItem { return b.r.chunks(tid) }
-func (b *radixHistB) Emit(c *Ctx, e *isa.Emitter, it BlockItem) {
-	b.r.emitHist(e, it.A, it.B, it.C)
-}
-
-// radixScanB is the global prefix-sum kernel: one item per thread.
-type radixScanB struct{ r *radixRun }
-
-func (b *radixScanB) Items(c *Ctx, tid int) []BlockItem { return []BlockItem{{A: tid}} }
-func (b *radixScanB) Emit(c *Ctx, e *isa.Emitter, it BlockItem) {
-	b.r.emitScan(e, it.A)
-}
-
-// radixPermuteB is pass's all-to-all key scatter.
-type radixPermuteB struct {
-	r    *radixRun
-	pass int
-}
-
-func (b *radixPermuteB) Items(c *Ctx, tid int) []BlockItem { return b.r.chunks(tid) }
-func (b *radixPermuteB) Emit(c *Ctx, e *isa.Emitter, it BlockItem) {
-	b.r.emitPermute(e, it.A, it.B, it.C, b.pass)
-}
-
-// Threads implements Workload.
+// Threads implements Workload. Each pass is three barrier-closed
+// phases — histogram, global scan, permutation — with one item per
+// radixChunk of keys (histogram, permutation) or per thread (scan),
+// exactly the batch structure the pre-IR emitter produced (pinned by
+// TestIRStreamEquivalenceLURadix). The histogram and scan kernels carry
+// no per-pass state, so one instance serves every pass; the permute
+// kernel is per pass because the destination spread shrinks with it.
 func (w Radix) Threads(n int, sz Size, seed uint64) []isa.Thread {
 	p := w.params(sz)
-	run := &radixRun{n: n, p: p, seed: seed, perProc: p.Keys / n}
+	r := &radixRun{n: n, p: p, seed: seed, perProc: p.Keys / n}
 	prog := &Program{BarrierPC: pcRadix + 0xF00}
-	hist := &radixHistB{r: run}
-	scan := &radixScanB{r: run}
+	hist := &kernel{
+		List:   r.chunks,
+		Render: func(e *isa.Emitter, it BlockItem) { r.emitHist(e, it.A, it.B, it.C) },
+	}
+	scan := &kernel{
+		List:   func(tid int) []BlockItem { return []BlockItem{{A: tid}} },
+		Render: func(e *isa.Emitter, it BlockItem) { r.emitScan(e, it.A) },
+	}
 	for pass := 0; pass < p.Passes; pass++ {
+		permute := &kernel{
+			List:   r.chunks,
+			Render: func(e *isa.Emitter, it BlockItem) { r.emitPermute(e, it.A, it.B, it.C, pass) },
+		}
 		prog.Phases = append(prog.Phases,
 			Phase{Blocks: []Block{hist}},
 			Phase{Blocks: []Block{scan}},
-			Phase{Blocks: []Block{&radixPermuteB{r: run, pass: pass}}},
+			Phase{Blocks: []Block{permute}},
 		)
 	}
 	return prog.Threads(n, seed)

@@ -13,6 +13,7 @@ package workloads
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"dsmphase/internal/coherence"
 	"dsmphase/internal/isa"
@@ -33,11 +34,18 @@ func FromTrace(name, desc string, accs []trace.Access) (*SpecWorkload, error) {
 	return traceWorkload(name, desc, accs)
 }
 
+// maxTraceInstrs bounds a trace's instruction count once every
+// record's n repeat is expanded. Replay holds the expanded streams in
+// memory (24 bytes an instruction, so 48 MiB at the bound), and without
+// it one record with a huge n would exhaust memory. Every built-in
+// workload's test-size capture at up to 32 processors fits.
+const maxTraceInstrs = 1 << 21
+
 func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("workloads: trace %q has no records", name)
 	}
-	procs := 0
+	procs, instrs := 0, 0
 	for i, a := range recs {
 		if a.Proc < 0 {
 			return nil, fmt.Errorf("workloads: trace %q record %d: negative proc %d", name, i, a.Proc)
@@ -49,6 +57,14 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 		}
 		if a.Proc >= procs {
 			procs = a.Proc + 1
+		}
+		if a.Op != "sync" {
+			rep := max(a.N, 1)
+			if rep > maxTraceInstrs-instrs {
+				return nil, fmt.Errorf("workloads: trace %q record %d: expands the trace past %d instructions",
+					name, i, maxTraceInstrs)
+			}
+			instrs += rep
 		}
 	}
 	// Per-proc barrier-delimited segments. segs[tp][s] is trace
@@ -74,11 +90,9 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 			segs[tp] = append(segs[tp], nil)
 			continue
 		}
-		rep := a.N
-		if rep < 1 {
-			rep = 1
-		}
+		rep := max(a.N, 1)
 		last := len(segs[tp]) - 1
+		segs[tp][last] = slices.Grow(segs[tp][last], rep)
 		for r := 0; r < rep; r++ {
 			segs[tp][last] = append(segs[tp][last], in)
 		}

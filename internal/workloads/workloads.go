@@ -188,50 +188,3 @@ func All() []Workload {
 	}
 	return out
 }
-
-// item is one unit of scripted work: either a barrier or a workload-
-// specific kernel invocation identified by kind with up to four integer
-// arguments.
-type item struct {
-	kind       int
-	a, b, c, d int
-}
-
-// kindBarrier marks a barrier arrival.
-const kindBarrier = -1
-
-// scriptThread executes a precomputed list of work items, one item per
-// batch. Emission is delegated to the owning workload's kernel emitter.
-type scriptThread struct {
-	items []item
-	pos   int
-	emit  func(it item, e *isa.Emitter)
-	// barrierPC is the static PC of the barrier arrival instruction.
-	barrierPC uint32
-}
-
-func (t *scriptThread) NextBatch(e *isa.Emitter) bool {
-	if t.pos >= len(t.items) {
-		return false
-	}
-	it := t.items[t.pos]
-	t.pos++
-	if it.kind == kindBarrier {
-		e.Sync(t.barrierPC)
-		return true
-	}
-	t.emit(it, e)
-	return true
-}
-
-// CountBarriers returns how many barrier items a thread's script holds —
-// used by tests to verify all threads agree.
-func countBarriers(items []item) int {
-	n := 0
-	for _, it := range items {
-		if it.kind == kindBarrier {
-			n++
-		}
-	}
-	return n
-}

@@ -251,10 +251,3 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	}()
 	Register(LU{})
 }
-
-func TestCountBarriers(t *testing.T) {
-	items := []item{{kind: 1}, {kind: kindBarrier}, {kind: 2}, {kind: kindBarrier}}
-	if got := countBarriers(items); got != 2 {
-		t.Errorf("countBarriers = %d, want 2", got)
-	}
-}
