@@ -384,10 +384,11 @@ func TestTraceRejectsProcPastLargestSystem(t *testing.T) {
 }
 
 // TestTraceBoundsExpansion checks both trace front ends (FromTrace and
-// a spec's inline trace stanza) reject a trace whose n repeats expand it
-// past maxTraceInstrs, naming the record that crosses the bound, instead
-// of expanding it out of memory — and accept one that reaches the bound
-// exactly (syncs are not instructions of the replayed streams).
+// a spec's inline trace stanza) reject a trace whose n repeats add more
+// than maxRepeatInstrs instructions, naming the record that crosses the
+// bound, instead of expanding it out of memory — and accept one that
+// reaches the bound exactly. A repeat-free trace with more records than
+// the bound, such as a per-instruction capture, is accepted.
 func TestTraceBoundsExpansion(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -396,22 +397,22 @@ func TestTraceBoundsExpansion(t *testing.T) {
 	}{
 		{"one huge record", []trace.Access{
 			{Proc: 0, Op: "int", PC: 4, N: 1_000_000_000_000},
-		}, "record 0: expands the trace past 2097152 instructions"},
+		}, "record 0: n repeats add more than 2097152 instructions"},
 		{"max int repeat", []trace.Access{
 			{Proc: 0, Op: "load", PC: 4, Addr: 64},
 			{Proc: 0, Op: "fp", PC: 8, N: math.MaxInt},
-		}, "record 1: expands the trace past"},
+		}, "record 1: n repeats add more than"},
 		{"one past the bound", []trace.Access{
-			{Proc: 0, Op: "int", PC: 4, N: maxTraceInstrs - 1},
+			{Proc: 0, Op: "int", PC: 4, N: maxRepeatInstrs},
+			{Proc: 0, Op: "sync", PC: 12},
+			{Proc: 1, Op: "sync", PC: 12},
+			{Proc: 1, Op: "fp", PC: 8, N: 3},
+		}, "record 3: n repeats add more than"},
+		{"at the bound", []trace.Access{
+			{Proc: 0, Op: "int", PC: 4, N: maxRepeatInstrs},
 			{Proc: 0, Op: "sync", PC: 12},
 			{Proc: 1, Op: "sync", PC: 12},
 			{Proc: 1, Op: "fp", PC: 8, N: 2},
-		}, "record 3: expands the trace past"},
-		{"at the bound", []trace.Access{
-			{Proc: 0, Op: "int", PC: 4, N: maxTraceInstrs - 1},
-			{Proc: 0, Op: "sync", PC: 12},
-			{Proc: 1, Op: "sync", PC: 12},
-			{Proc: 1, Op: "fp", PC: 8},
 		}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -437,6 +438,20 @@ func TestTraceBoundsExpansion(t *testing.T) {
 				}
 			}
 		})
+	}
+	// A plain capture is split directly rather than through both routes:
+	// building its canonical source parses every record into generic
+	// JSON values, which takes gigabytes at 2^21 records.
+	plain := make([]trace.Access, maxRepeatInstrs+1)
+	for i := range plain {
+		plain[i] = trace.Access{Proc: i % 2, Op: "int", PC: 4}
+	}
+	segs, _, err := traceSegments("plain", plain)
+	if err != nil {
+		t.Fatalf("a %d-record trace without repeats rejected: %v", len(plain), err)
+	}
+	if got := len(segs[0][0]) + len(segs[1][0]); got != len(plain) {
+		t.Errorf("plain trace split into %d instructions, want %d", got, len(plain))
 	}
 }
 

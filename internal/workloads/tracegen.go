@@ -13,7 +13,6 @@ package workloads
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"dsmphase/internal/coherence"
 	"dsmphase/internal/isa"
@@ -34,84 +33,20 @@ func FromTrace(name, desc string, accs []trace.Access) (*SpecWorkload, error) {
 	return traceWorkload(name, desc, accs)
 }
 
-// maxTraceInstrs bounds a trace's instruction count once every
-// record's n repeat is expanded. Replay holds the expanded streams in
-// memory (24 bytes an instruction, so 48 MiB at the bound), and without
-// it one record with a huge n would exhaust memory. Every built-in
-// workload's test-size capture at up to 32 processors fits.
-const maxTraceInstrs = 1 << 21
+// maxRepeatInstrs bounds the instructions a trace's n repeats add
+// beyond one per record. Replay holds the expanded streams in memory
+// (24 bytes an instruction, so 48 MiB at the bound), and without it one
+// record with a huge n would exhaust memory. A trace without repeats,
+// such as a dsmsim -access-trace-out capture, takes memory in
+// proportion to its records and is not limited.
+const maxRepeatInstrs = 1 << 21
 
 func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("workloads: trace %q has no records", name)
+	segs, barrierPC, err := traceSegments(name, recs)
+	if err != nil {
+		return nil, err
 	}
-	procs, instrs := 0, 0
-	for i, a := range recs {
-		if a.Proc < 0 {
-			return nil, fmt.Errorf("workloads: trace %q record %d: negative proc %d", name, i, a.Proc)
-		}
-		// One stream is allocated per trace processor up to the largest.
-		if a.Proc >= coherence.MaxProcs {
-			return nil, fmt.Errorf("workloads: trace %q record %d: proc %d; systems have at most %d processors",
-				name, i, a.Proc, coherence.MaxProcs)
-		}
-		if a.Proc >= procs {
-			procs = a.Proc + 1
-		}
-		if a.Op != "sync" {
-			rep := max(a.N, 1)
-			if rep > maxTraceInstrs-instrs {
-				return nil, fmt.Errorf("workloads: trace %q record %d: expands the trace past %d instructions",
-					name, i, maxTraceInstrs)
-			}
-			instrs += rep
-		}
-	}
-	// Per-proc barrier-delimited segments. segs[tp][s] is trace
-	// processor tp's instruction stream between syncs s-1 and s.
-	segs := make([][][]isa.Inst, procs)
-	var barrierPC uint32
-	for i := range segs {
-		segs[i] = make([][]isa.Inst, 1)
-	}
-	for i, a := range recs {
-		in, err := a.Inst()
-		if err != nil {
-			return nil, fmt.Errorf("workloads: trace %q record %d: %w", name, i, err)
-		}
-		tp := a.Proc
-		if in.Op == isa.OpSync {
-			if a.N > 1 {
-				return nil, fmt.Errorf("workloads: trace %q record %d: sync records cannot repeat", name, i)
-			}
-			if barrierPC == 0 {
-				barrierPC = in.PC
-			}
-			segs[tp] = append(segs[tp], nil)
-			continue
-		}
-		rep := max(a.N, 1)
-		last := len(segs[tp]) - 1
-		segs[tp][last] = slices.Grow(segs[tp][last], rep)
-		for r := 0; r < rep; r++ {
-			segs[tp][last] = append(segs[tp][last], in)
-		}
-	}
-	syncs := len(segs[0]) - 1
-	for tp := 1; tp < procs; tp++ {
-		if got := len(segs[tp]) - 1; got != syncs {
-			return nil, fmt.Errorf("workloads: trace %q: proc %d has %d syncs, proc 0 has %d (barrier counts must match)", name, tp, got, syncs)
-		}
-	}
-	for tp := 0; tp < procs; tp++ {
-		total := 0
-		for _, seg := range segs[tp] {
-			total += len(seg)
-		}
-		if total == 0 && syncs == 0 {
-			return nil, fmt.Errorf("workloads: trace %q: proc %d has no instructions", name, tp)
-		}
-	}
+	procs, syncs := len(segs), len(segs[0])-1
 	// Drop a universally empty trailing segment: the capture ended
 	// right at a barrier, so the final phase keeps its barrier.
 	phases := syncs + 1
@@ -123,9 +58,6 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 		if empty {
 			phases = syncs
 		}
-	}
-	if barrierPC == 0 {
-		barrierPC = specPCBase + 0xFF00
 	}
 
 	// Canonical source: the equivalent inline-records spec, so a trace
@@ -169,4 +101,82 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 		},
 	}
 	return sw, nil
+}
+
+// traceSegments validates a trace and splits each trace processor's
+// expanded instruction stream at its sync records: segs[tp][s] is trace
+// processor tp's stream between syncs s-1 and s. barrierPC is the first
+// sync's PC, or a fixed spec PC when the trace has no syncs.
+func traceSegments(name string, recs []trace.Access) ([][][]isa.Inst, uint32, error) {
+	if len(recs) == 0 {
+		return nil, 0, fmt.Errorf("workloads: trace %q has no records", name)
+	}
+	procs, repeated := 0, 0
+	for i, a := range recs {
+		if a.Proc < 0 {
+			return nil, 0, fmt.Errorf("workloads: trace %q record %d: negative proc %d", name, i, a.Proc)
+		}
+		// One stream is allocated per trace processor up to the largest.
+		if a.Proc >= coherence.MaxProcs {
+			return nil, 0, fmt.Errorf("workloads: trace %q record %d: proc %d; systems have at most %d processors",
+				name, i, a.Proc, coherence.MaxProcs)
+		}
+		if a.Proc >= procs {
+			procs = a.Proc + 1
+		}
+		if a.Op != "sync" {
+			extra := max(a.N, 1) - 1
+			if extra > maxRepeatInstrs-repeated {
+				return nil, 0, fmt.Errorf("workloads: trace %q record %d: n repeats add more than %d instructions",
+					name, i, maxRepeatInstrs)
+			}
+			repeated += extra
+		}
+	}
+	segs := make([][][]isa.Inst, procs)
+	var barrierPC uint32
+	for i := range segs {
+		segs[i] = make([][]isa.Inst, 1)
+	}
+	for i, a := range recs {
+		in, err := a.Inst()
+		if err != nil {
+			return nil, 0, fmt.Errorf("workloads: trace %q record %d: %w", name, i, err)
+		}
+		tp := a.Proc
+		if in.Op == isa.OpSync {
+			if a.N > 1 {
+				return nil, 0, fmt.Errorf("workloads: trace %q record %d: sync records cannot repeat", name, i)
+			}
+			if barrierPC == 0 {
+				barrierPC = in.PC
+			}
+			segs[tp] = append(segs[tp], nil)
+			continue
+		}
+		rep := max(a.N, 1)
+		last := len(segs[tp]) - 1
+		for r := 0; r < rep; r++ {
+			segs[tp][last] = append(segs[tp][last], in)
+		}
+	}
+	syncs := len(segs[0]) - 1
+	for tp := 1; tp < procs; tp++ {
+		if got := len(segs[tp]) - 1; got != syncs {
+			return nil, 0, fmt.Errorf("workloads: trace %q: proc %d has %d syncs, proc 0 has %d (barrier counts must match)", name, tp, got, syncs)
+		}
+	}
+	for tp := 0; tp < procs; tp++ {
+		total := 0
+		for _, seg := range segs[tp] {
+			total += len(seg)
+		}
+		if total == 0 && syncs == 0 {
+			return nil, 0, fmt.Errorf("workloads: trace %q: proc %d has no instructions", name, tp)
+		}
+	}
+	if barrierPC == 0 {
+		barrierPC = specPCBase + 0xFF00
+	}
+	return segs, barrierPC, nil
 }
