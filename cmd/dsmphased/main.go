@@ -64,7 +64,7 @@ func run(args []string) error {
 		workers    = fs.String("workers", "local,local", `comma-separated worker pool, one "local" per worker`)
 		shards     = fs.Int("shards", 0, "default shard fan-out per job (0 = pool size)")
 		parallel   = fs.Int("parallel", 0, "-parallel passed to each worker process (0 = worker default)")
-		straggler  = fs.Duration("straggler-after", 10*time.Minute, "re-dispatch a shard attempt running longer than this to an idle worker")
+		straggler  = fs.Duration("straggler-after", 10*time.Minute, "race a backup attempt on an idle healthy worker once this long has passed since a shard's latest launch")
 		attempts   = fs.Int("max-attempts", 0, "dispatch attempts per shard, stragglers included (0 = 3)")
 		retryBase  = fs.Duration("retry-base", 0, "backoff before a shard's first retry, doubling with jitter (0 = 250ms)")
 		attemptTO  = fs.Duration("attempt-timeout", 0, "cancel and fail a dispatch attempt running longer than this (0 = no timeout)")

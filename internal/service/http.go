@@ -45,7 +45,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if r.ContentLength > maxRequestBytes {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("job request of %d bytes exceeds the limit of %d", r.ContentLength, maxRequestBytes))
+		return
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
 		return
 	}
@@ -188,6 +192,8 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats["cache_entries"] = int64(c.cache.Len())
 	stats["cache_evictions"] = c.cache.Evictions()
 	stats["cache_corrupt_dropped"] = c.cache.CorruptDropped()
-	stats["workers_quarantined_now"] = int64(c.pool.quarantined())
+	// Each bench and each restore is counted once, so the difference is
+	// exactly the workers benched now.
+	stats["workers_quarantined_now"] = stats["workers_quarantined"] - stats["workers_restored"]
 	writeJSON(w, http.StatusOK, stats)
 }

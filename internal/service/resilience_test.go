@@ -312,61 +312,3 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 		t.Fatalf("exhausted retries: %v", err)
 	}
 }
-
-// fakePoolWorker is an inert Worker for pool unit tests.
-type fakePoolWorker struct{ name string }
-
-func (w *fakePoolWorker) Name() string                                          { return w.name }
-func (w *fakePoolWorker) Run(ctx context.Context, bin string, a []string) error { return nil }
-
-// TestWorkerPoolQuarantine drives the circuit breaker directly:
-// consecutive failures bench a worker, a benched worker is only handed
-// out as a probe when no healthy worker is idle, and a probe success
-// restores it.
-func TestWorkerPoolQuarantine(t *testing.T) {
-	w0, w1 := &fakePoolWorker{"w0"}, &fakePoolWorker{"w1"}
-	p := newWorkerPool([]Worker{w0, w1}, 2)
-	ctx := context.Background()
-
-	if got := p.report(w0, false); got != healthUnchanged {
-		t.Fatalf("first failure transition = %v", got)
-	}
-	if got := p.report(w0, false); got != healthBenched {
-		t.Fatalf("second failure transition = %v, want benched", got)
-	}
-	if got := p.quarantined(); got != 1 {
-		t.Fatalf("quarantined = %d", got)
-	}
-
-	// Healthy worker first; the benched one only as a fallback probe.
-	w, probe, err := p.acquire(ctx)
-	if err != nil || w != Worker(w1) || probe {
-		t.Fatalf("acquire with healthy idle: %v %v %v", w, probe, err)
-	}
-	w, probe, err = p.acquire(ctx)
-	if err != nil || w != Worker(w0) || !probe {
-		t.Fatalf("acquire with only benched idle: %v probe=%v err=%v", w, probe, err)
-	}
-	// tryAcquire (straggler backups) never burns a probe.
-	p.release(w0)
-	if w, ok := p.tryAcquire(); ok {
-		t.Fatalf("tryAcquire handed out benched worker %v", w)
-	}
-
-	if got := p.report(w0, true); got != healthRestored {
-		t.Fatalf("probe success transition = %v, want restored", got)
-	}
-	if got := p.quarantined(); got != 0 {
-		t.Fatalf("quarantined after restore = %d", got)
-	}
-
-	// A cancelled context unblocks a starved acquire.
-	if w, ok := p.tryAcquire(); !ok || w != Worker(w0) {
-		t.Fatalf("restored worker not handed out: %v %v", w, ok)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	go cancel()
-	if _, _, err := p.acquire(cctx); err == nil {
-		t.Fatal("acquire with empty pool ignored cancellation")
-	}
-}

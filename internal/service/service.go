@@ -17,7 +17,6 @@ import (
 
 	"dsmphase/internal/coherence"
 	"dsmphase/internal/harness"
-	"dsmphase/internal/rng"
 	"dsmphase/internal/workloads"
 )
 
@@ -38,9 +37,11 @@ type Config struct {
 	DefaultShards int
 	// CacheBytes bounds the result cache (0 = DefaultCacheBytes).
 	CacheBytes int64
-	// StragglerAfter is how long a shard attempt may run before a backup
-	// attempt is dispatched to an idle worker (first completion wins;
-	// duplicate completions are no-ops). 0 = 10 minutes.
+	// StragglerAfter paces straggler backups: a shard still running
+	// StragglerAfter after its latest launch gets a backup attempt on an
+	// idle healthy worker, within MaxAttempts; with none idle then, it
+	// is due again one StragglerAfter later. First valid completion
+	// wins; the other attempts are cancelled. 0 = 10 minutes.
 	StragglerAfter time.Duration
 	// MaxAttempts bounds dispatch attempts per shard, stragglers
 	// included. 0 = 3.
@@ -129,9 +130,10 @@ type JobRequest struct {
 	Interval uint64 `json:"interval,omitempty"`
 	// Seed is the workload base seed (0 = 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Replicates is seeds per configuration (0 = 1).
+	// Replicates is seeds per configuration (0 = 1, at most 100).
 	Replicates int `json:"replicates,omitempty"`
-	// Shards overrides the job's shard fan-out (0 = server default).
+	// Shards overrides the job's shard fan-out (0 = server default, at
+	// most the plan's cell count).
 	Shards int `json:"shards,omitempty"`
 	// Workloads are canonical workload-DSL sources (spec or inlined
 	// trace) shipped with the job. Each is registered at submission —
@@ -146,6 +148,21 @@ type JobRequest struct {
 	// never cached.
 	AllowPartial bool `json:"allow_partial,omitempty"`
 }
+
+// Bounds on what a job request may ask for, checked before any plan is
+// built: Submit builds every cell of a plan, so an unbounded request
+// sizes the coordinator's memory.
+const (
+	// maxRequestBytes caps a POST /v1/jobs body, shipped workload
+	// sources (inlined traces included). It holds the request
+	// `experiments -workload-trace -submit` builds for every built-in's
+	// test-size capture; the largest, water at 64 nodes, is 222,000,978
+	// bytes. Small-size captures do not fit (8-node lu: 445 MB, whose
+	// registration would need ~10 GB of coordinator memory).
+	maxRequestBytes = 256 << 20
+	// maxReplicates caps JobRequest.Replicates; -preset paper uses 5.
+	maxReplicates = 100
+)
 
 // normalize applies the CLI-equivalent defaults in place.
 func (r *JobRequest) normalize() {
@@ -166,7 +183,12 @@ func (r *JobRequest) normalize() {
 // folds in their definition hashes, and registration is idempotent, so
 // resubmitting the same spec is a cache hit while a changed definition
 // under the same name is rejected here — at submission, not mid-run.
+// A request over maxReplicates, or asking for more shards than its
+// plan has cells, is rejected before the plan is built.
 func (r *JobRequest) compile() (harness.NamedGrid, error) {
+	if r.Replicates > maxReplicates {
+		return harness.NamedGrid{}, fmt.Errorf("replicates %d exceeds the limit of %d", r.Replicates, maxReplicates)
+	}
 	for i, src := range r.Workloads {
 		sw, err := workloads.ParseSpec([]byte(src))
 		if err != nil {
@@ -188,7 +210,7 @@ func (r *JobRequest) compile() (harness.NamedGrid, error) {
 		}
 		kinds = append(kinds, k)
 	}
-	return harness.BuildGrid(r.Grid, harness.GridParams{
+	g, err := harness.BuildGrid(r.Grid, harness.GridParams{
 		Size:       size,
 		Apps:       r.Apps,
 		Protocols:  kinds,
@@ -196,6 +218,13 @@ func (r *JobRequest) compile() (harness.NamedGrid, error) {
 		Seed:       r.Seed,
 		Replicates: r.Replicates,
 	})
+	if err != nil {
+		return harness.NamedGrid{}, err
+	}
+	if cells := len(g.Spec.Configurations()) * g.Spec.Replicates(); r.Shards > cells {
+		return harness.NamedGrid{}, fmt.Errorf("shards %d exceeds the plan's %d cells", r.Shards, cells)
+	}
+	return g, nil
 }
 
 // workerArgs is the -shard-dir handshake: the argument vector a worker
@@ -321,7 +350,6 @@ type Job struct {
 	cellsDone  int
 	injured    []int                  // degraded jobs: error-carrying plan indices
 	artifact   *harness.ShardArtifact // merged single-shard results
-	streams    []string               // live attempt stream paths (progress poller)
 	history    []Event
 	subs       map[chan Event]bool
 }
@@ -433,7 +461,7 @@ func (c *Counters) Snapshot() map[string]int64 {
 type Coordinator struct {
 	cfg      Config
 	cache    *Cache
-	pool     *workerPool
+	workers  []Worker
 	queue    chan *Job
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -446,8 +474,9 @@ type Coordinator struct {
 	order  []string
 	nextID int
 
-	etaMu    sync.Mutex
-	etaPer   time.Duration
+	// Once New returns, only the dispatcher goroutine touches these.
+	health   []workerRow   // by worker
+	etaPer   time.Duration // the persisted per-cell timing prior
 	etaCells int
 }
 
@@ -476,7 +505,6 @@ func New(cfg Config) (*Coordinator, error) {
 		queue: make(chan *Job, 1024),
 		jobs:  map[string]*Job{},
 	}
-	var workers []Worker
 	for i, spec := range cfg.Workers {
 		w, err := ParseWorker(spec, i)
 		if err != nil {
@@ -485,9 +513,9 @@ func New(cfg Config) (*Coordinator, error) {
 		if cfg.WrapWorker != nil {
 			w = cfg.WrapWorker(w)
 		}
-		workers = append(workers, w)
+		c.workers = append(c.workers, w)
 	}
-	c.pool = newWorkerPool(workers, cfg.QuarantineAfter)
+	c.health = make([]workerRow, len(c.workers))
 	c.loadETA()
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.wg.Add(1)
@@ -629,8 +657,8 @@ func shardBase(shard, of int) string {
 	return fmt.Sprintf("shard_%d_of_%d", shard, of)
 }
 
-// runJob drives one job end to end: fan shards over the pool, poll the
-// shard streams for cell-level progress, merge, cache, report.
+// runJob drives one job end to end: dispatch its shards over the pool,
+// poll the shard streams for cell-level progress, merge, cache, report.
 func (c *Coordinator) runJob(j *Job) {
 	j.mu.Lock()
 	j.state = StateRunning
@@ -639,34 +667,7 @@ func (c *Coordinator) runJob(j *Job) {
 	j.publish(Event{Type: "start"})
 
 	jobDir := filepath.Join(c.cfg.DataDir, "jobs", j.ID)
-	ctx, cancel := context.WithCancel(c.ctx)
-	defer cancel()
-
-	// The cell-progress poller: union completed plan indices across every
-	// live attempt stream, feed the count through an ETA seeded with the
-	// persisted prior, and publish as "cells" events.
-	pollDone := make(chan struct{})
-	go c.pollCells(ctx, j, pollDone)
-
-	outs := make([]shardOutcome, j.of)
-	var wg sync.WaitGroup
-	for i := 0; i < j.of; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i] = c.runShard(ctx, j, jobDir, i)
-			if outs[i].err == nil {
-				j.mu.Lock()
-				j.shardsDone++
-				j.mu.Unlock()
-				j.publish(Event{Type: "shard-done", Shard: i})
-			}
-		}(i)
-	}
-	wg.Wait()
-	cancel() // stop the poller before the final state transition
-	<-pollDone
-
+	outs := c.runShards(j, jobDir)
 	if c.ctx.Err() != nil {
 		// Coordinator shutdown, not shard exhaustion: never degrade,
 		// leave the job dirs for a restarted coordinator to resume.
@@ -838,181 +839,164 @@ type shardOutcome struct {
 	err    error
 }
 
-// retryDelay is the backoff before launching retry attempt `attempt`
-// (1-based): RetryBase doubling per attempt, capped at RetryMax, with
-// deterministic jitter in [0.5d, 1.5d) keyed on (plan fingerprint,
-// shard, attempt) — spread out in anger, replayable under test.
-func (c *Coordinator) retryDelay(j *Job, shard, attempt int) time.Duration {
-	d := c.cfg.RetryBase
-	for i := 1; i < attempt && d < c.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > c.cfg.RetryMax {
-		d = c.cfg.RetryMax
-	}
-	seed, _ := strconv.ParseUint(j.fingerprint, 16, 64)
-	h := rng.Hash64(seed)
-	h = rng.Hash64(h ^ uint64(shard+1))
-	h = rng.Hash64(h ^ uint64(attempt))
-	frac := float64(h%1024) / 1024 // [0, 1)
-	return d/2 + time.Duration(frac*float64(d))
+// attemptDone is one attempt's end: err is nil only for a validated
+// artifact.
+type attemptDone struct {
+	id  int
+	err error
 }
 
-// runShard drives one shard to a validated artifact: dispatch an
-// attempt, re-dispatch on failure after an exponential backoff with
-// deterministic jitter (the new attempt resumes from a copy of the
-// dead attempt's cell stream), bound each attempt by AttemptTimeout,
-// and dispatch a backup attempt to an idle worker when the running one
-// exceeds the straggler threshold. First validated completion wins;
-// losing attempts are cancelled, and a duplicate completion is simply
-// ignored — each attempt writes only inside its own dir, and every
-// artifact is checksum- and fingerprint-validated. Each attempt's
-// verdict feeds its worker's health score (quarantine circuit
-// breaker). Before dispatching anything, the shard dir left by a
-// previous coordinator process is scanned for an already-valid
-// artifact — the crash-during-merge recovery path.
-func (c *Coordinator) runShard(ctx context.Context, j *Job, jobDir string, shard int) shardOutcome {
-	if path, ok := c.recoverShard(j, jobDir, shard); ok {
-		c.Counters.ShardsRecovered.Add(1)
-		j.publish(Event{Type: "recovered", Shard: shard, Msg: path})
-		c.cfg.Logf("job %s: shard %d recovered from previous run's artifact", j.ID, shard)
-		return shardOutcome{path: path}
+// runShards carries out one job's shardMachine decisions until every
+// shard has a validated artifact or its final error. Each shard dir
+// left by a previous coordinator process is first scanned for an
+// artifact that already validates — the crash-during-merge recovery
+// path. Each attempt runs in its own dir, on its own goroutine, and
+// reports to this loop, the only caller of the machine; the loop also
+// polls the attempts' cell streams for progress every PollInterval. It
+// returns once every attempt it launched has finished, so no attempt
+// outlives its job.
+func (c *Coordinator) runShards(j *Job, jobDir string) []shardOutcome {
+	outs := make([]shardOutcome, j.of)
+	shardDone := func(shard int) {
+		j.mu.Lock()
+		j.shardsDone++
+		j.mu.Unlock()
+		j.publish(Event{Type: "shard-done", Shard: shard})
+	}
+	recovered := make([]bool, j.of)
+	for i := range outs {
+		if path, ok := c.recoverShard(j, jobDir, i); ok {
+			c.Counters.ShardsRecovered.Add(1)
+			j.publish(Event{Type: "recovered", Shard: i, Msg: path})
+			c.cfg.Logf("job %s: shard %d recovered from previous run's artifact", j.ID, i)
+			outs[i].path, recovered[i] = path, true
+			shardDone(i)
+		}
 	}
 
-	type outcome struct {
-		dir string
-		w   Worker
-		err error
-	}
-	outcomes := make(chan outcome, c.cfg.MaxAttempts)
-	attempts := 0
-	running := 0
-	var lastStream string
-	var cancels []context.CancelFunc
+	m := newShardMachine(c.cfg, j.fingerprint, j.of, c.health)
+	var streams []string             // by attempt handle
+	var cancels []context.CancelFunc // by attempt handle
 	defer func() {
 		for _, cancel := range cancels {
 			cancel()
 		}
 	}()
+	done := make(chan attemptDone)
+	apply := func(ds []decision) {
+		for _, d := range ds {
+			switch d.op {
+			case "dispatch", "retry", "straggler":
+				dir := filepath.Join(jobDir, fmt.Sprintf("shard_%d", d.shard), fmt.Sprintf("attempt_%d", d.attempt))
+				stream := filepath.Join(dir, shardBase(d.shard, j.of)+".cells.jsonl")
+				ctx, cancel := context.WithCancel(c.ctx)
+				c.launch(ctx, j, d, dir, outs[d.shard].stream, stream, done)
+				streams, cancels = append(streams, stream), append(cancels, cancel)
+				outs[d.shard].stream = stream
+			case "cancel":
+				cancels[d.id]()
+			case "accept":
+				outs[d.shard].path = filepath.Join(filepath.Dir(streams[d.id]), shardBase(d.shard, j.of)+".json")
+				shardDone(d.shard)
+			case "exhaust":
+				outs[d.shard].err = d.err
+			case "quarantine":
+				c.Counters.WorkersQuarantined.Add(1)
+				j.publish(Event{Type: d.op, Shard: d.shard, Msg: c.workers[d.worker].Name()})
+				c.cfg.Logf("worker %s quarantined after %d consecutive failures", c.workers[d.worker].Name(), c.cfg.QuarantineAfter)
+			case "worker-restored":
+				c.Counters.WorkersRestored.Add(1)
+				j.publish(Event{Type: d.op, Shard: d.shard, Msg: c.workers[d.worker].Name()})
+				c.cfg.Logf("worker %s restored by successful probe", c.workers[d.worker].Name())
+			}
+		}
+	}
 
-	launch := func(w Worker, probe bool, kind string) error {
-		k := attempts
-		attempts++
-		running++
-		dir := filepath.Join(jobDir, fmt.Sprintf("shard_%d", shard), fmt.Sprintf("attempt_%d", k))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			c.pool.release(w)
-			return err
+	apply(m.start(time.Now(), recovered))
+	eta := harness.NewETA().Seed(c.etaPer, c.etaCells)
+	polled := -1 // the cell count last published
+	poll := time.Now().Add(c.cfg.PollInterval)
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for !m.done() {
+		wake := m.next()
+		if wake.IsZero() || poll.Before(wake) {
+			wake = poll
 		}
-		if err := writeWorkloadSpecs(dir, j.Req.Workloads); err != nil {
-			c.pool.release(w)
-			return err
+		timer.Reset(time.Until(wake))
+		var fin *attemptDone
+		select {
+		case r := <-done:
+			fin = &r
+		case now := <-timer.C:
+			if !now.Before(poll) {
+				polled = c.pollCells(j, streams, eta, polled)
+				poll = now.Add(c.cfg.PollInterval)
+			}
+		case <-c.ctx.Done():
 		}
-		stream := filepath.Join(dir, shardBase(shard, j.of)+".cells.jsonl")
-		if lastStream != "" && lastStream != stream {
-			// Seed resume: snapshot the previous attempt's stream (readers
-			// tolerate a torn tail, so copying under a live writer is safe).
-			if data, err := os.ReadFile(lastStream); err == nil {
+		if c.ctx.Err() != nil {
+			// Coordinator shutdown, which cancelled every attempt: wait
+			// them out unscored, launching nothing more.
+			m.stop()
+		}
+		if fin != nil {
+			apply(m.finished(time.Now(), fin.id, fin.err))
+		} else {
+			apply(m.tick(time.Now()))
+		}
+	}
+	return outs
+}
+
+// launch carries out a launch decision on a goroutine: it makes the
+// attempt dir, writes the shipped workload specs into it, seeds its
+// cell stream with a copy of the shard's previous one (prev; the new
+// worker resumes from it), runs the worker, validates the artifact and
+// reports to done. A dir it cannot prepare fails the attempt as a
+// localError, which leaves the worker's health unscored.
+func (c *Coordinator) launch(ctx context.Context, j *Job, d decision, dir, prev, stream string, done chan<- attemptDone) {
+	w := c.workers[d.worker]
+	c.Counters.ShardsDispatched.Add(1)
+	c.Counters.WorkersSpawned.Add(1)
+	switch d.op {
+	case "retry":
+		c.Counters.ShardsRetried.Add(1)
+	case "straggler":
+		c.Counters.Stragglers.Add(1)
+	}
+	if d.probe {
+		c.Counters.WorkerProbes.Add(1)
+		j.publish(Event{Type: "probe", Shard: d.shard, Msg: w.Name()})
+	}
+	j.publish(Event{Type: d.op, Shard: d.shard, Msg: w.Name()})
+	c.cfg.Logf("job %s: shard %d attempt %d on %s", j.ID, d.shard, d.attempt, w.Name())
+	go func() {
+		err := os.MkdirAll(dir, 0o755)
+		if err == nil {
+			err = writeWorkloadSpecs(dir, j.Req.Workloads)
+		}
+		if err != nil {
+			done <- attemptDone{d.id, localError{err}}
+			return
+		}
+		if prev != "" {
+			// Readers tolerate a torn tail, so copying under a live
+			// writer is safe.
+			if data, rerr := os.ReadFile(prev); rerr == nil {
 				_ = os.WriteFile(stream, data, 0o644)
 			}
 		}
-		lastStream = stream
-		j.mu.Lock()
-		j.streams = append(j.streams, stream)
-		j.mu.Unlock()
-		args := c.cfg.workerArgs(j.Req, shard, j.of, dir)
-		actx, acancel := context.WithCancel(ctx)
-		if c.cfg.AttemptTimeout > 0 {
-			actx, acancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+		err = w.Run(ctx, c.cfg.ExperimentsBin, c.cfg.workerArgs(j.Req, d.shard, j.of, dir))
+		if err == nil {
+			err = c.validateArtifact(filepath.Join(dir, shardBase(d.shard, j.of)+".json"), j, d.shard)
+			if errors.Is(err, harness.ErrArtifactChecksum) {
+				c.Counters.ChecksumFailures.Add(1)
+				j.publish(Event{Type: "checksum-failed", Shard: d.shard, Msg: err.Error()})
+			}
 		}
-		cancels = append(cancels, acancel)
-		c.Counters.ShardsDispatched.Add(1)
-		c.Counters.WorkersSpawned.Add(1)
-		if probe {
-			c.Counters.WorkerProbes.Add(1)
-			j.publish(Event{Type: "probe", Shard: shard, Msg: w.Name()})
-		}
-		j.publish(Event{Type: kind, Shard: shard, Msg: w.Name()})
-		c.cfg.Logf("job %s: shard %d attempt %d on %s", j.ID, shard, k, w.Name())
-		go func() {
-			err := w.Run(actx, c.cfg.ExperimentsBin, args)
-			if err != nil && errors.Is(actx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-				err = fmt.Errorf("attempt timed out after %v: %w", c.cfg.AttemptTimeout, err)
-			}
-			c.pool.release(w)
-			outcomes <- outcome{dir: dir, w: w, err: err}
-		}()
-		return nil
-	}
-
-	w, probe, err := c.pool.acquire(ctx)
-	if err != nil {
-		return shardOutcome{stream: lastStream, err: err}
-	}
-	if err := launch(w, probe, "dispatch"); err != nil {
-		return shardOutcome{stream: lastStream, err: err}
-	}
-	straggler := time.NewTimer(c.cfg.StragglerAfter)
-	defer straggler.Stop()
-
-	var lastErr error
-	for {
-		select {
-		case o := <-outcomes:
-			running--
-			if o.err == nil {
-				path := filepath.Join(o.dir, shardBase(shard, j.of)+".json")
-				if err := c.validateArtifact(path, j, shard); err == nil {
-					c.scoreWorker(j, shard, o.w, true)
-					return shardOutcome{path: path, stream: lastStream}
-				} else {
-					if errors.Is(err, harness.ErrArtifactChecksum) {
-						c.Counters.ChecksumFailures.Add(1)
-						j.publish(Event{Type: "checksum-failed", Shard: shard, Msg: err.Error()})
-					}
-					o.err = err
-				}
-			}
-			c.scoreWorker(j, shard, o.w, false)
-			lastErr = o.err
-			if ctx.Err() != nil {
-				return shardOutcome{stream: lastStream, err: ctx.Err()}
-			}
-			if attempts < c.cfg.MaxAttempts {
-				c.Counters.ShardsRetried.Add(1)
-				delay := c.retryDelay(j, shard, attempts)
-				select {
-				case <-time.After(delay):
-				case <-ctx.Done():
-					return shardOutcome{stream: lastStream, err: ctx.Err()}
-				}
-				w, probe, err := c.pool.acquire(ctx)
-				if err != nil {
-					return shardOutcome{stream: lastStream, err: err}
-				}
-				if err := launch(w, probe, "retry"); err != nil {
-					return shardOutcome{stream: lastStream, err: err}
-				}
-			} else if running == 0 {
-				return shardOutcome{stream: lastStream,
-					err: fmt.Errorf("all %d attempts failed, last: %w", attempts, lastErr)}
-			}
-		case <-straggler.C:
-			// The attempt is slow, not dead. If a healthy worker is idle
-			// and the attempt budget allows, race a backup against it.
-			if attempts < c.cfg.MaxAttempts {
-				if w, ok := c.pool.tryAcquire(); ok {
-					c.Counters.Stragglers.Add(1)
-					if err := launch(w, false, "straggler"); err != nil {
-						return shardOutcome{stream: lastStream, err: err}
-					}
-				}
-			}
-			straggler.Reset(c.cfg.StragglerAfter)
-		case <-ctx.Done():
-			return shardOutcome{stream: lastStream, err: ctx.Err()}
-		}
-	}
+		done <- attemptDone{d.id, err}
+	}()
 }
 
 // recoverShard scans a shard's attempt dirs — left on disk by a
@@ -1044,21 +1028,6 @@ func (c *Coordinator) recoverShard(j *Job, jobDir string, shard int) (string, bo
 	return "", false
 }
 
-// scoreWorker feeds an attempt verdict to the quarantine circuit
-// breaker and publishes the transition, if any.
-func (c *Coordinator) scoreWorker(j *Job, shard int, w Worker, ok bool) {
-	switch c.pool.report(w, ok) {
-	case healthBenched:
-		c.Counters.WorkersQuarantined.Add(1)
-		j.publish(Event{Type: "quarantine", Shard: shard, Msg: w.Name()})
-		c.cfg.Logf("worker %s quarantined after %d consecutive failures", w.Name(), c.cfg.QuarantineAfter)
-	case healthRestored:
-		c.Counters.WorkersRestored.Add(1)
-		j.publish(Event{Type: "worker-restored", Shard: shard, Msg: w.Name()})
-		c.cfg.Logf("worker %s restored by successful probe", w.Name())
-	}
-}
-
 // validateArtifact checks a completed attempt's artifact before
 // accepting it: right format, right shard coordinates, and the grid
 // present with the coordinator-side plan fingerprint — the idempotency
@@ -1081,55 +1050,39 @@ func (c *Coordinator) validateArtifact(path string, j *Job, shard int) error {
 	return nil
 }
 
-// pollCells streams cell-level progress: every PollInterval it unions
-// the completed plan indices across the job's attempt streams and, on
-// change, publishes a "cells" event carrying the same ProgressEvent
-// the CLI printer renders — ETA seeded from the persisted prior.
-func (c *Coordinator) pollCells(ctx context.Context, j *Job, done chan<- struct{}) {
-	defer close(done)
-	per, cells := c.etaPrior()
-	eta := harness.NewETA().Seed(per, cells)
-	tick := time.NewTicker(c.cfg.PollInterval)
-	defer tick.Stop()
-	last := -1
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		j.mu.Lock()
-		streams := append([]string(nil), j.streams...)
-		j.mu.Unlock()
-		seen := map[int]bool{}
-		for _, path := range streams {
-			grids, err := harness.ReadCellStream(path)
-			if err != nil {
-				continue
-			}
-			if g, ok := grids[j.Grid.Name]; ok {
-				for _, sc := range g.Cells {
-					seen[sc.Index] = true
-				}
-			}
-		}
-		n := len(seen)
-		if n == last {
+// pollCells unions the completed plan indices across the job's
+// attempt streams and, when the count differs from last, publishes a
+// "cells" event carrying the same ProgressEvent the CLI printer
+// renders. It returns the count.
+func (c *Coordinator) pollCells(j *Job, streams []string, eta *harness.ETA, last int) int {
+	seen := map[int]bool{}
+	for _, path := range streams {
+		grids, err := harness.ReadCellStream(path)
+		if err != nil {
 			continue
 		}
-		last = n
-		j.mu.Lock()
-		j.cellsDone = n
-		j.mu.Unlock()
-		elapsed, remaining := eta.Observe(n, j.cellsTotal)
-		j.publish(Event{Type: "cells", ProgressEvent: harness.ProgressEvent{
-			Done:      n,
-			Total:     j.cellsTotal,
-			Label:     j.Grid.Name,
-			Elapsed:   elapsed,
-			Remaining: remaining,
-		}})
+		if g, ok := grids[j.Grid.Name]; ok {
+			for _, sc := range g.Cells {
+				seen[sc.Index] = true
+			}
+		}
 	}
+	n := len(seen)
+	if n == last {
+		return n
+	}
+	j.mu.Lock()
+	j.cellsDone = n
+	j.mu.Unlock()
+	elapsed, remaining := eta.Observe(n, j.cellsTotal)
+	j.publish(Event{Type: "cells", ProgressEvent: harness.ProgressEvent{
+		Done:      n,
+		Total:     j.cellsTotal,
+		Label:     j.Grid.Name,
+		Elapsed:   elapsed,
+		Remaining: remaining,
+	}})
+	return n
 }
 
 // ---- ETA priors ----
@@ -1141,12 +1094,6 @@ type etaPrior struct {
 
 func (c *Coordinator) etaPath() string { return filepath.Join(c.cfg.DataDir, "eta.json") }
 
-func (c *Coordinator) etaPrior() (time.Duration, int) {
-	c.etaMu.Lock()
-	defer c.etaMu.Unlock()
-	return c.etaPer, c.etaCells
-}
-
 func (c *Coordinator) loadETA() {
 	data, err := os.ReadFile(c.etaPath())
 	if err != nil {
@@ -1154,9 +1101,7 @@ func (c *Coordinator) loadETA() {
 	}
 	var p etaPrior
 	if json.Unmarshal(data, &p) == nil && p.PerCellNS > 0 && p.Cells > 0 {
-		c.etaMu.Lock()
 		c.etaPer, c.etaCells = time.Duration(p.PerCellNS), p.Cells
-		c.etaMu.Unlock()
 	}
 }
 
@@ -1167,9 +1112,7 @@ func (c *Coordinator) updateETA(a *harness.ShardArtifact) {
 	if per <= 0 || cells == 0 {
 		return
 	}
-	c.etaMu.Lock()
 	c.etaPer, c.etaCells = per, cells
-	c.etaMu.Unlock()
 	data, err := json.Marshal(etaPrior{PerCellNS: per.Nanoseconds(), Cells: cells})
 	if err == nil {
 		_ = os.WriteFile(c.etaPath(), data, 0o644)

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -449,8 +451,11 @@ func TestServiceShippedWorkloads(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: a bogus grid or size fails at submission, not
-// at dispatch.
+// TestSubmitValidation: a bogus grid, size or protocol fails at
+// submission, not at dispatch, and a request that would size the
+// coordinator's memory (an oversized body, replicates over the limit,
+// more shards than plan cells) is a 400 before any job, and so any
+// plan, exists.
 func TestSubmitValidation(t *testing.T) {
 	coord := newTestCoordinator(t, nil)
 	if _, err := coord.Submit(JobRequest{Grid: "figure9"}); err == nil {
@@ -462,4 +467,130 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := coord.Submit(JobRequest{Grid: "figure2", Size: "test", Protocols: []string{"token-ring"}}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
+
+	over := testRequest()
+	over.Replicates = maxReplicates + 1
+	if _, err := coord.Submit(over); err == nil || !strings.Contains(err.Error(), "replicates") {
+		t.Fatalf("replicates over the limit: %v", err)
+	}
+	tooWide := testRequest() // 3 cells
+	tooWide.Shards = 4
+	if _, err := coord.Submit(tooWide); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Fatalf("more shards than cells: %v", err)
+	}
+	tooWide.Shards = 3
+	tooWide.normalize()
+	if _, err := tooWide.compile(); err != nil {
+		t.Fatalf("one shard per cell rejected: %v", err)
+	}
+
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(strings.NewReader(`{"grid":"figure2","replicates":1000000000}`)); code != http.StatusBadRequest {
+		t.Fatalf("a billion replicates: status %d, want 400", code)
+	}
+	if code := post(strings.NewReader(`{"grid":"figure2","size":"test","apps":["lu"],"shards":1000000000}`)); code != http.StatusBadRequest {
+		t.Fatalf("a billion shards: status %d, want 400", code)
+	}
+
+	// Body size is judged on the declared length, so these bodies are
+	// a small request padded with whitespace the decoder never reads.
+	submit := func(size int64) (code int, read int64) {
+		t.Helper()
+		body := &countingReader{r: io.MultiReader(strings.NewReader(`{"grid":"figure2","size":"test","apps":["lu"],"interval":20000}`),
+			io.LimitReader(fillReader(' '), size))}
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", body)
+		req.ContentLength = size
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, req)
+		return rec.Code, body.n
+	}
+	if code, read := submit(maxRequestBytes + 1); code != http.StatusBadRequest || read != 0 {
+		t.Fatalf("oversized body: status %d after reading %d bytes, want 400 before reading", code, read)
+	}
+	if jobs := coord.JobList(); len(jobs) != 0 {
+		t.Fatalf("rejected requests left %d jobs", len(jobs))
+	}
+	// The request experiments -submit builds for the largest test-size
+	// trace capture of a built-in (water, 64 nodes) is accepted.
+	if code, _ := submit(222_000_978); code != http.StatusAccepted {
+		t.Fatalf("a request the size of the largest test-size capture: status %d, want 202", code)
+	}
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestCloseLaunchesNothing shuts the coordinator down while two
+// workers run the first two of three shards, and lets an attempt end
+// before the loop looks again: the loop must wait the attempts out
+// without launching the waiting third shard.
+func TestCloseLaunchesNothing(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		var coord *Coordinator
+		returned, shutdown := make(chan struct{}, 8), make(chan struct{})
+		coord = newTestCoordinator(t, func(cfg *Config) {
+			cfg.WrapWorker = func(Worker) Worker { return blockingWorker(returned) }
+			cfg.Logf = func(format string, args ...any) {
+				if strings.Contains(fmt.Sprintf(format, args...), "shard 1 attempt 0") {
+					// On the loop, while shard 0 runs: shut down, and let
+					// shard 0's attempt report before the loop selects.
+					coord.cancel()
+					<-returned
+					time.Sleep(10 * time.Millisecond)
+					close(shutdown)
+				}
+			}
+		})
+		req := testRequest()
+		req.Shards = 3
+		if _, err := coord.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		<-shutdown
+		coord.Close()
+		if n := coord.Counters.ShardsDispatched.Load(); n != 2 {
+			t.Fatalf("run %d: %d shards dispatched, want 2 (nothing launched during shutdown)", i, n)
+		}
+	}
+}
+
+// blockingWorker runs each attempt until cancelled, then announces
+// its return.
+type blockingWorker chan struct{}
+
+func (blockingWorker) Name() string { return "blocking" }
+
+func (b blockingWorker) Run(ctx context.Context, _ string, _ []string) error {
+	<-ctx.Done()
+	b <- struct{}{}
+	return ctx.Err()
 }
