@@ -192,10 +192,10 @@ workload-smoke-update:
 # spec — the capability the committed examples/fuzz_found corpus was
 # born from. DESIGN.md §14 describes the operators and oracles. Then a
 # few seconds of native fuzzing on each trace decoder, on trace
-# ingestion (FromTrace) and on coordinator job requests (decode through
-# compile and the request bounds): an error is fine, a panic or an input
-# that does not survive re-encoding is not. Minimization is capped so a large
-# seed's mutants do not stall the run.
+# ingestion (FromTrace), on spec parsing (ParseSpec) and on coordinator
+# job requests (decode through compile and the request bounds): an error
+# is fine, a panic or an input that does not survive re-encoding is not.
+# Minimization is capped so a large seed's mutants do not stall the run.
 fuzz-smoke:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 	$(GO) run ./cmd/wdlfuzz -budget 40 -seed 1 -out "" -fail-on-invariant > "$$tmp" && \
@@ -204,9 +204,11 @@ fuzz-smoke:
 	@for target in FuzzReadAccessJSONL FuzzReadJSONL; do \
 		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s -fuzzminimizetime 50x ./internal/trace || exit 1; \
 	done; \
-	$(GO) test -run '^$$' -fuzz '^FuzzFromTrace$$' -fuzztime 5s -fuzzminimizetime 50x ./internal/workloads || exit 1; \
+	for target in FuzzFromTrace FuzzParseSpec; do \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s -fuzzminimizetime 50x ./internal/workloads || exit 1; \
+	done; \
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 5s -fuzzminimizetime 50x ./internal/service || exit 1; \
-	echo "fuzz-smoke: trace decoders, trace ingestion and job requests fuzzed clean"
+	echo "fuzz-smoke: trace decoders, trace ingestion, spec parsing and job requests fuzzed clean"
 
 # The protocol seam's dedicated gate: both coherence backends (the
 # conformance suite included), the caches they recycle, the machine

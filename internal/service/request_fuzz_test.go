@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // The oracle: an error, never a panic, and an accepted request
 // compiles to the same JobKey twice. The shipped-workload seed uses
 // the example specs under their own names; registration is global and
-// idempotent, so reseeding them never conflicts.
+// idempotent, so reseeding them never conflicts. Another seed names one
+// app past the apps cap, with repeats.
 func FuzzJobRequest(f *testing.F) {
 	shipped := JobRequest{Grid: "figure2", Size: "test", Apps: []string{"oscillate", "pingpong"}, Interval: 16_000}
 	for _, path := range []string{
@@ -28,7 +30,12 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		shipped.Workloads = append(shipped.Workloads, string(sw.Source()))
 	}
-	for _, req := range []JobRequest{testRequest(), chaosRequest("tuning"), shipped} {
+	// One name past the apps cap, each distinct name followed by a repeat.
+	manyApps := testRequest()
+	for i := 0; i < maxApps; i++ {
+		manyApps.Apps = append(manyApps.Apps, fmt.Sprintf("app%d", i), "lu")
+	}
+	for _, req := range []JobRequest{testRequest(), chaosRequest("tuning"), shipped, manyApps} {
 		data, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)

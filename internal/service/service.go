@@ -122,7 +122,8 @@ type JobRequest struct {
 	Grid string `json:"grid"`
 	// Size is the input scale ("test", "small", "full"; "" = small).
 	Size string `json:"size,omitempty"`
-	// Apps lists workloads or one panel alias; empty = the paper panel.
+	// Apps lists workloads or panel aliases; empty = the paper panel.
+	// Duplicates are dropped, and at most 64 distinct names are accepted.
 	Apps []string `json:"apps,omitempty"`
 	// Protocols lists coherence backends; empty = directory only.
 	Protocols []string `json:"protocols,omitempty"`
@@ -155,13 +156,18 @@ type JobRequest struct {
 const (
 	// maxRequestBytes caps a POST /v1/jobs body, shipped workload
 	// sources (inlined traces included). It holds the request
-	// `experiments -workload-trace -submit` builds for every built-in's
-	// test-size capture; the largest, water at 64 nodes, is 222,000,978
-	// bytes. Small-size captures do not fit (8-node lu: 445 MB, whose
-	// registration would need ~10 GB of coordinator memory).
-	maxRequestBytes = 256 << 20
+	// `experiments -workload-trace -submit` builds for the 8-node
+	// small-size lu capture (8.02M records, 445,452,064 bytes), whose
+	// registration peaks at 3.0 GB of coordinator RSS, about 6.8 bytes
+	// per request byte.
+	maxRequestBytes = 512 << 20
 	// maxReplicates caps JobRequest.Replicates; -preset paper uses 5.
 	maxReplicates = 100
+	// maxApps caps JobRequest.Apps after duplicates are dropped. Unknown
+	// names are kept, as in the CLI, so each name adds cells to the
+	// plan; the registry has ten built-ins and three panel aliases, and
+	// the rest of the cap leaves room for shipped workloads.
+	maxApps = 64
 )
 
 // normalize applies the CLI-equivalent defaults in place.
@@ -175,6 +181,20 @@ func (r *JobRequest) normalize() {
 	if r.Replicates < 1 {
 		r.Replicates = 1
 	}
+	// The grid resolves apps without duplicates anyway, so dropping them
+	// changes no plan; it keeps the maxApps count honest. Collection
+	// stops one name past the cap, which compile then rejects.
+	seen := map[string]bool{}
+	var apps []string
+	for _, a := range r.Apps {
+		if !seen[a] {
+			seen[a] = true
+			if apps = append(apps, a); len(apps) > maxApps {
+				break
+			}
+		}
+	}
+	r.Apps = apps
 }
 
 // compile builds the request's named grid (and therefore its plan and
@@ -183,11 +203,14 @@ func (r *JobRequest) normalize() {
 // folds in their definition hashes, and registration is idempotent, so
 // resubmitting the same spec is a cache hit while a changed definition
 // under the same name is rejected here — at submission, not mid-run.
-// A request over maxReplicates, or asking for more shards than its
-// plan has cells, is rejected before the plan is built.
+// A request over maxReplicates or maxApps, or asking for more shards
+// than its plan has cells, is rejected before the plan is built.
 func (r *JobRequest) compile() (harness.NamedGrid, error) {
 	if r.Replicates > maxReplicates {
 		return harness.NamedGrid{}, fmt.Errorf("replicates %d exceeds the limit of %d", r.Replicates, maxReplicates)
+	}
+	if len(r.Apps) > maxApps {
+		return harness.NamedGrid{}, fmt.Errorf("apps name more than the limit of %d distinct workloads", maxApps)
 	}
 	for i, src := range r.Workloads {
 		sw, err := workloads.ParseSpec([]byte(src))

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -483,6 +484,23 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := tooWide.compile(); err != nil {
 		t.Fatalf("one shard per cell rejected: %v", err)
 	}
+	// Unknown app names are kept, so each distinct one would add cells;
+	// repeats are dropped before the count.
+	manyApps, repeatedApps := testRequest(), testRequest()
+	for i := 0; i <= maxApps; i++ {
+		manyApps.Apps = append(manyApps.Apps, fmt.Sprintf("app%d", i))
+		repeatedApps.Apps = append(repeatedApps.Apps, repeatedApps.Apps[0])
+	}
+	if _, err := coord.Submit(manyApps); err == nil || !strings.Contains(err.Error(), "apps") {
+		t.Fatalf("%d distinct apps: %v", len(manyApps.Apps), err)
+	}
+	repeatedApps.normalize()
+	if len(repeatedApps.Apps) != len(testRequest().Apps) {
+		t.Fatalf("apps %v kept their repeats", repeatedApps.Apps)
+	}
+	if _, err := repeatedApps.compile(); err != nil {
+		t.Fatalf("%d repeats of one app rejected: %v", maxApps+1, err)
+	}
 
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -500,6 +518,17 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code := post(strings.NewReader(`{"grid":"figure2","size":"test","apps":["lu"],"shards":1000000000}`)); code != http.StatusBadRequest {
 		t.Fatalf("a billion shards: status %d, want 400", code)
+	}
+	var names []string
+	for i := 0; i < 100_000; i++ {
+		names = append(names, fmt.Sprintf("app%d", i))
+	}
+	body, err := json.Marshal(JobRequest{Grid: "figure2", Size: "test", Apps: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post(bytes.NewReader(body)); code != http.StatusBadRequest {
+		t.Fatalf("100,000 distinct apps: status %d, want 400", code)
 	}
 
 	// Body size is judged on the declared length, so these bodies are
@@ -520,10 +549,14 @@ func TestSubmitValidation(t *testing.T) {
 	if jobs := coord.JobList(); len(jobs) != 0 {
 		t.Fatalf("rejected requests left %d jobs", len(jobs))
 	}
-	// The request experiments -submit builds for the largest test-size
-	// trace capture of a built-in (water, 64 nodes) is accepted.
+	// The requests experiments -submit builds for the largest test-size
+	// trace capture of a built-in (water, 64 nodes) and for the 8-node
+	// small-size lu capture are accepted.
 	if code, _ := submit(222_000_978); code != http.StatusAccepted {
 		t.Fatalf("a request the size of the largest test-size capture: status %d, want 202", code)
+	}
+	if code, _ := submit(445_452_064); code != http.StatusAccepted {
+		t.Fatalf("a request the size of the 8-node small-size lu capture: status %d, want 202", code)
 	}
 }
 

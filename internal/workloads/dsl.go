@@ -43,11 +43,13 @@ package workloads
 // elems += r*elems_step, salt += r*salt_step.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"dsmphase/internal/isa"
 	"dsmphase/internal/rng"
@@ -329,33 +331,59 @@ func validName(name string) error {
 // an explicit empty "region" selects region defaults, which differs
 // from no region at all — and neither is "home", whose wire type is a
 // pointer: absent means owner-thread homing while an explicit 0 homes
-// at node 0.
+// at node 0. Numbers are normalized by canonNumber. src has already
+// been unmarshaled by parseSpec, so it holds exactly one JSON value.
 func canonHash(src []byte) ([]byte, uint64, error) {
+	dec := json.NewDecoder(bytes.NewReader(src))
+	dec.UseNumber()
 	var generic any
-	if err := json.Unmarshal(src, &generic); err != nil {
+	if err := dec.Decode(&generic); err != nil {
 		return nil, 0, fmt.Errorf("workloads: canonicalizing spec: %w", err)
 	}
-	canon, err := json.Marshal(stripZeroDefaults(generic))
+	stripped, err := stripZeroDefaults(generic)
 	if err != nil {
 		return nil, 0, fmt.Errorf("workloads: canonicalizing spec: %w", err)
 	}
+	canon, err := json.Marshal(stripped)
+	if err != nil {
+		return nil, 0, fmt.Errorf("workloads: canonicalizing spec: %w", err)
+	}
+	return canon, canonDigest(canon), nil
+}
+
+// canonDigest is the definition hash of a canonical source.
+func canonDigest(canon []byte) uint64 {
 	h := rng.Hash64(uint64(len(canon)))
 	for _, b := range canon {
 		h = rng.Hash64(h ^ uint64(b))
 	}
-	return canon, h, nil
+	return h
 }
 
 // stripZeroDefaults removes object fields whose value is a JSON zero
-// scalar (0, false, "", null) from a generic JSON tree, recursively.
-// Pointer-typed fields that distinguish absent from zero ("home") are
-// kept, as are empty objects/arrays (see canonHash).
-func stripZeroDefaults(v any) any {
+// scalar (0, false, "", null) from a generic JSON tree, recursively,
+// normalizes its numbers with canonNumber and rejects an object with
+// two keys that differ only in case. Pointer-typed fields that
+// distinguish absent from zero ("home") are kept, as are empty
+// objects/arrays (see canonHash).
+func stripZeroDefaults(v any) (any, error) {
 	switch t := v.(type) {
 	case map[string]any:
 		out := make(map[string]any, len(t))
+		folded := make(map[string]bool, len(t))
 		for k, e := range t {
-			e = stripZeroDefaults(e)
+			// Unmarshaling matches keys to fields regardless of case and
+			// keeps the last in input order, which sorting the keys can
+			// change: two keys differing only in case are ambiguous.
+			f := strings.ToLower(strings.ToUpper(k))
+			if folded[f] {
+				return nil, fmt.Errorf("keys differing only in case (%q)", f)
+			}
+			folded[f] = true
+			e, err := stripZeroDefaults(e)
+			if err != nil {
+				return nil, err
+			}
 			// "home" is pointer-typed: strip only null (absent), never
 			// an explicit 0, which homes at node 0 rather than the
 			// owner thread.
@@ -364,15 +392,38 @@ func stripZeroDefaults(v any) any {
 			}
 			out[k] = e
 		}
-		return out
+		return out, nil
 	case []any:
 		for i, e := range t {
-			t[i] = stripZeroDefaults(e)
+			e, err := stripZeroDefaults(e)
+			if err != nil {
+				return nil, err
+			}
+			t[i] = e
 		}
-		return t
+		return t, nil
+	case json.Number:
+		return canonNumber(t)
 	default:
-		return v
+		return v, nil
 	}
+}
+
+// canonNumber normalizes a decoded number. An integer literal of
+// magnitude 2^53 or more stays its exact literal, which a float64
+// would round. Every other number becomes its float64, which marshals
+// to the text the canonical source has always had (-0 included, which
+// is then stripped as a zero).
+func canonNumber(n json.Number) (any, error) {
+	digits := strings.TrimPrefix(string(n), "-")
+	if !strings.ContainsAny(digits, ".eE") && (len(digits) > 16 || len(digits) == 16 && digits >= "9007199254740992") {
+		return n, nil
+	}
+	f, err := n.Float64()
+	if err != nil {
+		return nil, fmt.Errorf("number %s: %w", n, err)
+	}
+	return f, nil
 }
 
 func isZeroScalar(v any) bool {

@@ -161,6 +161,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"share degree", `{"name": "x", "description": "d", "phases": [{"blocks": [{"kind": "share", "count": 4, "degree": 1}]}]}`},
 		{"random span", `{"name": "x", "description": "d", "phases": [{"blocks": [{"kind": "random", "count": 4}]}]}`},
 		{"trace file in memory", `{"name": "x", "description": "d", "trace": {"file": "t.jsonl"}}`},
+		{"keys differing only in case", `{"name": "x", "description": "d", "phases": [{"blocks": [{"kind": "stride", "count": -5, "Count": 8}]}]}`},
 		{"records and file", `{"name": "x", "description": "d", "trace": {"records": [{"proc": 0, "op": "int", "pc": 4}], "file": "t.jsonl"}}`},
 	}
 	for _, c := range cases {
@@ -439,19 +440,23 @@ func TestTraceBoundsExpansion(t *testing.T) {
 			}
 		})
 	}
-	// A plain capture is split directly rather than through both routes:
-	// building its canonical source parses every record into generic
-	// JSON values, which takes gigabytes at 2^21 records.
 	plain := make([]trace.Access, maxRepeatInstrs+1)
 	for i := range plain {
 		plain[i] = trace.Access{Proc: i % 2, Op: "int", PC: 4}
 	}
-	segs, _, err := traceSegments("plain", plain)
+	sw, err := FromTrace("plain", "d", plain)
 	if err != nil {
 		t.Fatalf("a %d-record trace without repeats rejected: %v", len(plain), err)
 	}
-	if got := len(segs[0][0]) + len(segs[1][0]); got != len(plain) {
-		t.Errorf("plain trace split into %d instructions, want %d", got, len(plain))
+	got := 0
+	e := isa.NewEmitter(4096)
+	for _, th := range sw.Threads(2, SizeTest, 1) {
+		for e.Reset(); th.NextBatch(e); e.Reset() {
+			got += len(e.Take())
+		}
+	}
+	if got != len(plain) {
+		t.Errorf("plain trace replays %d instructions, want %d", got, len(plain))
 	}
 }
 

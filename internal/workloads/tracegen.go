@@ -13,6 +13,8 @@ package workloads
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 
 	"dsmphase/internal/coherence"
 	"dsmphase/internal/isa"
@@ -63,18 +65,7 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 	// Canonical source: the equivalent inline-records spec, so a trace
 	// ingested via FromTrace and the same records pasted into a .wdl
 	// "trace" stanza register as the same definition.
-	src, err := json.Marshal(rawSpec{
-		Name:        name,
-		Description: desc,
-		Trace:       &rawTrace{Records: recs},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("workloads: trace %q: %w", name, err)
-	}
-	canon, hash, err := canonHash(src)
-	if err != nil {
-		return nil, err
-	}
+	canon := canonTrace(name, desc, recs)
 
 	nRecs := len(recs)
 	sw := &SpecWorkload{
@@ -84,7 +75,7 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 			return fmt.Sprintf("replayed trace: %d procs, %d records", procs, nRecs)
 		},
 		src:  canon,
-		hash: hash,
+		hash: canonDigest(canon),
 		build: func(n int, _ Size) *Program {
 			prog := &Program{BarrierPC: barrierPC}
 			for s := 0; s < phases; s++ {
@@ -106,12 +97,16 @@ func traceWorkload(name, desc string, recs []trace.Access) (*SpecWorkload, error
 // traceSegments validates a trace and splits each trace processor's
 // expanded instruction stream at its sync records: segs[tp][s] is trace
 // processor tp's stream between syncs s-1 and s. barrierPC is the first
-// sync's PC, or a fixed spec PC when the trace has no syncs.
+// sync's PC, or a fixed spec PC when the trace has no syncs. A first
+// pass sizes every segment, so each is filled in place in one shared
+// array.
 func traceSegments(name string, recs []trace.Access) ([][][]isa.Inst, uint32, error) {
 	if len(recs) == 0 {
 		return nil, 0, fmt.Errorf("workloads: trace %q has no records", name)
 	}
-	procs, repeated := 0, 0
+	// sizes[tp][s] counts the instructions of segs[tp][s].
+	var sizes [][]int
+	total, repeated := 0, 0
 	for i, a := range recs {
 		if a.Proc < 0 {
 			return nil, 0, fmt.Errorf("workloads: trace %q record %d: negative proc %d", name, i, a.Proc)
@@ -121,23 +116,34 @@ func traceSegments(name string, recs []trace.Access) ([][][]isa.Inst, uint32, er
 			return nil, 0, fmt.Errorf("workloads: trace %q record %d: proc %d; systems have at most %d processors",
 				name, i, a.Proc, coherence.MaxProcs)
 		}
-		if a.Proc >= procs {
-			procs = a.Proc + 1
+		for len(sizes) <= a.Proc {
+			sizes = append(sizes, []int{0})
 		}
-		if a.Op != "sync" {
-			extra := max(a.N, 1) - 1
-			if extra > maxRepeatInstrs-repeated {
-				return nil, 0, fmt.Errorf("workloads: trace %q record %d: n repeats add more than %d instructions",
-					name, i, maxRepeatInstrs)
-			}
-			repeated += extra
+		seg := sizes[a.Proc]
+		if a.Op == "sync" {
+			sizes[a.Proc] = append(seg, 0)
+			continue
 		}
+		extra := max(a.N, 1) - 1
+		if extra > maxRepeatInstrs-repeated {
+			return nil, 0, fmt.Errorf("workloads: trace %q record %d: n repeats add more than %d instructions",
+				name, i, maxRepeatInstrs)
+		}
+		repeated += extra
+		seg[len(seg)-1] += extra + 1
+		total += extra + 1
 	}
+	procs := len(sizes)
 	segs := make([][][]isa.Inst, procs)
-	var barrierPC uint32
-	for i := range segs {
-		segs[i] = make([][]isa.Inst, 1)
+	insts := make([]isa.Inst, total)
+	for tp, ss := range sizes {
+		segs[tp] = make([][]isa.Inst, len(ss))
+		for s, n := range ss {
+			segs[tp][s], insts = insts[:0:n], insts[n:]
+		}
 	}
+	var barrierPC uint32
+	cur := make([]int, procs) // each trace processor's current segment
 	for i, a := range recs {
 		in, err := a.Inst()
 		if err != nil {
@@ -151,13 +157,12 @@ func traceSegments(name string, recs []trace.Access) ([][][]isa.Inst, uint32, er
 			if barrierPC == 0 {
 				barrierPC = in.PC
 			}
-			segs[tp] = append(segs[tp], nil)
+			cur[tp]++
 			continue
 		}
-		rep := max(a.N, 1)
-		last := len(segs[tp]) - 1
-		for r := 0; r < rep; r++ {
-			segs[tp][last] = append(segs[tp][last], in)
+		seg := &segs[tp][cur[tp]]
+		for r := max(a.N, 1); r > 0; r-- {
+			*seg = append(*seg, in)
 		}
 	}
 	syncs := len(segs[0]) - 1
@@ -167,11 +172,7 @@ func traceSegments(name string, recs []trace.Access) ([][][]isa.Inst, uint32, er
 		}
 	}
 	for tp := 0; tp < procs; tp++ {
-		total := 0
-		for _, seg := range segs[tp] {
-			total += len(seg)
-		}
-		if total == 0 && syncs == 0 {
+		if syncs == 0 && len(segs[tp][0]) == 0 {
 			return nil, 0, fmt.Errorf("workloads: trace %q: proc %d has no instructions", name, tp)
 		}
 	}
@@ -179,4 +180,70 @@ func traceSegments(name string, recs []trace.Access) ([][][]isa.Inst, uint32, er
 		barrierPC = specPCBase + 0xFF00
 	}
 	return segs, barrierPC, nil
+}
+
+// canonTrace writes the canonical source of a validated trace: the
+// bytes canonHash makes of the equivalent inline-records spec (sorted
+// keys, no whitespace, zero fields left out), appended straight from
+// the records into one buffer sized by a first pass. Integers are
+// written exactly, where the generic route rounds any above 2^53.
+func canonTrace(name, desc string, recs []trace.Access) []byte {
+	// canonHash decodes each invalid UTF-8 byte to U+FFFD and
+	// re-marshals that rune raw, so the description is converted the
+	// same way first.
+	if !utf8.ValidString(desc) {
+		desc = string([]rune(desc))
+	}
+	// Marshaling a string cannot fail.
+	nameJSON, _ := json.Marshal(name)
+	descJSON, _ := json.Marshal(desc)
+	size := len(`{"description":,"name":,"trace":{"records":[]}}`) + len(descJSON) + len(nameJSON) + len(recs) - 1
+	var scratch [128]byte
+	for _, a := range recs {
+		size += len(appendRecord(scratch[:0], a))
+	}
+	b := make([]byte, 0, size)
+	b = append(b, `{"description":`...)
+	b = append(b, descJSON...)
+	b = append(b, `,"name":`...)
+	b = append(b, nameJSON...)
+	b = append(b, `,"trace":{"records":[`...)
+	for i, a := range recs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRecord(b, a)
+	}
+	return append(b, "]}}"...)
+}
+
+// appendRecord appends one record's canonical object. Its op is one of
+// the validated mnemonics, so it is never empty and needs no escaping.
+func appendRecord(b []byte, a trace.Access) []byte {
+	b = append(b, '{')
+	if a.Addr != 0 {
+		b = append(b, `"addr":`...)
+		b = strconv.AppendUint(b, a.Addr, 10)
+		b = append(b, ',')
+	}
+	if a.N != 0 {
+		b = append(b, `"n":`...)
+		b = strconv.AppendInt(b, int64(a.N), 10)
+		b = append(b, ',')
+	}
+	b = append(b, `"op":"`...)
+	b = append(b, a.Op...)
+	b = append(b, '"')
+	if a.PC != 0 {
+		b = append(b, `,"pc":`...)
+		b = strconv.AppendUint(b, uint64(a.PC), 10)
+	}
+	if a.Proc != 0 {
+		b = append(b, `,"proc":`...)
+		b = strconv.AppendInt(b, int64(a.Proc), 10)
+	}
+	if a.Taken {
+		b = append(b, `,"taken":true`...)
+	}
+	return append(b, '}')
 }
