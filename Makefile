@@ -192,9 +192,11 @@ workload-smoke-update:
 # spec — the capability the committed examples/fuzz_found corpus was
 # born from. DESIGN.md §14 describes the operators and oracles. Then a
 # few seconds of native fuzzing on each trace decoder, on trace
-# ingestion (FromTrace), on spec parsing (ParseSpec) and on coordinator
-# job requests (decode through compile and the request bounds): an error
-# is fine, a panic or an input that does not survive re-encoding is not.
+# ingestion (FromTrace), on spec parsing (ParseSpec), on coordinator
+# job requests (decode through compile and the request bounds), on shard
+# artifacts (read, then merged) and on cell streams (resumed through a
+# file): an error is fine, a panic or an input that does not survive
+# re-encoding is not.
 # Minimization is capped so a large seed's mutants do not stall the run.
 fuzz-smoke:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
@@ -208,13 +210,18 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s -fuzzminimizetime 50x ./internal/workloads || exit 1; \
 	done; \
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 5s -fuzzminimizetime 50x ./internal/service || exit 1; \
-	echo "fuzz-smoke: trace decoders, trace ingestion, spec parsing and job requests fuzzed clean"
+	for target in FuzzReadShardArtifact FuzzResumeCellStream; do \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s -fuzzminimizetime 50x ./internal/harness || exit 1; \
+	done; \
+	echo "fuzz-smoke: trace decoders, trace ingestion, spec parsing, job requests, shard artifacts and cell streams fuzzed clean"
 
 # The protocol seam's dedicated gate: both coherence backends (the
-# conformance suite included), the caches they recycle, the machine
-# layer that selects between them, and the harness test that recycles
-# caches across concurrent simulations (the pool's Get/Put under
-# RunPlan's workers), under the race detector.
+# conformance suite included), the caches they recycle (storage carved
+# per set on first fill, checked against a dense oracle), the machine
+# layer that selects between them (with the directory invariants checked
+# at every interval end), and the harness test that recycles caches
+# across concurrent simulations and evicting runs (the pool's Get/Put
+# under RunPlan's workers), under the race detector.
 coherence-race:
 	$(GO) test -race ./internal/cache/... ./internal/coherence/... ./internal/machine/...
 	$(GO) test -race -run 'TestSimulateRecyclesCaches' ./internal/harness

@@ -67,6 +67,14 @@ type Stats struct {
 // Cache is one set-associative cache. Lines are identified by their line
 // address (byte address >> lineShift).
 //
+// Storage is carved per set on its first fill: setBlock maps a set to
+// its block of ways slots in tags/state/lruTick (0 = never filled, else
+// the block's first slot + 1), and a block is appended the first time
+// InsertWay misses into its set. A run that fills a few sets of a Table I L2
+// holds only those sets' lines. Slot indices stay below sets·ways and
+// stay put while a line is resident, so callers may keep them as way
+// hints.
+//
 // Invalid slots keep their tag at noTag, so the find loop tests one
 // word per way — no separate validity check on the hit path.
 type Cache struct {
@@ -75,19 +83,13 @@ type Cache struct {
 	ways      int
 	lineShift uint
 	setMask   uint64
-	tags      []uint64 // sets*ways
+	setBlock  []int32  // per set: 0, or its block's first slot + 1
+	blockSet  []int32  // per carved block: its set, in carve order
+	tags      []uint64 // len(blockSet)*ways
 	state     []State
 	lruTick   []uint64
 	clock     uint64
 	st        Stats
-	// touched lists the sets that received a line since the last Reset,
-	// and touchedBits marks them (one bit per set), so Reset clears only
-	// those sets. Both are maintained on the InsertWay miss path: every
-	// other mutator acts on a resident line, whose set is already
-	// listed. touched is allocated at full capacity so recording never
-	// allocates.
-	touched     []int32
-	touchedBits []uint64
 }
 
 // noTag marks an invalid slot's tag. No reachable line address collides
@@ -117,23 +119,14 @@ func New(cfg Config) *Cache {
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: line size must be a power of two")
 	}
-	n := sets * cfg.Ways
-	c := &Cache{
-		cfg:         cfg,
-		sets:        sets,
-		ways:        cfg.Ways,
-		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:     uint64(sets - 1),
-		tags:        make([]uint64, n),
-		state:       make([]State, n),
-		lruTick:     make([]uint64, n),
-		touched:     make([]int32, 0, sets),
-		touchedBits: make([]uint64, (sets+63)/64),
+	return &Cache{
+		cfg:       cfg,
+		sets:      sets,
+		ways:      cfg.Ways,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:   uint64(sets - 1),
+		setBlock:  make([]int32, sets),
 	}
-	for i := range c.tags {
-		c.tags[i] = noTag
-	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -145,10 +138,11 @@ func (c *Cache) Sets() int { return c.sets }
 // LineAddr converts a byte address to a line address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
-func (c *Cache) setOf(line uint64) int { return int(line & c.setMask) }
-
 func (c *Cache) find(line uint64) int {
-	base := int(line&c.setMask) * c.ways
+	base := int(c.setBlock[line&c.setMask]) - 1
+	if base < 0 {
+		return -1
+	}
 	// One contiguous sub-slice per set: the way loop compares tags only
 	// (invalid slots hold noTag) with bounds checks hoisted to the slice
 	// expression — this is the hottest loop in the simulator's memory
@@ -160,6 +154,21 @@ func (c *Cache) find(line uint64) int {
 		}
 	}
 	return -1
+}
+
+// carve appends a block of invalid ways for set and returns its base
+// slot.
+func (c *Cache) carve(set int) int {
+	base := len(c.tags)
+	c.blockSet = append(c.blockSet, int32(set))
+	c.setBlock[set] = int32(base + 1)
+	c.tags = append(c.tags, make([]uint64, c.ways)...)
+	c.state = append(c.state, make([]State, c.ways)...)
+	c.lruTick = append(c.lruTick, make([]uint64, c.ways)...)
+	for i := base; i < len(c.tags); i++ {
+		c.tags[i] = noTag
+	}
+	return base
 }
 
 // Lookup probes the cache for the line containing addr. On a hit it
@@ -237,12 +246,11 @@ func (c *Cache) InsertWay(addr uint64, st State) (Victim, int32) {
 		c.lruTick[idx] = c.clock
 		return Victim{}, int32(idx)
 	}
-	set := c.setOf(line)
-	if w, b := set>>6, uint64(1)<<(set&63); c.touchedBits[w]&b == 0 {
-		c.touchedBits[w] |= b
-		c.touched = append(c.touched, int32(set))
+	set := int(line & c.setMask)
+	base := int(c.setBlock[set]) - 1
+	if base < 0 {
+		base = c.carve(set)
 	}
-	base := set * c.ways
 	victim := base
 	for w := 0; w < c.ways; w++ {
 		if c.state[base+w] == Invalid {
@@ -295,27 +303,35 @@ func (c *Cache) Invalidate(addr uint64) (prior State, present bool) {
 	return prior, true
 }
 
+// ForEach calls f for every resident line, in the order their sets
+// were first filled. It visits only carved blocks, so it costs in
+// proportion to the sets a run filled, not to the geometry.
+func (c *Cache) ForEach(f func(line uint64, st State)) {
+	for i, st := range c.state {
+		if st != Invalid {
+			f(c.tags[i], st)
+		}
+	}
+}
+
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.st }
 
 // ResetStats zeroes statistics; contents are preserved.
 func (c *Cache) ResetStats() { c.st = Stats{} }
 
-// Reset restores the freshly built state — every line invalid, LRU
+// Reset restores the freshly built state — every set unfilled, LRU
 // clock and statistics zero — so a cache can serve a new simulation
-// without reallocating. It clears only the sets that received a line
-// since the last Reset.
+// without reallocating. It clears only the set-table entries of carved
+// blocks and keeps the slot arrays' capacity for the next run.
 func (c *Cache) Reset() {
-	for _, set := range c.touched {
-		base := int(set) * c.ways
-		for i := base; i < base+c.ways; i++ {
-			c.tags[i] = noTag
-			c.state[i] = Invalid
-			c.lruTick[i] = 0
-		}
-		c.touchedBits[set>>6] = 0
+	for _, set := range c.blockSet {
+		c.setBlock[set] = 0
 	}
-	c.touched = c.touched[:0]
+	c.blockSet = c.blockSet[:0]
+	c.tags = c.tags[:0]
+	c.state = c.state[:0]
+	c.lruTick = c.lruTick[:0]
 	c.clock = 0
 	c.st = Stats{}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -160,17 +161,19 @@ func TestReset(t *testing.T) {
 	assertFresh(t, c)
 }
 
-// assertFresh requires c's contents, LRU clock, statistics and
-// touched-set bookkeeping to equal a newly built cache's.
+// assertFresh requires c's set table, carved storage, LRU clock and
+// statistics to equal a newly built cache's.
 func assertFresh(t *testing.T, c *Cache) {
 	t.Helper()
 	f := New(c.cfg)
-	if !slices.Equal(c.tags, f.tags) || !slices.Equal(c.state, f.state) ||
-		!slices.Equal(c.lruTick, f.lruTick) || !slices.Equal(c.touchedBits, f.touchedBits) {
-		t.Fatal("reset left line, LRU or touched-set state behind")
+	if !slices.Equal(c.setBlock, f.setBlock) {
+		t.Fatal("reset left set-table entries behind")
 	}
-	if c.clock != 0 || c.st != (Stats{}) || len(c.touched) != 0 {
-		t.Fatalf("reset left clock %d, stats %+v, %d touched sets", c.clock, c.st, len(c.touched))
+	if len(c.blockSet) != 0 || len(c.tags) != 0 || len(c.state) != 0 || len(c.lruTick) != 0 {
+		t.Fatalf("reset left %d carved blocks (%d/%d/%d slots)", len(c.blockSet), len(c.tags), len(c.state), len(c.lruTick))
+	}
+	if c.clock != 0 || c.st != (Stats{}) {
+		t.Fatalf("reset left clock %d, stats %+v", c.clock, c.st)
 	}
 }
 
@@ -320,4 +323,117 @@ func TestInsertProbeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestCarvedMatchesDense drives the carved cache and the dense oracle
+// with one seeded random sequence of LookupWay, InsertWay, SetState,
+// Invalidate and Touch over a footprint twice the capacity, so sets
+// fill, evict and refill. Every hit, state, victim and the statistics
+// must agree, and so must the way a line lands in (slot mod ways: the
+// first-Invalid, least-tick, lowest-way victim rule). A slot either
+// cache returned must serve as its Touch hint while the line stays
+// resident. Storage must be exactly one block per distinct filled set.
+// Each seed runs three rounds with a Reset between, so carved blocks
+// are recycled with stale ticks.
+func TestCarvedMatchesDense(t *testing.T) {
+	geoms := []Config{
+		{SizeBytes: 16 << 10, Ways: 1, LineBytes: 32}, // 512 sets, direct-mapped
+		{SizeBytes: 2048, Ways: 8, LineBytes: 32},     // 8 sets: evictions all the time
+		{SizeBytes: 4096, Ways: 4, LineBytes: 32},     // 32 sets
+	}
+	for _, cfg := range geoms {
+		f := func(seed uint64) bool {
+			c := New(cfg)
+			for round := uint64(0); round < 3; round++ {
+				if !matchesDense(t, c, newDense(cfg), rand.New(rand.NewPCG(seed, round))) {
+					return false
+				}
+				c.Reset()
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Errorf("%d-way, %d sets: %v", cfg.Ways, New(cfg).Sets(), err)
+		}
+	}
+}
+
+// matchesDense is one round of TestCarvedMatchesDense.
+func matchesDense(t *testing.T, c *Cache, d *denseCache, r *rand.Rand) bool {
+	t.Helper()
+	states := []State{Invalid, Shared, Modified}
+	ways := int32(c.ways)
+	footprint := 2 * c.sets * c.ways
+	hintC, hintD := map[uint64]int32{}, map[uint64]int32{}
+	filled := map[int]bool{}
+	for i := 0; i < 4*footprint; i++ {
+		addr := uint64(r.IntN(footprint))*32 + uint64(r.IntN(32))
+		line := addr >> 5
+		st := states[r.IntN(3)]
+		switch r.IntN(5) {
+		case 0:
+			ic, hc, sc := c.LookupWay(addr)
+			id, hd, sd := d.LookupWay(addr)
+			if hc != hd || sc != sd || (hc && ic%ways != id%ways) {
+				t.Logf("op %d LookupWay(%#x): (%d,%v,%v) vs dense (%d,%v,%v)", i, addr, ic, hc, sc, id, hd, sd)
+				return false
+			}
+			if hc {
+				hintC[line], hintD[line] = ic, id
+			}
+		case 1:
+			if st == Invalid {
+				st = Shared
+			}
+			vc, ic := c.InsertWay(addr, st)
+			vd, id := d.InsertWay(addr, st)
+			if vc != vd || ic%ways != id%ways {
+				t.Logf("op %d InsertWay(%#x): (%+v,%d) vs dense (%+v,%d)", i, addr, vc, ic, vd, id)
+				return false
+			}
+			if ic < 0 || int(ic) >= c.sets*c.ways {
+				t.Logf("op %d InsertWay(%#x): slot %d outside [0, sets·ways)", i, addr, ic)
+				return false
+			}
+			hintC[line], hintD[line] = ic, id
+			filled[int(line)&(c.sets-1)] = true
+		case 2:
+			if c.SetState(addr, st) != d.SetState(addr, st) {
+				t.Logf("op %d SetState(%#x, %v) disagrees", i, addr, st)
+				return false
+			}
+		case 3:
+			pc, okc := c.Invalidate(addr)
+			pd, okd := d.Invalidate(addr)
+			if pc != pd || okc != okd {
+				t.Logf("op %d Invalidate(%#x): (%v,%v) vs dense (%v,%v)", i, addr, pc, okc, pd, okd)
+				return false
+			}
+		case 4:
+			hc, _ := c.Probe(addr)
+			if hd := d.find(line) >= 0; hc != hd {
+				t.Logf("op %d Probe(%#x): %v vs dense %v", i, addr, hc, hd)
+				return false
+			}
+			if hc {
+				c.Touch(hintC[line], line) // panics on a stale hint
+				d.Touch(hintD[line], line)
+			}
+		}
+	}
+	if c.Stats() != d.st {
+		t.Logf("stats %+v vs dense %+v", c.Stats(), d.st)
+		return false
+	}
+	got := map[uint64]State{}
+	c.ForEach(func(line uint64, st State) { got[line] = st })
+	if want := d.resident(); !maps.Equal(got, want) {
+		t.Logf("ForEach visits %d lines, dense holds %d", len(got), len(want))
+		return false
+	}
+	if n := len(filled) * c.ways; len(c.tags) != n || len(c.state) != n || len(c.lruTick) != n || len(c.blockSet) != len(filled) {
+		t.Logf("carved %d slots in %d blocks, want %d filled sets × %d ways", len(c.tags), len(c.blockSet), len(filled), c.ways)
+		return false
+	}
+	return true
 }

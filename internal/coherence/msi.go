@@ -402,9 +402,45 @@ func (p *DirectoryProtocol) invalidateSharers(t uint64, h, requester int, line u
 
 // CheckInvariants validates global protocol invariants, returning a
 // non-nil description on the first violation. Intended for tests.
+//
+// It checks the caches against each other and against the directory:
+// every L1 line is in its L2 with the same state (the inclusion the L1
+// fast path in Access relies on), and every L2 line is covered by its
+// home row (sharer bit set; a Modified line is the row's owner). Then
+// every row is checked on its own: a Modified row has its owner as the
+// only sharer and the owner's L2 holds the line Modified, and a Shared
+// row has a sharer. Together these rule out a second copy of a
+// Modified line and a Modified copy under a Shared row.
 func (p *DirectoryProtocol) CheckInvariants() error {
 	if p.released {
 		panic(errReleased)
+	}
+	for q := 0; q < p.n; q++ {
+		var err error
+		p.l1[q].ForEach(func(line uint64, st cache.State) {
+			if err != nil {
+				return
+			}
+			if _, l2st := p.l2[q].Probe(p.lineAddrBytes(line)); l2st != st {
+				err = errf("line %#x: L1 %d state %v, its L2 holds %v", line, q, st, l2st)
+			}
+		})
+		p.l2[q].ForEach(func(line uint64, st cache.State) {
+			if err != nil {
+				return
+			}
+			e := p.dirs[p.home.Home(line)].Lookup(line)
+			if e.Sharers&(1<<uint(q)) == 0 {
+				err = errf("line %#x: cached %v at %d outside its home row's sharers %#x", line, st, q, e.Sharers)
+				return
+			}
+			if st == cache.Modified && (e.State != ModifiedState || int(e.Owner) != q) {
+				err = errf("line %#x: modified at %d, home row %v owner %d", line, q, e.State, e.Owner)
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
 	for h := 0; h < p.n; h++ {
 		var err error
@@ -421,34 +457,10 @@ func (p *DirectoryProtocol) CheckInvariants() error {
 				}
 				if _, st := p.l2[e.Owner].Probe(addr); st != cache.Modified {
 					err = errf("line %#x: owner %d cache state %v, want M", line, e.Owner, st)
-					return
-				}
-				// No other cache may hold the line.
-				for q := 0; q < p.n; q++ {
-					if q == int(e.Owner) {
-						continue
-					}
-					if hit, _ := p.l2[q].Probe(addr); hit {
-						err = errf("line %#x: modified but also cached at %d", line, q)
-						return
-					}
 				}
 			case SharedState:
 				if e.Sharers == 0 {
 					err = errf("line %#x: shared with empty sharer set", line)
-					return
-				}
-				for q := 0; q < p.n; q++ {
-					hit, st := p.l2[q].Probe(addr)
-					inSet := e.Sharers&(1<<uint(q)) != 0
-					if hit && st == cache.Modified {
-						err = errf("line %#x: cache %d modified under shared directory state", line, q)
-						return
-					}
-					if hit && !inSet {
-						err = errf("line %#x: cache %d holds line outside sharer set", line, q)
-						return
-					}
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dsmphase/internal/cache"
 	"dsmphase/internal/coherence"
 	"dsmphase/internal/core"
 	"dsmphase/internal/machine"
@@ -39,9 +40,10 @@ func freshOutcome(t *testing.T, rc RunConfig) simOutcome {
 // releases each machine's caches to the pool the next machine draws
 // from, and a run on recycled caches — after a smaller directory run
 // that dirtied some of them, or after an IVY run — equals the same run
-// on newly built ones: records, summary and protocol statistics. The
-// same holds when RunPlan's workers build and release machines
-// concurrently.
+// on newly built ones: records, summary and protocol statistics. A run
+// whose L2 is shrunk until it evicts repeats on caches whose carved
+// blocks held evicted lines and stale LRU ticks. The same holds when
+// RunPlan's workers build and release machines concurrently.
 func TestSimulateRecyclesCaches(t *testing.T) {
 	rc := func(procs int, kind coherence.Kind) RunConfig {
 		r := quickRun(t, "lu", procs)
@@ -50,6 +52,21 @@ func TestSimulateRecyclesCaches(t *testing.T) {
 	}
 	big := rc(32, coherence.KindDirectory)
 	want := freshOutcome(t, big)
+
+	evicting := rc(8, coherence.KindDirectory)
+	evicting.Tweak = func(c *machine.Config) {
+		c.L2 = cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32, HitCycles: 12}
+	}
+	wantEvicting := freshOutcome(t, evicting)
+	// Each writeback is a dirty L2 eviction.
+	if wantEvicting.Stats.Writebacks == 0 {
+		t.Fatal("the shrunk-L2 run never evicted a dirty line")
+	}
+	if m, sum, err := Simulate(evicting); err != nil {
+		t.Fatal(err)
+	} else if got := outcomeOf(m, sum); !reflect.DeepEqual(got, wantEvicting) {
+		t.Error("shrunk-L2 run on caches recycled from an evicting run differs from a fresh-pool run")
+	}
 	for _, before := range []RunConfig{rc(8, coherence.KindDirectory), rc(32, coherence.KindIVY)} {
 		if _, _, err := Simulate(before); err != nil {
 			t.Fatal(err)
@@ -65,7 +82,7 @@ func TestSimulateRecyclesCaches(t *testing.T) {
 
 	runs := []RunConfig{
 		rc(8, coherence.KindDirectory), big, rc(32, coherence.KindIVY),
-		rc(16, coherence.KindDirectory), rc(8, coherence.KindIVY),
+		rc(16, coherence.KindDirectory), rc(8, coherence.KindIVY), evicting,
 	}
 	wants := make([]simOutcome, len(runs))
 	p := NewPlan()

@@ -61,13 +61,17 @@ func (o Op) String() string {
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 
 // Inst is one dynamic instruction.
+//
+// Fields are ordered widest first so an Inst packs into 16 bytes (a
+// PC-first layout pads to 24); emitter buffers and trace-replay segments
+// hold millions of them.
 type Inst struct {
+	// Addr is the effective byte address for loads and stores.
+	Addr uint64
 	// PC is the static instruction address. Workloads assign stable,
 	// distinct PCs to their static code points so the BBV hash sees a
 	// realistic basic-block space.
 	PC uint32
-	// Addr is the effective byte address for loads and stores.
-	Addr uint64
 	// Op is the instruction class.
 	Op Op
 	// Taken is the branch outcome (branches only).

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpString(t *testing.T) {
@@ -108,5 +109,14 @@ func TestEmitterIntProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInstSize pins the packed layout: emitter buffers and trace-replay
+// segments are sized in Insts, and a field reorder that reintroduces
+// padding would grow them by half.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 16", got)
 	}
 }

@@ -68,6 +68,10 @@ type Machine struct {
 	// allocates once per chunk instead of once per interval.
 	bbvArena []float64
 	barriers uint64
+	// intervalHook, when non-nil, runs after every interval end. Only
+	// tests set it (export_test.go), to check the protocol's invariants
+	// at interval boundaries.
+	intervalHook func()
 }
 
 // bbvArenaChunk is the number of interval BBV snapshots carved from one
@@ -467,6 +471,9 @@ func (m *Machine) endInterval(p *proc) {
 	p.remoteAcc = 0
 	p.intervalStart = p.clock
 	p.intervalIdx++
+	if m.intervalHook != nil {
+		m.intervalHook()
+	}
 }
 
 // RecordsByProc returns the recorded interval signatures, one slice per

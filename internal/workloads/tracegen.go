@@ -37,7 +37,7 @@ func FromTrace(name, desc string, accs []trace.Access) (*SpecWorkload, error) {
 
 // maxRepeatInstrs bounds the instructions a trace's n repeats add
 // beyond one per record. Replay holds the expanded streams in memory
-// (24 bytes an instruction, so 48 MiB at the bound), and without it one
+// (16 bytes an instruction, so 32 MiB at the bound), and without it one
 // record with a huge n would exhaust memory. A trace without repeats,
 // such as a dsmsim -access-trace-out capture, takes memory in
 // proportion to its records and is not limited.
