@@ -33,10 +33,12 @@
 // The paper's figures are named grids: BuildGrid("figure2", params) and
 // BuildGrid("figure4", params) compile them, and cmd/experiments runs
 // them (-grids figure4 -format text prints Figure 4's CoV curves).
-// RunCurve remains the one-shot helper for a single configuration.
+// Simulate and SweepMachine compare detectors on one execution.
 //
-// See DESIGN.md for the system inventory; cmd/experiments regenerates
-// the paper-versus-measured scorecard.
+// The facade re-exports what the commands, the examples and the docs
+// call; the internal packages hold the rest. See DESIGN.md for the
+// system inventory; cmd/experiments regenerates the paper-versus-
+// measured scorecard.
 package dsmphase
 
 import (
@@ -59,58 +61,17 @@ import (
 // DetectorKind selects a phase detector.
 type DetectorKind = core.DetectorKind
 
-// Detector kinds: the BBV uniprocessor baseline, the paper's BBV+DDV,
-// and the DDS-only ablation.
+// Detector kinds: the BBV uniprocessor baseline and the paper's BBV+DDV.
 const (
 	DetectorBBV    = core.DetectorBBV
 	DetectorBBVDDV = core.DetectorBBVDDV
-	DetectorDDS    = core.DetectorDDS
-	DetectorWSS    = core.DetectorWSS
 )
-
-// WSSignature is an instruction working-set signature (the Dhodapkar-
-// Smith baseline discussed in the paper's related work).
-type WSSignature = core.WSSignature
-
-// Accumulator is the BBV accumulator (hashed branch-PC counters).
-type Accumulator = core.Accumulator
-
-// FootprintTable classifies interval signatures with LRU replacement.
-type FootprintTable = core.FootprintTable
-
-// Detector is the per-processor online detector (accumulator + table).
-type Detector = core.Detector
 
 // IntervalSignature is one recorded sampling interval (BBV, DDS, CPI).
 type IntervalSignature = core.IntervalSignature
 
-// DistanceMatrix holds the pre-programmed D constants of the DDV.
-type DistanceMatrix = core.DistanceMatrix
-
-// FrequencyMatrix is the per-processor F counter matrix of the DDV.
-type FrequencyMatrix = core.FrequencyMatrix
-
-// DDSOptions selects ablation variants of the DDS computation.
-type DDSOptions = core.DDSOptions
-
 // OverheadEstimate models the DDS exchange bandwidth (paper §III-B).
 type OverheadEstimate = core.OverheadEstimate
-
-// NewAccumulator returns a BBV accumulator with the given counter count.
-func NewAccumulator(size int) *Accumulator { return core.NewAccumulator(size) }
-
-// NewDetector builds an online phase detector.
-func NewDetector(kind DetectorKind, accSize, tableSize int, thBBV, thDDS float64) *Detector {
-	return core.NewDetector(kind, accSize, tableSize, thBBV, thDDS)
-}
-
-// Manhattan returns the L1 distance between two signature vectors.
-func Manhattan(a, b []float64) float64 { return core.Manhattan(a, b) }
-
-// ComputeDDS evaluates the paper's data distribution scalar.
-func ComputeDDS(i int, freq, contention []uint64, dist *DistanceMatrix, opt DDSOptions) (raw, normalized float64) {
-	return core.ComputeDDS(i, freq, contention, dist, opt)
-}
 
 // ClassifyRecorded replays footprint-table classification over recorded
 // signatures at the given thresholds.
@@ -134,9 +95,6 @@ func IdentifierCoV(phases []int, cpis []float64) (cov float64, numPhases int) {
 	return stats.IdentifierCoV(phases, cpis)
 }
 
-// LowerEnvelope reduces a sweep's point cloud to the presentation curve.
-func LowerEnvelope(pts []CurvePoint) Curve { return stats.LowerEnvelope(pts) }
-
 // ---- Simulation and experiments ----
 
 // MachineConfig describes the simulated DSM system (Table I defaults
@@ -152,47 +110,22 @@ type Summary = machine.Summary
 // DefaultMachineConfig returns the Table I system for a node count.
 func DefaultMachineConfig(procs int) MachineConfig { return machine.DefaultConfig(procs) }
 
-// ---- Coherence protocols ----
-//
-// The machine's coherence engine is pluggable behind the
-// coherence.Protocol seam: the line-granular directory-MSI engine
-// (the Table I default) and an IVY-style page-granular DSM backend.
-// Select a backend per simulation via RunConfig.Protocol or
-// MachineConfig.Protocol, or sweep the axis with WithProtocols.
-
-// ProtocolKind selects a coherence backend; the zero value is the
-// directory engine, so existing configurations are unchanged.
+// ProtocolKind selects a coherence backend (RunConfig.Protocol or
+// MachineConfig.Protocol): the line-granular directory MSI of Table I,
+// the zero value, or an IVY-style page-granular DSM.
 type ProtocolKind = coherence.Kind
 
-// Protocol kinds: the paper's line-granular directory MSI and the
-// IVY-style page-granular alternative.
-const (
-	ProtocolDirectory = coherence.KindDirectory
-	ProtocolIVY       = coherence.KindIVY
-)
+// ProtocolDirectory is the paper's line-granular directory MSI.
+const ProtocolDirectory = coherence.KindDirectory
 
 // ParseProtocolKind converts "directory" or "ivy" to a ProtocolKind.
 func ParseProtocolKind(name string) (ProtocolKind, error) { return coherence.ParseKind(name) }
 
-// ProtocolKinds returns every registered coherence backend.
-func ProtocolKinds() []ProtocolKind { return coherence.Kinds() }
-
 // RunConfig describes one simulation (workload, size, node count).
 type RunConfig = harness.RunConfig
 
-// SweepConfig describes a threshold sweep.
-type SweepConfig = harness.SweepConfig
-
 // CurveResult is one labelled CoV curve.
 type CurveResult = harness.CurveResult
-
-// ---- Sharded experiment engine ----
-
-// Cell is one independent experiment point of a Plan.
-type Cell = harness.Cell
-
-// Plan is an ordered list of experiment cells.
-type Plan = harness.Plan
 
 // CellResult is one cell's outcome, with per-cell error isolation.
 type CellResult = harness.CellResult
@@ -200,37 +133,11 @@ type CellResult = harness.CellResult
 // EngineOptions configures the parallel plan runner.
 type EngineOptions = harness.Options
 
-// NewPlan returns an empty experiment plan.
-func NewPlan() *Plan { return harness.NewPlan() }
-
-// RunPlan executes every cell of a plan across the worker pool and
-// returns results in plan order; worker count never changes the output.
-func RunPlan(p *Plan, opts EngineOptions) []CellResult { return harness.RunPlan(p, opts) }
-
-// Curves extracts the successful curves of a result set, in plan order.
-func Curves(results []CellResult) []CurveResult { return harness.Curves(results) }
-
-// FirstError returns the first failed cell's error, or nil.
-func FirstError(results []CellResult) error { return harness.FirstError(results) }
-
 // DeriveSeed deterministically derives a per-cell seed for multi-seed
 // sweeps, independent of enumeration order.
 func DeriveSeed(base uint64, workload string, procs, replicate int) uint64 {
 	return harness.DeriveSeed(base, workload, procs, replicate)
 }
-
-// NewETA returns a progress ETA estimator for Options.Progress hooks.
-func NewETA() *ETA { return harness.NewETA() }
-
-// ProgressPrinter returns a Progress callback printing per-cell
-// completions with timing and an ETA; use one per RunPlan or RunGrids
-// call.
-func ProgressPrinter(w io.Writer) func(done, total int, r CellResult) {
-	return harness.ProgressPrinter(w)
-}
-
-// ETA estimates remaining run time from completed cells.
-type ETA = harness.ETA
 
 // ---- Declarative experiments: Spec → Report ----
 
@@ -242,9 +149,6 @@ type Spec = harness.Spec
 // SpecOption configures a Spec (see the With* constructors).
 type SpecOption = harness.Option
 
-// Variant is one named machine configuration of an ablation grid.
-type Variant = harness.Variant
-
 // Configuration identifies one aggregated grid point of a Spec.
 type Configuration = harness.Configuration
 
@@ -253,12 +157,6 @@ type ConfigResult = harness.ConfigResult
 
 // Report is an executed Spec: per-configuration aggregated results.
 type Report = harness.Report
-
-// Band is a CoV curve with across-replicate 95% confidence bounds.
-type Band = stats.Band
-
-// BandPoint is one phase-budget point of a Band.
-type BandPoint = stats.BandPoint
 
 // Encoder renders a Report in one output format.
 type Encoder = harness.Encoder
@@ -289,32 +187,21 @@ func WithSeed(seed uint64) SpecOption { return harness.WithSeed(seed) }
 // mean ± 95% CI bands.
 func WithReplicates(n int) SpecOption { return harness.WithReplicates(n) }
 
-// WithProtocols sweeps the grid over coherence backends; empty keeps
-// the directory default.
-func WithProtocols(kinds ...ProtocolKind) SpecOption { return harness.WithProtocols(kinds...) }
-
 // WithTweak appends a named, cache-keyed machine variant (one ablation
 // grid row).
 func WithTweak(name, key string, tweak func(*MachineConfig)) SpecOption {
 	return harness.WithTweak(name, key, tweak)
 }
 
-// WithoutBaseline drops the implicit baseline variant from the grid.
-func WithoutBaseline() SpecOption { return harness.WithoutBaseline() }
-
 // WithPredictors selects the phase predictors of a tuning grid by name
 // ("last-phase", "markov", "run-length"); empty keeps the full registry.
 func WithPredictors(names ...string) SpecOption { return harness.WithPredictors(names...) }
 
 // WithControllers selects the tuning controllers of a tuning grid; empty
-// keeps DefaultControllers.
+// keeps the default controller axis.
 func WithControllers(specs ...ControllerSpec) SpecOption {
 	return harness.WithControllers(specs...)
 }
-
-// WithPhaseBudget bounds how many phases a tuning controller will trial;
-// detector thresholds are picked from the CoV curve within this budget.
-func WithPhaseBudget(budget float64) SpecOption { return harness.WithPhaseBudget(budget) }
 
 // NewEncoder returns the named Report encoder ("text", "csv", "json",
 // "markdown").
@@ -323,33 +210,16 @@ func NewEncoder(name, title string) (Encoder, error) { return harness.NewEncoder
 // EncoderNames returns the registered encoder names.
 func EncoderNames() []string { return harness.EncoderNames() }
 
-// AppsPanel returns a named application panel ("paper", "extended",
-// "adversarial").
-func AppsPanel(name string) ([]string, bool) { return harness.AppsPanel(name) }
-
-// ResolveApps expands a panel alias; empty resolves to the paper panel.
-func ResolveApps(apps []string) []string { return harness.ResolveApps(apps) }
-
 // Simulate runs one workload on the simulated machine. The returned
 // machine is released: its records, network and protocol statistics
 // stay readable, but its caches already serve the next simulation, so
 // it cannot run again or check coherence invariants.
 func Simulate(rc RunConfig) (*Machine, Summary, error) { return harness.Simulate(rc) }
 
-// RunCurve simulates one configuration and sweeps one detector over it.
-func RunCurve(rc RunConfig, kind DetectorKind) (CurveResult, error) {
-	return harness.RunCurve(rc, kind)
-}
-
 // SweepMachine sweeps a detector over an already-simulated machine, so
 // several detectors can be compared on the identical execution.
 func SweepMachine(m *Machine, rc RunConfig, kind DetectorKind, sum Summary) CurveResult {
 	return harness.SweepMachine(m, rc, kind, sum)
-}
-
-// Sweep classifies recorded signatures across threshold settings.
-func Sweep(recs [][]IntervalSignature, sc SweepConfig) []CurvePoint {
-	return harness.Sweep(recs, sc)
 }
 
 // WriteFigure prints a figure's curves in tabular form.
@@ -360,11 +230,6 @@ func WriteFigure(w io.Writer, title string, results []CurveResult) error {
 // CompareAtPhases reports each detector's CoV within a phase budget.
 func CompareAtPhases(bbv, ddv CurveResult, maxPhases float64) (bbvCoV, ddvCoV float64) {
 	return harness.CompareAtPhases(bbv, ddv, maxPhases)
-}
-
-// CompareAtCoV reports each detector's phase count at a CoV target.
-func CompareAtCoV(bbv, ddv CurveResult, targetCoV float64) (bbvPhases, ddvPhases float64) {
-	return harness.CompareAtCoV(bbv, ddv, targetCoV)
 }
 
 // ---- Workloads ----
@@ -410,10 +275,6 @@ type SpecWorkload = workloads.SpecWorkload
 // address trace (see docs for the JSONL schema).
 type TraceAccess = trace.Access
 
-// ParseWorkloadSpec parses and validates a workload DSL spec held in
-// memory; trace stanzas must carry inline records.
-func ParseWorkloadSpec(src []byte) (*SpecWorkload, error) { return workloads.ParseSpec(src) }
-
 // LoadWorkloadSpecFile reads and parses a spec file; trace file
 // references resolve relative to the spec's directory and are inlined,
 // so the result is self-contained.
@@ -425,10 +286,6 @@ func LoadWorkloadSpecFile(path string) (*SpecWorkload, error) { return workloads
 func WorkloadFromTrace(name, desc string, recs []TraceAccess) (*SpecWorkload, error) {
 	return workloads.FromTrace(name, desc, recs)
 }
-
-// WorkloadDefinitionHash returns the definition hash a dynamic
-// workload registered under, or 0 for built-ins and unknown names.
-func WorkloadDefinitionHash(name string) uint64 { return workloads.DefinitionHash(name) }
 
 // ReadAccessTrace reads an address-trace JSONL stream.
 func ReadAccessTrace(r io.Reader) ([]TraceAccess, error) { return trace.ReadAccessJSONL(r) }
@@ -472,53 +329,18 @@ func ReplayTuning(c *TuningController, phases []int, scores [][]float64) TuningO
 	return tuning.Replay(c, phases, scores)
 }
 
-// AdaptiveLoop couples a phase predictor with a tuning controller — the
-// complete detector → predictor → reconfiguration pipeline of §II. It
-// is driven online, one interval at a time, through AdaptiveLoop.Step;
-// Replay remains the offline convenience over recorded sequences.
-type AdaptiveLoop = tuning.AdaptiveLoop
-
-// AdaptiveOutcome extends TuningOutcome with prediction, win-rate and
-// convergence accounting.
-type AdaptiveOutcome = tuning.AdaptiveOutcome
-
-// NewAdaptiveLoop builds the predictive tuning loop.
-func NewAdaptiveLoop(c *TuningController, p Predictor) *AdaptiveLoop {
-	return tuning.NewAdaptiveLoop(c, p)
-}
-
-// PredictorByName constructs a fresh predictor by registry name
-// ("last-phase", "markov", "run-length").
-func PredictorByName(name string) (Predictor, error) { return predictor.ByName(name) }
-
-// PredictorNames returns the registered predictor names, sorted.
-func PredictorNames() []string { return predictor.Names() }
-
 // ---- Online adaptive tuning: Spec → TuningReport ----
 
 // ControllerSpec names one tuning-controller configuration of a tuning
 // grid (trial-and-error with TrialsPerConfig trials per setting).
 type ControllerSpec = harness.ControllerSpec
 
-// TuningConfiguration identifies one scorecard row: a grid
-// Configuration crossed with a predictor and a controller.
-type TuningConfiguration = harness.TuningConfiguration
-
-// TuningValue is one replicate's scorecard metrics.
-type TuningValue = harness.TuningValue
-
-// TuningMetric is one scorecard metric banded across replicates.
-type TuningMetric = harness.TuningMetric
-
-// TuningConfigResult is one scorecard row with replicate-banded metrics.
-type TuningConfigResult = harness.TuningConfigResult
-
 // TuningReport is an executed tuning grid: win-rate, regret,
 // convergence, accuracy and overhead per (variant, app, procs, detector,
 // predictor, controller), each mean ± 95% CI across replicates. Build a
-// Spec with WithPredictors/WithControllers/WithPhaseBudget, run it as a
-// NamedGrid with Tuning set through RunGrids, and aggregate the results
-// with Spec.AssembleTuning (or render them with NamedGrid.Encoder).
+// Spec with WithPredictors/WithControllers, run it as a NamedGrid with
+// Tuning set through RunGrids, and aggregate the results with
+// Spec.AssembleTuning (or render them with NamedGrid.Encoder).
 type TuningReport = harness.TuningReport
 
 // TuningEncoder renders a TuningReport in one output format.
@@ -529,13 +351,6 @@ type TuningEncoder = harness.TuningEncoder
 func NewTuningEncoder(name, title string) (TuningEncoder, error) {
 	return harness.NewTuningEncoder(name, title)
 }
-
-// TuningEncoderNames returns the registered tuning encoder names.
-func TuningEncoderNames() []string { return harness.TuningEncoderNames() }
-
-// DefaultControllers returns the default controller axis of a tuning
-// grid.
-func DefaultControllers() []ControllerSpec { return harness.DefaultControllers() }
 
 // DefaultPhaseBudget is the default tuning phase budget.
 const DefaultPhaseBudget = harness.DefaultPhaseBudget
@@ -553,10 +368,6 @@ func TuningCosts(recs []IntervalSignature) [][]float64 { return harness.TuningCo
 func OperatingPoint(c Curve, phaseBudget float64) (thBBV, thDDS float64) {
 	return harness.OperatingPoint(c, phaseBudget)
 }
-
-// CellHook is the engine's per-cell extension point (see
-// harness.CellHook); the tuning driver is built on it.
-type CellHook = harness.CellHook
 
 // ---- Cross-machine sharding: grids → shard artifacts → merged report ----
 //
@@ -577,16 +388,9 @@ type ShardArtifact = harness.ShardArtifact
 // ShardGrid is one experiment grid's shard within an artifact.
 type ShardGrid = harness.ShardGrid
 
-// ShardCell is one serialized cell result.
-type ShardCell = harness.ShardCell
-
-// TracedExtra is TraceHook's payload: recorded interval signatures
-// alongside the inner hook payload.
-type TracedExtra = harness.TracedExtra
-
 // NewShardGrid captures one Spec's shard results as an artifact grid;
-// tuning grids record their axes, and includeTrace serializes interval
-// records captured via TraceHook.
+// tuning grids record their axes, and includeTrace serializes the
+// interval records of a RunGrids run with trace set.
 func NewShardGrid(name string, s *Spec, results []CellResult, tuning, includeTrace bool) (ShardGrid, error) {
 	return harness.NewShardGrid(name, s, results, tuning, includeTrace)
 }
@@ -627,35 +431,13 @@ func MergeShards(s *Spec, name string, arts []*ShardArtifact) ([]CellResult, err
 // ParseShard parses a "-shard i/n" flag value.
 func ParseShard(v string) (shard, of int, err error) { return harness.ParseShard(v) }
 
-// TraceHook wraps a CellHook so every cell's payload also carries the
-// simulation's recorded interval signatures (persisted by shard
-// artifacts when trace capture is enabled).
-func TraceHook(inner CellHook) CellHook { return harness.TraceHook(inner) }
-
-// UnwrapExtra strips a TracedExtra wrapper from a cell payload.
-func UnwrapExtra(extra any) any { return harness.UnwrapExtra(extra) }
-
-// SeededProgressPrinter is ProgressPrinter with an ETA prior taken from
-// a previous run's persisted per-cell timings (see
-// ShardArtifact.MeanCellWall).
+// SeededProgressPrinter returns an EngineOptions.Progress callback that
+// prints one line per completed cell with its timing and an ETA. The
+// ETA starts from a previous run's persisted per-cell timings (see
+// ShardArtifact.MeanCellWall); zero arguments start it cold. Use one
+// printer per RunGrids call.
 func SeededProgressPrinter(w io.Writer, perCell time.Duration, cells int) func(done, total int, r CellResult) {
 	return harness.SeededProgressPrinter(w, perCell, cells)
-}
-
-// ---- Structured progress events ----
-
-// ProgressEvent is one structured per-cell progress notification —
-// the shared source behind the CLI's stderr printer and the
-// coordinator service's SSE stream.
-type ProgressEvent = harness.ProgressEvent
-
-// EventSink consumes ProgressEvents.
-type EventSink = harness.EventSink
-
-// ProgressEvents adapts an EventSink into an EngineOptions.Progress
-// callback, with an optional seeded ETA prior.
-func ProgressEvents(sink EventSink, perCell time.Duration, cells int) func(done, total int, r CellResult) {
-	return harness.ProgressEvents(sink, perCell, cells)
 }
 
 // ---- Named experiment grids ----
@@ -673,38 +455,25 @@ type NamedGrid = harness.NamedGrid
 // params) pair yields the same plan fingerprint on every machine.
 func BuildGrid(name string, gp GridParams) (NamedGrid, error) { return harness.BuildGrid(name, gp) }
 
-// GridNames returns the registered grid names, sorted.
-func GridNames() []string { return harness.GridNames() }
-
 // GridEncoder renders one grid's plan-ordered cell results in one
 // format (see NamedGrid.Encoder).
 type GridEncoder = harness.GridEncoder
 
 // RunGrids executes shard i of n of every grid (0 of 1 is the whole
-// plan) and returns each grid's plan-indexed results. It installs each
-// tuning grid's TuningHook, wraps hooks in TraceHook when trace is set,
-// and with a CellStream streams completed cells and resumes from the
-// ones ResumeCellStream recovered.
+// plan) and returns each grid's plan-indexed results. It drives each
+// tuning grid's online tuning loop, records every cell's interval
+// signatures when trace is set, and with a CellStream streams completed
+// cells and resumes from the ones ResumeCellStream recovered.
 func RunGrids(grids []NamedGrid, shard, of int, opts EngineOptions, trace bool, cs *CellStream) ([][]CellResult, int, error) {
 	return harness.RunGrids(grids, shard, of, opts, trace, cs)
 }
 
 // ---- Per-cell shard streaming (durability + resume) ----
 
-// CellStreamFormat is the versioned format tag of a cell stream.
-const CellStreamFormat = harness.CellStreamFormat
-
 // CellStream appends completed cells to a `.cells.jsonl` stream file
 // as they finish, so a run that dies mid-shard resumes from its last
 // completed cell.
 type CellStream = harness.CellStream
-
-// CellStreamHeader identifies the plan a grid's streamed cells belong
-// to.
-type CellStreamHeader = harness.CellStreamHeader
-
-// StreamedGrid is one grid's recovered stream.
-type StreamedGrid = harness.StreamedGrid
 
 // CellStreamPath derives the stream sibling's path from an artifact
 // path.
@@ -715,10 +484,4 @@ func CellStreamPath(artifact string) string { return harness.CellStreamPath(arti
 // stream from different flags is deleted and restarted reports it.
 func ResumeCellStream(path string, grids []NamedGrid, shard, of int) (cs *CellStream, restarted bool, err error) {
 	return harness.ResumeCellStream(path, grids, shard, of)
-}
-
-// ReadCellStream recovers a stream file's grids (tolerating a torn
-// tail).
-func ReadCellStream(path string) (map[string]*StreamedGrid, error) {
-	return harness.ReadCellStream(path)
 }

@@ -22,14 +22,13 @@ func quickRC(procs int) dsmphase.RunConfig {
 }
 
 func TestPublicQuickstartFlow(t *testing.T) {
-	bbv, err := dsmphase.RunCurve(quickRC(4), dsmphase.DetectorBBV)
+	rc := quickRC(4)
+	m, sum, err := dsmphase.Simulate(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddv, err := dsmphase.RunCurve(quickRC(4), dsmphase.DetectorBBVDDV)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bbv := dsmphase.SweepMachine(m, rc, dsmphase.DetectorBBV, sum)
+	ddv := dsmphase.SweepMachine(m, rc, dsmphase.DetectorBBVDDV, sum)
 	var buf bytes.Buffer
 	if err := dsmphase.WriteFigure(&buf, "quickstart", []dsmphase.CurveResult{bbv, ddv}); err != nil {
 		t.Fatal(err)
@@ -40,26 +39,6 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	b, d := dsmphase.CompareAtPhases(bbv, ddv, 25)
 	if d > b*1.1 {
 		t.Errorf("public API: DDV (%v) should not be worse than BBV (%v)", d, b)
-	}
-}
-
-func TestPublicDetectorAPI(t *testing.T) {
-	det := dsmphase.NewDetector(dsmphase.DetectorBBVDDV, 32, 32, 0.2, 0.3)
-	for i := 0; i < 100; i++ {
-		det.Acc.Instruction()
-		det.Acc.Branch(0x40)
-	}
-	p1, matched := det.EndInterval(1.0)
-	if matched {
-		t.Error("first interval must allocate")
-	}
-	for i := 0; i < 100; i++ {
-		det.Acc.Instruction()
-		det.Acc.Branch(0x40)
-	}
-	p2, matched := det.EndInterval(1.01)
-	if !matched || p2 != p1 {
-		t.Errorf("repeat interval = (%d, %v), want (%d, true)", p2, matched, p1)
 	}
 }
 

@@ -2,75 +2,22 @@ package dsmphase_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"dsmphase"
 )
 
-// Facade wrapper tests: every public function must route to the correct
-// internal implementation.
-
-func TestFacadeManhattan(t *testing.T) {
-	if got := dsmphase.Manhattan([]float64{1, 0}, []float64{0, 1}); got != 2 {
-		t.Errorf("Manhattan = %v, want 2", got)
-	}
-}
-
-func TestFacadeAccumulator(t *testing.T) {
-	a := dsmphase.NewAccumulator(16)
-	a.Instruction()
-	a.Branch(0x40)
-	if a.Total() != 2 {
-		t.Errorf("Total = %d", a.Total())
-	}
-}
-
-func TestFacadeComputeDDS(t *testing.T) {
-	m, _, err := dsmphase.Simulate(quickRC(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := m.Distance()
-	raw, norm := dsmphase.ComputeDDS(0, []uint64{10, 0}, []uint64{10, 0}, dist, dsmphase.DDSOptions{})
-	if raw <= 0 || norm <= 0 {
-		t.Errorf("DDS = (%v, %v)", raw, norm)
-	}
-}
-
-func TestFacadeIdentifierCoVAndEnvelope(t *testing.T) {
-	cov, n := dsmphase.IdentifierCoV([]int{0, 0, 1}, []float64{1, 1, 2})
-	if cov != 0 || n != 2 {
-		t.Errorf("IdentifierCoV = (%v, %d)", cov, n)
-	}
-	env := dsmphase.LowerEnvelope([]dsmphase.CurvePoint{{Phases: 1, CoV: 0.5}, {Phases: 2, CoV: 0.1}})
-	if len(env.Points) != 2 {
-		t.Errorf("envelope has %d points", len(env.Points))
-	}
-}
-
-func TestFacadeWSSSignature(t *testing.T) {
-	var s dsmphase.WSSignature
-	s.Touch(0x1000)
-	if s.Population() != 1 {
-		t.Errorf("population = %d", s.Population())
-	}
-}
-
-func TestFacadeSweep(t *testing.T) {
-	m, _, err := dsmphase.Simulate(quickRC(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := dsmphase.Sweep(m.RecordsByProc(), dsmphase.SweepConfig{
-		Kind:          dsmphase.DetectorWSS,
-		BBVThresholds: []float64{0.1, 0.5},
-	})
-	if len(pts) != 2 {
-		t.Errorf("sweep produced %d points, want 2", len(pts))
-	}
-}
+// Facade tests: the public flows route to their internal
+// implementations, and the facade exports nothing without a user.
 
 func TestFacadeFigures(t *testing.T) {
 	gp := dsmphase.GridParams{
@@ -104,38 +51,6 @@ func TestFacadeFigures(t *testing.T) {
 	if !strings.Contains(buf.String(), "lu 8P") {
 		t.Error("figure output missing curve label")
 	}
-	bp, dp := dsmphase.CompareAtCoV(fig4[0], fig4[1], 0.5)
-	if bp < 0 || dp < 0 {
-		t.Errorf("CompareAtCoV = (%v, %v)", bp, dp)
-	}
-}
-
-func TestFacadeClassifyRecordedWSSKind(t *testing.T) {
-	m, _, err := dsmphase.Simulate(quickRC(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := m.RecordsByProc()[0]
-	ids := dsmphase.ClassifyRecorded(dsmphase.DetectorWSS, 32, 0.3, 0, recs)
-	if len(ids) != len(recs) {
-		t.Errorf("got %d ids for %d records", len(ids), len(recs))
-	}
-}
-
-func TestFacadeAdaptiveLoop(t *testing.T) {
-	phases := []int{0, 0, 1, 1, 0, 0, 1, 1}
-	scores := [][]float64{
-		{1, 1, 2, 2, 1, 1, 2, 2},
-		{2, 2, 1, 1, 2, 2, 1, 1},
-	}
-	loop := dsmphase.NewAdaptiveLoop(dsmphase.NewTuningController(2, 1), dsmphase.NewLastPhasePredictor())
-	out := loop.Replay(phases, scores)
-	if out.Intervals != 8 {
-		t.Errorf("intervals = %d", out.Intervals)
-	}
-	if out.PredictionAccuracy < 0 || out.PredictionAccuracy > 1 {
-		t.Errorf("accuracy = %v", out.PredictionAccuracy)
-	}
 }
 
 func TestFacadePredictors(t *testing.T) {
@@ -153,16 +68,9 @@ func TestFacadePredictors(t *testing.T) {
 }
 
 // TestFacadeRunTuning exercises the public closed-loop surface: the
-// predictor registry, the tuning Spec axes, a tuning grid through
-// RunGrids and AssembleTuning, and a tuning encoder, end to end on a
-// real tiny simulation.
+// tuning Spec axes, a tuning grid through RunGrids and AssembleTuning,
+// and a tuning encoder, end to end on a real tiny simulation.
 func TestFacadeRunTuning(t *testing.T) {
-	if _, err := dsmphase.PredictorByName("markov"); err != nil {
-		t.Fatal(err)
-	}
-	if names := dsmphase.PredictorNames(); len(names) != 3 {
-		t.Fatalf("PredictorNames = %v", names)
-	}
 	spec := dsmphase.NewSpec(
 		dsmphase.WithApps("lu"),
 		dsmphase.WithProcs(2),
@@ -170,7 +78,6 @@ func TestFacadeRunTuning(t *testing.T) {
 		dsmphase.WithInterval(20_000),
 		dsmphase.WithPredictors("last-phase"),
 		dsmphase.WithControllers(dsmphase.ControllerSpec{Name: "trial-1", TrialsPerConfig: 1}),
-		dsmphase.WithPhaseBudget(dsmphase.DefaultPhaseBudget),
 	)
 	results, _, err := dsmphase.RunGrids([]dsmphase.NamedGrid{{Name: "tuning", Tuning: true, Spec: spec}},
 		0, 1, dsmphase.EngineOptions{Parallel: 2}, false, nil)
@@ -202,42 +109,23 @@ func TestFacadeRunTuning(t *testing.T) {
 	if !strings.Contains(buf.String(), "| baseline | lu | 2 | BBV | last-phase | trial-1 |") {
 		t.Errorf("scorecard row missing:\n%s", buf.String())
 	}
-	if len(dsmphase.TuningEncoderNames()) != 4 {
-		t.Errorf("TuningEncoderNames = %v", dsmphase.TuningEncoderNames())
-	}
 }
 
 // TestFacadeTuningCostModel checks the exported cost-model helpers.
 func TestFacadeTuningCostModel(t *testing.T) {
-	m, _, err := dsmphase.Simulate(quickRC(2))
+	rc := quickRC(2)
+	m, sum, err := dsmphase.Simulate(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := m.RecordsByProc()[0]
-	costs := dsmphase.TuningCosts(recs)
+	costs := dsmphase.TuningCosts(m.RecordsByProc()[0])
 	if len(costs) != dsmphase.TuningHardwareConfigs {
 		t.Fatalf("%d cost rows, want %d", len(costs), dsmphase.TuningHardwareConfigs)
 	}
-	c, err := dsmphase.RunCurve(quickRC(2), dsmphase.DetectorBBV)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dsmphase.SweepMachine(m, rc, dsmphase.DetectorBBV, sum)
 	thBBV, _ := dsmphase.OperatingPoint(c.Curve, dsmphase.DefaultPhaseBudget)
 	if thBBV <= 0 {
 		t.Errorf("operating threshold = %v", thBBV)
-	}
-}
-
-func TestFacadeRunCurveWSS(t *testing.T) {
-	c, err := dsmphase.RunCurve(quickRC(2), dsmphase.DetectorWSS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Curve.Points) == 0 {
-		t.Error("empty WSS curve")
-	}
-	if !strings.Contains(c.Label(), "WSS") {
-		t.Errorf("label = %q", c.Label())
 	}
 }
 
@@ -260,11 +148,79 @@ func TestFacadeDetectorKinds(t *testing.T) {
 	for kind, want := range map[dsmphase.DetectorKind]string{
 		dsmphase.DetectorBBV:    "BBV",
 		dsmphase.DetectorBBVDDV: "BBV+DDV",
-		dsmphase.DetectorDDS:    "DDS",
-		dsmphase.DetectorWSS:    "WSS",
 	} {
 		if kind.String() != want {
 			t.Errorf("kind %d = %q, want %q", kind, kind.String(), want)
 		}
+	}
+}
+
+// TestFacadeHasUsers keeps dsmphase.go sized to its callers. Every
+// exported identifier must be written as dsmphase.X in a command
+// (cmd/), an example program, a godoc example (example_test.go) or a
+// documentation page (README.md, DESIGN.md, docs/*.md,
+// examples/*/README.md), or be named by the declaration of one that
+// is. This file and dsmphase_test.go are not users: a re-export whose
+// only caller is its own test belongs in the internal package.
+func TestFacadeHasUsers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "dsmphase.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mentions maps each exported identifier to the identifiers its
+	// declaration names; a qualified name (harness.X) is internal.
+	mentions := map[string][]string{}
+	for name, obj := range f.Scope.Objects {
+		if !ast.IsExported(name) {
+			continue
+		}
+		ast.Inspect(obj.Decl.(ast.Node), func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				mentions[name] = append(mentions[name], id.Name)
+			}
+			_, qualified := n.(*ast.SelectorExpr)
+			return !qualified
+		})
+	}
+
+	used := map[string]bool{}
+	ref := regexp.MustCompile(`dsmphase\.([A-Z]\w*)`)
+	for _, pattern := range []string{"cmd/*/*.go", "examples/*/*.go", "example_test.go",
+		"README.md", "DESIGN.md", "docs/*.md", "examples/*/README.md"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range ref.FindAllSubmatch(src, -1) {
+				used[string(m[1])] = true
+			}
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for name := range used {
+			for _, m := range mentions[name] {
+				if _, exported := mentions[m]; exported && !used[m] {
+					used[m], grew = true, true
+				}
+			}
+		}
+	}
+
+	var unused []string
+	for name := range mentions {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("dsmphase.go exports %d identifiers with no user; delete them or call the internal package: %s",
+			len(unused), strings.Join(unused, " "))
 	}
 }

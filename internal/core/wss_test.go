@@ -164,6 +164,9 @@ func TestClassifyRecordedWSSDispatch(t *testing.T) {
 	}
 	sigs := []IntervalSignature{mk(0x1000), mk(0x1000), mk(0x90000)}
 	ids := ClassifyRecorded(DetectorWSS, 4, 0.2, 0, sigs)
+	if len(ids) != len(sigs) {
+		t.Fatalf("got %d ids for %d signatures", len(ids), len(sigs))
+	}
 	if ids[0] != ids[1] {
 		t.Error("identical working sets must share a phase")
 	}

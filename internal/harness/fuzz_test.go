@@ -21,6 +21,7 @@ func FuzzReadShardArtifact(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
+	f.Add(append(append([]byte{}, golden...), golden...))
 	f.Add([]byte(`{"format":"` + ShardFormat + `","shard":0,"of":1,"grids":[{"name":"golden","results":[{"index":0,"trace_ref":0}]}]}`))
 	// The spec shard.golden was written from (TestGoldenShardArtifact).
 	spec := NewSpec(WithApps("fmm"), WithProcs(2), WithSize(workloads.SizeTest), WithInterval(20_000))

@@ -107,7 +107,11 @@ func TestGoldenTuningEncoders(t *testing.T) {
 	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range TuningEncoderNames() {
+	names := TuningEncoderNames()
+	if goldens, _ := filepath.Glob("testdata/tuning.*.golden"); len(goldens) != len(names) {
+		t.Errorf("tuning encoders %v do not match the golden files %v", names, goldens)
+	}
+	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			enc, err := NewTuningEncoder(name, "golden tuning grid")

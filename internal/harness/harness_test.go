@@ -72,6 +72,11 @@ func TestSweepProducesPointPerThresholdSetting(t *testing.T) {
 			t.Errorf("negative CoV %v", p.CoV)
 		}
 	}
+	// The WSS baseline sweeps its relative distance on the same axis.
+	sc.Kind = core.DetectorWSS
+	if wss := Sweep(m.RecordsByProc(), sc); len(wss) != 3 {
+		t.Errorf("WSS sweep produced %d points, want 3", len(wss))
+	}
 }
 
 func TestSweepHugeThresholdSinglePhase(t *testing.T) {
@@ -119,21 +124,26 @@ func TestDefaultSweepShapes(t *testing.T) {
 }
 
 func TestRunCurveEndToEnd(t *testing.T) {
-	c, err := RunCurve(quickRun(t, "art", 2), core.DetectorBBV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Curve.Points) == 0 {
-		t.Fatal("empty curve")
-	}
-	if c.Label() != "art 2P BBV" {
-		t.Errorf("label = %q", c.Label())
-	}
-	// Envelope is monotone: increasing phases, decreasing CoV.
-	pts := c.Curve.Points
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Phases <= pts[i-1].Phases || pts[i].CoV >= pts[i-1].CoV {
-			t.Errorf("envelope not monotone at %d: %+v -> %+v", i, pts[i-1], pts[i])
+	for kind, label := range map[core.DetectorKind]string{
+		core.DetectorBBV: "art 2P BBV",
+		core.DetectorWSS: "art 2P WSS",
+	} {
+		c, err := RunCurve(quickRun(t, "art", 2), kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Curve.Points) == 0 {
+			t.Fatalf("%s: empty curve", label)
+		}
+		if c.Label() != label {
+			t.Errorf("label = %q, want %q", c.Label(), label)
+		}
+		// Envelope is monotone: increasing phases, decreasing CoV.
+		pts := c.Curve.Points
+		for i := 1; i < len(pts); i++ {
+			if pts[i].Phases <= pts[i-1].Phases || pts[i].CoV >= pts[i-1].CoV {
+				t.Errorf("%s: envelope not monotone at %d: %+v -> %+v", label, i, pts[i-1], pts[i])
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -593,10 +594,42 @@ func ReadShardArtifactFiles(paths []string) ([]*ShardArtifact, error) {
 	return arts, nil
 }
 
-// ReadShardArtifact deserializes and version-checks one artifact.
+// DecodeOne decodes the one JSON value r holds into v. Trailing
+// whitespace is accepted; anything else after the value (a torn
+// append, a second value) is an error. The tail is checked as it
+// streams, so whitespace padding is never buffered.
+func DecodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	tail := io.MultiReader(dec.Buffered(), r)
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := tail.Read(buf)
+		// JSON has four whitespace bytes; counting each one is a
+		// vectorized pass, so a padded tail streams at memory speed.
+		space := 0
+		for _, c := range []byte(" \t\r\n") {
+			space += bytes.Count(buf[:n], []byte{c})
+		}
+		if space != n {
+			return errors.New("trailing data after the JSON value")
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// ReadShardArtifact deserializes and version-checks one artifact, the
+// only value of r.
 func ReadShardArtifact(r io.Reader) (*ShardArtifact, error) {
 	var a ShardArtifact
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
+	if err := DecodeOne(r, &a); err != nil {
 		return nil, fmt.Errorf("harness: reading shard artifact: %w", err)
 	}
 	if a.Format != ShardFormat {

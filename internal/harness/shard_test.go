@@ -472,6 +472,31 @@ func TestGoldenShardArtifact(t *testing.T) {
 	}
 }
 
+// TestReadShardArtifactTrailingData pins that an artifact file holds
+// one artifact: a torn append or a second artifact after it is an
+// error, trailing whitespace is not.
+func TestReadShardArtifactTrailingData(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "shard.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func(tail string) []byte { return append(append([]byte{}, golden...), tail...) }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"torn append", join(`{"garbage": tru`), false},
+		{"two artifacts", join(string(golden)), false},
+		{"trailing newlines", join("\n\n"), true},
+	} {
+		_, err := ReadShardArtifact(bytes.NewReader(tc.data))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestETASeed checks the prior blend: before any completion a seeded
 // ETA extrapolates from the prior alone, and the prior's weight fades
 // as real completions accumulate.

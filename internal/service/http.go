@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"dsmphase/internal/harness"
 )
 
 // The HTTP surface. Everything is JSON except the report (the encoder
@@ -49,7 +51,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("job request of %d bytes exceeds the limit of %d", r.ContentLength, maxRequestBytes))
 		return
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	if err := harness.DecodeOne(http.MaxBytesReader(w, r.Body, maxRequestBytes), &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
 		return
 	}

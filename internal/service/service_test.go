@@ -519,6 +519,9 @@ func TestSubmitValidation(t *testing.T) {
 	if code := post(strings.NewReader(`{"grid":"figure2","size":"test","apps":["lu"],"shards":1000000000}`)); code != http.StatusBadRequest {
 		t.Fatalf("a billion shards: status %d, want 400", code)
 	}
+	if code := post(strings.NewReader(`{"grid":"figure2","size":"test","apps":["lu"]} {"grid":`)); code != http.StatusBadRequest {
+		t.Fatalf("a request followed by junk: status %d, want 400", code)
+	}
 	var names []string
 	for i := 0; i < 100_000; i++ {
 		names = append(names, fmt.Sprintf("app%d", i))
@@ -532,7 +535,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 
 	// Body size is judged on the declared length, so these bodies are
-	// a small request padded with whitespace the decoder never reads.
+	// a small request padded with whitespace: an oversized one is
+	// rejected before a byte is read, and an accepted one's padding
+	// streams through the trailing-data check.
 	submit := func(size int64) (code int, read int64) {
 		t.Helper()
 		body := &countingReader{r: io.MultiReader(strings.NewReader(`{"grid":"figure2","size":"test","apps":["lu"],"interval":20000}`),
@@ -564,8 +569,11 @@ func TestSubmitValidation(t *testing.T) {
 type fillReader byte
 
 func (f fillReader) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(f)
+	if len(p) > 0 {
+		p[0] = byte(f)
+		for n := 1; n < len(p); n *= 2 {
+			copy(p[n:], p[:n])
+		}
 	}
 	return len(p), nil
 }
