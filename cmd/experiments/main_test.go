@@ -23,6 +23,44 @@ func report(t *testing.T, extra ...string) string {
 	return out.String()
 }
 
+var updateWorkloadSmoke = flag.Bool("update", false, "rewrite testdata/workload_smoke.golden")
+
+// TestWorkloadSmokeGolden runs the workload-definition front ends end to
+// end: two committed DSL spec files and one ingested trace go through
+// the real CLI, and the report must match the pinned golden byte for
+// byte, so the DSL compiler, the trace replayer and dynamic
+// registration cannot drift silently. -update re-pins the golden after
+// an intentional change to the example specs or the report format.
+func TestWorkloadSmokeGolden(t *testing.T) {
+	example := func(parts ...string) string {
+		return filepath.Join(append([]string{"..", "..", "examples"}, parts...)...)
+	}
+	args := []string{"-size", "test", "-interval", "16000", "-grids", "figure2",
+		"-workload-file", example("adversarial_phases", "oscillate.wdl"),
+		"-workload-file", example("adversarial_phases", "drift.wdl"),
+		"-workload-file", example("trace_ingest", "pingpong.wdl"),
+		"-apps", "oscillate,drift,pingpong"}
+	var out, errOut bytes.Buffer
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("run(%v): %v (stderr: %s)", args, err, errOut.String())
+	}
+	golden := filepath.Join("testdata", "workload_smoke.golden")
+	if *updateWorkloadSmoke {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("workload report differs from %s (go test ./cmd/experiments -run TestWorkloadSmokeGolden -update re-pins it):\n--- want ---\n%s\n--- got ---\n%s",
+			golden, want, out.String())
+	}
+}
+
 // TestParallelReportByteIdentical is the determinism acceptance check:
 // the markdown report must be byte-identical whatever the worker count.
 func TestParallelReportByteIdentical(t *testing.T) {

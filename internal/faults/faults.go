@@ -12,9 +12,9 @@
 // corrupt.go double as the disk-cache fault («corrupt cache entry»)
 // for campaign harnesses.
 //
-// The package deliberately mirrors internal/wdlfuzz's shape:
-// deterministic seeded schedules, oracle-checked campaigns
-// (service.RunChaos), reproducible by seed alone.
+// Schedules are deterministic and seeded, campaigns are checked by an
+// oracle (service.RunChaos), and a campaign reproduces from its seed
+// alone.
 package faults
 
 import (

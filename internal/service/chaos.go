@@ -14,7 +14,7 @@ import (
 	"dsmphase/internal/rng"
 )
 
-// The chaos campaign: internal/wdlfuzz's shape applied to the service.
+// The chaos campaign: seeded, oracle-checked fault schedules for the service.
 // RunChaos derives K seeded fault schedules from one campaign seed,
 // runs each against a fresh coordinator whose workers are wrapped in
 // the internal/faults injection plane, and holds every terminal job to

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dsmphase/internal/coherence"
 	"dsmphase/internal/core"
 	"dsmphase/internal/machine"
 )
@@ -112,6 +113,39 @@ func TestAdversarialSpecsDegradeDetector(t *testing.T) {
 	if baseRun, driRun := longestRun(base), longestRun(dri); driRun*4 > baseRun {
 		t.Errorf("drift's longest stable run is %d intervals vs lu's %d; want <1/4", driRun, baseRun)
 	}
+}
+
+// TestFuzzFoundReproducers pins the frozen examples/fuzz_found corpus at
+// the bars its specs were committed at. oscillate-f2 and drift-f10
+// destabilize the detector: at least twice lu's BBV switch rate at the
+// thresholds above. drift-f13's spread, all-store random block makes
+// page-granular IVY's activity (faults, transfers, page invalidations)
+// at least 32x the directory's line-level activity (remote trips,
+// invalidations); both backends commit the same instruction stream, so
+// raw counts compare as rates.
+func TestFuzzFoundReproducers(t *testing.T) {
+	const interval = 2_000
+	baseRate := switchRate(classifyPhases(t, "lu", interval))
+	for _, name := range []string{"oscillate-f2", "drift-f10"} {
+		t.Run(name+".wdl", func(t *testing.T) {
+			loadExample(t, "fuzz_found", name+".wdl")
+			if rate := switchRate(classifyPhases(t, name, interval)); rate < 2*baseRate {
+				t.Errorf("switch rate %.2f (lu: %.2f); want >=2x lu", rate, baseRate)
+			}
+		})
+	}
+	t.Run("drift-f13.wdl", func(t *testing.T) {
+		const n = 4
+		loadExample(t, "fuzz_found", "drift-f13.wdl")
+		dir := runProtocol(t, "drift-f13", n, coherence.KindDirectory)
+		ivy := runProtocol(t, "drift-f13", n, coherence.KindIVY)
+		dirEvents := dir.RemoteTrips + dir.Invalidations
+		ivyEvents := ivy.PageFaults + ivy.PageTransfers + ivy.PageInvalidations
+		if ivyEvents <= dirEvents || ivyEvents < 32*dirEvents {
+			t.Errorf("ivy page events %d vs directory line events %d; want IVY the larger side by >=32x",
+				ivyEvents, dirEvents)
+		}
+	})
 }
 
 // TestTraceIngestExample runs the committed example capture end to end:
