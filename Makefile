@@ -3,11 +3,15 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-e2e-smoke bench-check bench-ab golden golden-update shard-smoke service-smoke fuzz-smoke coherence-race resilience-race chaos-smoke ci
+.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-e2e-smoke bench-check bench-ab golden-update shard-smoke service-smoke fuzz-smoke chaos-smoke ci
 
 build:
 	$(GO) build ./...
 
+# Every test under the race detector. It carries the byte-identity
+# gates (every encoder, shard and stream golden, the merge and -parallel
+# identities), both coherence backends with their conformance suite, and
+# the coordinator and fault plane.
 test:
 	$(GO) test -race ./...
 
@@ -105,21 +109,6 @@ service-smoke:
 	diff "$$tmp/direct.md" "$$tmp/cached.md"; \
 	echo "service-smoke: served and cached reports byte-identical to direct run"
 
-# The byte-identity gates: every Report and TuningReport encoder
-# against its golden file (the TestGolden pattern covers both
-# families, plus the shard artifact), the replicates=1 Spec output
-# against the legacy figure tables, shard-set merges against the
-# unsharded run (all encoders, tuning included), and the
-# cmd/experiments output — the tuning scorecard, the shard+merge path,
-# and every grid under every -format — across worker counts, all under
-# -race. Last, every built-in workload's per-batch instruction stream
-# against its digest golden; that test is single-goroutine, so it runs
-# without -race (which would make it ten times slower for nothing).
-golden:
-	$(GO) test -race -run 'TestGolden|TestSpecLegacyByteIdentity|TestMergeByteIdentity|TestMergeTuningByteIdentity' ./internal/harness
-	$(GO) test -race -run 'TestParallelReportByteIdentical|TestTuningScorecardDeterministic|TestShardMergeByteIdentity|TestFormatMatchesMergeAndSpec' ./cmd/experiments
-	$(GO) test -run 'TestStreamDigests' ./internal/workloads
-
 # Regenerate the golden files (report and tuning encoders, shard
 # artifact, workload stream digests) after an intentional format or
 # stream change; remember to update docs/MERGE_FORMAT.md when the shard
@@ -180,23 +169,6 @@ fuzz-smoke:
 	done; \
 	echo "fuzz-smoke: trace decoders, trace ingestion, spec parsing, job requests, shard artifacts and cell streams fuzzed clean"
 
-# The protocol seam's dedicated gate: both coherence backends (the
-# conformance suite included), the caches they recycle (storage carved
-# per set on first fill, checked against a dense oracle), the machine
-# layer that selects between them (with the directory invariants checked
-# at every interval end), and the harness test that recycles caches
-# across concurrent simulations and evicting runs (the pool's Get/Put
-# under RunPlan's workers), under the race detector.
-coherence-race:
-	$(GO) test -race ./internal/cache/... ./internal/coherence/... ./internal/machine/...
-	$(GO) test -race -run 'TestSimulateRecyclesCaches' ./internal/harness
-
-# The resilience seam's dedicated gate: the coordinator and the fault
-# plane under the race detector — retries, quarantine, degraded
-# synthesis and the chaos campaign all cross goroutines.
-resilience-race:
-	$(GO) test -race ./internal/service/... ./internal/faults/...
-
 # End-to-end smoke of the fault-injection plane through the real CLI:
 # a fixed-seed chaos campaign (recovery schedules must complete
 # byte-identical, hostile schedules must degrade marking exactly the
@@ -208,4 +180,4 @@ chaos-smoke:
 	$(GO) build -o "$$tmp/dsmphased" ./cmd/dsmphased && \
 	"$$tmp/dsmphased" -chaos 4 -chaos-seed 1 -data "$$tmp/data" -experiments "$$tmp/experiments" > "$$tmp/chaos.json"
 
-ci: build fmt-check vet test coherence-race resilience-race bench bench-smoke bench-e2e-smoke bench-check golden shard-smoke fuzz-smoke service-smoke chaos-smoke
+ci: build fmt-check vet test bench bench-smoke bench-e2e-smoke bench-check shard-smoke fuzz-smoke service-smoke chaos-smoke

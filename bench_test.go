@@ -284,9 +284,10 @@ func BenchmarkFigureEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRecordCache quantifies the memoizing record cache: the
-// same four-detector sweep with the cache (one simulation shared by all
-// kinds) versus defeated (distinct seeds force four simulations).
+// BenchmarkEngineRecordCache quantifies the engine's one job per
+// simulation: the same four-detector sweep sharing one simulation (one
+// job sweeps all kinds, then drops the machine) versus defeated
+// (distinct seeds force four simulations).
 func BenchmarkEngineRecordCache(b *testing.B) {
 	kinds := []core.DetectorKind{
 		core.DetectorWSS, core.DetectorBBV, core.DetectorDDS, core.DetectorBBVDDV,

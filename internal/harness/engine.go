@@ -17,9 +17,10 @@ import (
 // The sharded experiment engine. A figure or study is a Plan of
 // independent cells — one (workload, procs, seed, detector, tweak)
 // point each — and RunPlan executes the plan across a bounded worker
-// pool. Cells that share a simulation (the same execution swept by
-// different detectors, as in Figure 4) are deduplicated through a
-// memoizing record cache, so BBV and BBV+DDV sweeps reuse one machine
+// pool. The unit of work is a distinct simulation, not a cell: cells
+// that share one (the same execution swept by different detectors, as
+// in Figure 4) form one job, which runs the machine once, sweeps every
+// cell of the group and drops the machine, so BBV and BBV+DDV sweep one
 // run exactly as the serial harness did. Results are aggregated in plan
 // order regardless of completion order, which — together with the
 // deterministic simulator — makes the engine's output independent of
@@ -32,11 +33,11 @@ type Cell struct {
 	Run RunConfig
 	// Kind selects the detector swept over the recording.
 	Kind core.DetectorKind
-	// TweakKey names Run.Tweak for the record cache. Cells whose
-	// RunConfigs agree on (Workload, Size, Procs, Interval, Seed) and on
+	// TweakKey names Run.Tweak for the engine. Cells whose RunConfigs
+	// agree on (Workload, Size, Procs, Interval, Seed, Protocol) and on
 	// TweakKey share one simulation. A cell with a non-nil Tweak and an
 	// empty TweakKey is never shared, because the function's effect is
-	// unknown to the cache.
+	// unknown to the engine.
 	TweakKey string
 }
 
@@ -49,7 +50,8 @@ func (c Cell) Label() string {
 	return fmt.Sprintf("%s %dP %s", c.Run.Workload, c.Run.Procs, c.Kind)
 }
 
-// simKey is the record-cache identity of a cell's simulation half.
+// simKey is the identity of a cell's simulation half: the engine runs
+// one simulation per distinct key, and shards partition by it.
 type simKey struct {
 	workload string
 	size     workloads.Size
@@ -60,7 +62,7 @@ type simKey struct {
 	tweak    string
 }
 
-// simKeyAt returns the cell's cache key; idx uniquifies cells whose
+// simKeyAt returns the cell's simulation key; idx uniquifies cells whose
 // Tweak cannot be identified.
 func (c Cell) simKeyAt(idx int) simKey {
 	k := simKey{
@@ -108,9 +110,8 @@ func (p *Plan) Cells() []Cell { return p.cells }
 // Len returns the number of cells.
 func (p *Plan) Len() int { return len(p.cells) }
 
-// Simulations returns the number of distinct machine runs the record
-// cache will perform for this plan (the denominator of the memoization
-// saving).
+// Simulations returns the number of distinct machine runs the engine
+// performs for this plan (the denominator of the sharing saving).
 func (p *Plan) Simulations() int {
 	seen := make(map[simKey]bool, len(p.cells))
 	for i, c := range p.cells {
@@ -144,10 +145,10 @@ type CellResult struct {
 	Curve CurveResult
 	// Err is the cell's simulation error, if any.
 	Err error
-	// Wall is the cell's wall-clock time (simulation — or the wait on a
-	// sibling's shared simulation — plus the sweep). It is the one field
-	// that varies across identical runs; determinism comparisons must
-	// ignore it and encoders must not emit it.
+	// Wall is the cell's wall-clock time: its sweep and hook, plus the
+	// simulation for the first cell of the simulation's group. It is the
+	// one field that varies across identical runs; determinism
+	// comparisons must ignore it and encoders must not emit it.
 	Wall time.Duration
 	// Extra carries the Options.Hook return value, if a hook ran; nil
 	// otherwise. Report encoders never emit it — hook-derived data gets
@@ -159,10 +160,10 @@ type CellResult struct {
 // the live simulation, not just the swept curve: it runs in the worker
 // after the cell's sweep, while the cell's (possibly shared) machine is
 // still resident, and its return value is stored in CellResult.Extra.
-// Cells sharing one simulation run their hooks concurrently on the same
-// machine, so hooks must treat it as read-only (the recorded interval
-// signatures are safe to read). Hooks must be deterministic for the
-// engine's output to stay worker-count independent.
+// Cells sharing one simulation run their hooks one after another on the
+// same machine, so hooks must treat it as read-only (the recorded
+// interval signatures are safe to read). Hooks must be deterministic
+// for the engine's output to stay worker-count independent.
 type CellHook func(c Cell, m *machine.Machine, curve CurveResult, sum machine.Summary) any
 
 // Options configures a plan run.
@@ -171,85 +172,53 @@ type Options struct {
 	Parallel int
 	// Progress, if non-nil, is called once per completed cell, with done
 	// counting completions (1..total). Calls are serialized; done is
-	// monotone but cells complete in execution order, not plan order.
+	// monotone but cells complete in execution order, not plan order:
+	// the cells of one simulation complete consecutively.
 	Progress func(done, total int, r CellResult)
 	// Hook, if non-nil, runs for every successfully swept cell while its
 	// simulation is still resident; see CellHook.
 	Hook CellHook
 }
 
-// simEntry memoizes one simulation shared by several cells. The first
-// worker to reach the entry runs the machine; the rest block on the
-// Once and then sweep the shared records (sweeps only read them). refs
-// counts the cells still needing the machine: the last release drops
-// it, so a long plan's peak memory is bounded by the in-flight
-// simulations rather than every simulation it ever ran.
-type simEntry struct {
-	once sync.Once
-	m    *machine.Machine
-	sum  machine.Summary
-	err  error
-
-	mu   sync.Mutex
-	refs int
+// task is one cell queued on the engine: the cell, the plan index its
+// result reports, the hook its grid installs, the slot its result lands
+// in, and the grid whose stream section it belongs to.
+type task struct {
+	cell  Cell
+	index int
+	hook  CellHook
+	out   *CellResult
+	grid  string
 }
 
-func (e *simEntry) simulate(rc RunConfig) (*machine.Machine, machine.Summary, error) {
-	e.once.Do(func() {
-		e.m, e.sum, e.err = Simulate(rc)
-	})
-	return e.m, e.sum, e.err
-}
-
-// release drops one cell's claim on the machine. Callers must not use
-// the returned machine after releasing.
-func (e *simEntry) release() {
-	e.mu.Lock()
-	e.refs--
-	if e.refs <= 0 {
-		e.m = nil
+// runTasks is the engine loop behind RunPlan and RunGrids. A distinct
+// simulation is the unit of work: tasks group by simKey (an unkeyed
+// Tweak keyed by its task position, so it never shares), and one job
+// simulates once, sweeps the group's cells in task order, runs each
+// cell's hook and drops the machine before taking the next job, so at
+// most `parallel` machines are ever resident and a simulation's cells
+// complete consecutively. progress runs serialized after each cell,
+// with *t.out already filled.
+func runTasks(tasks []task, parallel int, progress func(done, total int, t *task)) {
+	groupOf := make(map[simKey]int, len(tasks))
+	var groups [][]int
+	for i := range tasks {
+		k := tasks[i].cell.simKeyAt(i)
+		g, ok := groupOf[k]
+		if !ok {
+			g = len(groups)
+			groupOf[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
-	e.mu.Unlock()
-}
-
-// RunPlan executes every cell of the plan over a bounded goroutine pool
-// and returns results in plan order. It never returns early: each
-// cell's error is isolated in its CellResult.
-func RunPlan(p *Plan, opts Options) []CellResult {
-	cells := p.Cells()
-	n := len(cells)
-	results := make([]CellResult, n)
-	if n == 0 {
-		return results
-	}
-	workers := opts.Parallel
+	workers := parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, len(groups))
 
-	// Dispatch first-occurrence cells of each simulation before the
-	// duplicate-sweep cells: siblings sharing a simulation would only
-	// block on its Once, so front-loading the distinct simulations keeps
-	// every worker simulating while duplicates sweep cached records.
-	sims := make(map[simKey]*simEntry, n)
-	order := make([]int, 0, n)
-	var dups []int
-	for i, c := range cells {
-		k := c.simKeyAt(i)
-		if sims[k] == nil {
-			sims[k] = &simEntry{}
-			order = append(order, i)
-		} else {
-			dups = append(dups, i)
-		}
-		sims[k].refs++
-	}
-	order = append(order, dups...)
-
-	jobs := make(chan int)
+	jobs := make(chan []int)
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -259,37 +228,50 @@ func RunPlan(p *Plan, opts Options) []CellResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				c := cells[i]
-				res := CellResult{Index: i, Cell: c}
+			for group := range jobs {
 				start := time.Now()
-				e := sims[c.simKeyAt(i)]
-				m, sum, err := e.simulate(c.Run)
-				if err != nil {
-					res.Err = err
-				} else {
-					res.Curve = SweepMachine(m, c.Run, c.Kind, sum)
-					if opts.Hook != nil {
-						res.Extra = opts.Hook(c, m, res.Curve, sum)
+				m, sum, err := Simulate(tasks[group[0]].cell.Run)
+				for _, i := range group {
+					t := &tasks[i]
+					res := CellResult{Index: t.index, Cell: t.cell, Err: err}
+					if err == nil {
+						res.Curve = SweepMachine(m, t.cell.Run, t.cell.Kind, sum)
+						if t.hook != nil {
+							res.Extra = t.hook(t.cell, m, res.Curve, sum)
+						}
 					}
-				}
-				e.release()
-				res.Wall = time.Since(start)
-				results[i] = res
-				if opts.Progress != nil {
+					res.Wall = time.Since(start)
+					start = time.Now()
+					*t.out = res
 					mu.Lock()
 					done++
-					opts.Progress(done, n, res)
+					progress(done, len(tasks), t)
 					mu.Unlock()
 				}
 			}
 		}()
 	}
-	for _, i := range order {
-		jobs <- i
+	for _, g := range groups {
+		jobs <- g
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// RunPlan executes every cell of the plan over a bounded goroutine pool
+// and returns results in plan order. It never returns early: each
+// cell's error is isolated in its CellResult.
+func RunPlan(p *Plan, opts Options) []CellResult {
+	results := make([]CellResult, len(p.cells))
+	tasks := make([]task, len(p.cells))
+	for i, c := range p.cells {
+		tasks[i] = task{cell: c, index: i, hook: opts.Hook, out: &results[i]}
+	}
+	runTasks(tasks, opts.Parallel, func(done, total int, t *task) {
+		if opts.Progress != nil {
+			opts.Progress(done, total, *t.out)
+		}
+	})
 	return results
 }
 

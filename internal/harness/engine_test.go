@@ -146,8 +146,8 @@ func TestRunnerIsolatesFailingCell(t *testing.T) {
 	}
 }
 
-// TestRunnerSharesSimulations checks the memoizing record cache: cells
-// that agree on the simulation half run the machine exactly once.
+// TestRunnerSharesSimulations checks the engine's grouping: cells that
+// agree on the simulation half run the machine exactly once.
 func TestRunnerSharesSimulations(t *testing.T) {
 	var sims atomic.Int32
 	rc := RunConfig{
@@ -170,22 +170,25 @@ func TestRunnerSharesSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := sims.Load(); got != 1 {
-		t.Errorf("machine simulated %d times, want 1 (record cache)", got)
+		t.Errorf("machine simulated %d times, want 1 (one job per simulation)", got)
 	}
 }
 
-// TestRunnerDoesNotShareUnkeyedTweaks checks the cache's safety valve:
-// a non-nil Tweak without a TweakKey must never be deduplicated, since
-// the cache cannot compare function effects.
+// TestRunnerDoesNotShareUnkeyedTweaks checks the engine's safety
+// valve: a non-nil Tweak without a TweakKey must never be deduplicated,
+// since the engine cannot compare function effects — not within a plan,
+// and not across the grids of one RunGrids call, where two grids each
+// hold such a cell at plan index 0.
 func TestRunnerDoesNotShareUnkeyedTweaks(t *testing.T) {
 	var sims atomic.Int32
+	tweak := func(*machine.Config) { sims.Add(1) }
 	rc := RunConfig{
 		Workload:             "lu",
 		Size:                 workloads.SizeTest,
 		Procs:                2,
 		IntervalInstructions: 10_000,
 		Seed:                 1,
-		Tweak:                func(*machine.Config) { sims.Add(1) },
+		Tweak:                tweak,
 	}
 	plan := NewPlan().Add(rc, core.DetectorBBV).Add(rc, core.DetectorBBVDDV)
 	if got := plan.Simulations(); got != 2 {
@@ -197,10 +200,37 @@ func TestRunnerDoesNotShareUnkeyedTweaks(t *testing.T) {
 	if got := sims.Load(); got != 2 {
 		t.Errorf("unkeyed tweaked cells shared a simulation (%d runs, want 2)", got)
 	}
+
+	sims.Store(0)
+	spec := func() *Spec {
+		return NewSpec(WithApps("lu"), WithProcs(2), WithSize(workloads.SizeTest),
+			WithInterval(20_000), WithTweak("unkeyed", "", tweak), WithoutBaseline())
+	}
+	grids := []NamedGrid{{Name: "a", Spec: spec()}, {Name: "b", Spec: spec()}}
+	for _, g := range grids {
+		if c := g.Spec.Plan().Cells(); len(c) != 1 || c[0].Run.Tweak == nil || c[0].TweakKey != "" {
+			t.Fatalf("grid %s: want one unkeyed-tweak cell, got %+v", g.Name, c)
+		}
+	}
+	results, _, err := RunGrids(grids, 0, 1, Options{Parallel: 1}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range results {
+		if err := FirstError(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sims.Load(); got != 2 {
+		t.Errorf("unkeyed tweaked cells of two grids shared a simulation (%d runs, want 2)", got)
+	}
 }
 
 // TestRunnerProgress checks that the progress callback fires once per
-// cell with a monotone done counter and stable total.
+// cell with a monotone done counter and stable total, and that under
+// one worker the cells of one simulation complete consecutively: a
+// simulation's job sweeps all of its cells before the next one runs, so
+// its machine is dropped before another is built.
 func TestRunnerProgress(t *testing.T) {
 	rc := RunConfig{
 		Workload:             "lu",
@@ -209,24 +239,41 @@ func TestRunnerProgress(t *testing.T) {
 		IntervalInstructions: 10_000,
 		Seed:                 1,
 	}
-	plan := NewPlan().Add(rc, core.DetectorBBV, core.DetectorBBVDDV, core.DetectorWSS)
-	var calls []int
-	RunPlan(plan, Options{
-		Parallel: 2,
-		Progress: func(done, total int, r CellResult) {
-			if total != plan.Len() {
-				t.Errorf("total = %d, want %d", total, plan.Len())
+	other := rc
+	other.Seed = 2
+	// Plan order interleaves the two simulations.
+	plan := NewPlan().
+		Add(rc, core.DetectorBBV).
+		Add(other, core.DetectorBBV).
+		Add(rc, core.DetectorBBVDDV).
+		Add(other, core.DetectorBBVDDV).
+		Add(rc, core.DetectorWSS)
+	for _, par := range []int{1, 2} {
+		var calls []int
+		var seeds []uint64
+		RunPlan(plan, Options{
+			Parallel: par,
+			Progress: func(done, total int, r CellResult) {
+				if total != plan.Len() {
+					t.Errorf("total = %d, want %d", total, plan.Len())
+				}
+				calls = append(calls, done)
+				seeds = append(seeds, r.Cell.Run.Seed)
+			},
+		})
+		if len(calls) != plan.Len() {
+			t.Fatalf("parallel %d: progress fired %d times, want %d", par, len(calls), plan.Len())
+		}
+		for i, d := range calls {
+			if d != i+1 {
+				t.Errorf("parallel %d: done sequence %v not monotone 1..n", par, calls)
+				break
 			}
-			calls = append(calls, done)
-		},
-	})
-	if len(calls) != plan.Len() {
-		t.Fatalf("progress fired %d times, want %d", len(calls), plan.Len())
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Errorf("done sequence %v not monotone 1..n", calls)
-			break
+		}
+		if par == 1 {
+			if want := []uint64{1, 1, 1, 2, 2}; !reflect.DeepEqual(seeds, want) {
+				t.Errorf("one worker completed cells of seeds %v, want %v (one simulation's cells consecutively)", seeds, want)
+			}
 		}
 	}
 }

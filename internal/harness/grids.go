@@ -177,7 +177,11 @@ func (g NamedGrid) Encoder(format, title string) (GridEncoder, error) {
 // none, and trace wraps either in TraceHook so every result carries
 // its simulation's interval records. opts.Hook is ignored.
 // opts.Progress sees one run: done and total count every cell the call
-// executes, across grids. The grids run one plan after another.
+// executes, across grids. The grids' pending cells run as one union on
+// the engine loop (see runTasks), so an execution two grids share —
+// figure2 and figure4 at 8P and 32P, say — simulates once, and each of
+// its cells still gets its own grid's hook, result slot and stream
+// section.
 //
 // A non-nil cs streams every completed cell as it finishes, and the
 // cells it recovered from an earlier attempt (see ResumeCellStream)
@@ -185,65 +189,42 @@ func (g NamedGrid) Encoder(format, title string) (GridEncoder, error) {
 // artifact built from them — match an uninterrupted run. resumed
 // counts those cells.
 func RunGrids(grids []NamedGrid, shard, of int, opts Options, trace bool, cs *CellStream) (results [][]CellResult, resumed int, err error) {
-	type pending struct {
-		idxs   []int // the shard's plan indices
-		sub    *Plan // its cells still to run
-		subPos []int // sub-plan index → position in idxs
-		hook   CellHook
-	}
-	runs := make([]pending, len(grids))
 	results = make([][]CellResult, len(grids))
-	total := 0
+	var tasks []task
 	for k, g := range grids {
-		run := pending{sub: NewPlan()}
+		var hook CellHook
 		if g.Tuning {
-			if run.hook, err = g.Spec.TuningHook(); err != nil {
+			if hook, err = g.Spec.TuningHook(); err != nil {
 				return nil, 0, err
 			}
 		}
 		if trace {
-			run.hook = TraceHook(run.hook)
+			hook = TraceHook(hook)
 		}
 		p := g.Spec.Plan()
-		run.idxs = p.ShardIndices(shard, of)
-		results[k] = make([]CellResult, len(run.idxs))
-		have := make([]bool, len(run.idxs))
+		idxs := p.ShardIndices(shard, of)
+		results[k] = make([]CellResult, len(idxs))
+		have := make([]bool, len(idxs))
 		if cs != nil {
-			n, err := cs.resumeGrid(g.Name, p, shard, of, run.idxs, results[k], have)
+			n, err := cs.resumeGrid(g.Name, p, shard, of, idxs, results[k], have)
 			if err != nil {
 				return nil, 0, err
 			}
 			resumed += n
 		}
-		for j, i := range run.idxs {
+		for j, i := range idxs {
 			if !have[j] {
-				run.sub.AddCell(p.cells[i])
-				run.subPos = append(run.subPos, j)
+				tasks = append(tasks, task{cell: p.cells[i], index: i, hook: hook, out: &results[k][j], grid: g.Name})
 			}
 		}
-		runs[k] = run
-		total += run.sub.Len()
 	}
-	done := 0
-	for k, run := range runs {
-		name := grids[k].Name
-		o := opts
-		o.Hook = run.hook
-		o.Progress = func(d, _ int, r CellResult) {
-			r.Index = run.idxs[run.subPos[r.Index]]
-			if cs != nil {
-				cs.appendCell(name, r)
-			}
-			if opts.Progress != nil {
-				opts.Progress(done+d, total, r)
-			}
+	runTasks(tasks, opts.Parallel, func(done, total int, t *task) {
+		if cs != nil {
+			cs.appendCell(t.grid, *t.out)
 		}
-		for s, r := range RunPlan(run.sub, o) {
-			j := run.subPos[s]
-			r.Index = run.idxs[j]
-			results[k][j] = r
+		if opts.Progress != nil {
+			opts.Progress(done, total, *t.out)
 		}
-		done += run.sub.Len()
-	}
+	})
 	return results, resumed, nil
 }

@@ -6,10 +6,11 @@
 // The package is layered, bottom up:
 //
 //   - The engine (engine.go): RunPlan executes a Plan of independent
-//     Cells over a bounded worker pool, with a memoizing record cache
-//     (cells sharing a simulation share one machine run), per-cell error
-//     isolation and ordered aggregation — output is independent of the
-//     worker count.
+//     Cells over a bounded worker pool. Its unit of work is one distinct
+//     simulation: a job runs the machine once, sweeps every cell that
+//     shares it and drops it, so at most one machine per worker is
+//     resident. Errors are isolated per cell and results aggregate in
+//     plan order — output is independent of the worker count.
 //   - The declarative surface (spec.go, report.go, encoders.go): a Spec
 //     describes a grid (workloads × procs × detectors × replicates ×
 //     named variants) and compiles it onto the engine; Spec.Assemble
@@ -23,8 +24,10 @@
 //     scorecard, with its own encoder family.
 //   - The grid runner (grids.go): RunGrids is the one place named grids
 //     execute — whole or one hash-partitioned shard, with each grid's
-//     hook installed and optional cell streaming for resume — and
-//     NamedGrid.Encoder picks each grid's aggregation and encoder family.
+//     hook installed and optional cell streaming for resume. It runs the
+//     union of its grids' cells on the same engine loop, so an execution
+//     several grids share simulates once. NamedGrid.Encoder picks each
+//     grid's aggregation and encoder family.
 //   - Cross-machine sharding (shard.go, stream.go): a shard's results
 //     serialize as a versioned JSON shard artifact (docs/MERGE_FORMAT.md);
 //     MergeShards validates a complete shard set and reassembles the

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dsmphase/internal/core"
 	"dsmphase/internal/workloads"
 )
 
@@ -177,5 +178,54 @@ func TestRunGridsMatchesRunPlan(t *testing.T) {
 			arts[0] = shardArtifact(t, grids, 0, 2, shard0, false)
 			check("resumed shard", merge(arts))
 		})
+	}
+}
+
+// TestRunGridsSimulatesUnionOnce checks that RunGrids runs its grids as
+// one union: figure2, figure4 and tuning agree on their 8P (and
+// figure2/figure4 on their 32P) executions, and each distinct execution
+// simulates once. Cells sharing a simulation share its recorded slices,
+// so the traced records' identity counts the machine runs.
+func TestRunGridsSimulatesUnionOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed grid runs")
+	}
+	gp := GridParams{Size: workloads.SizeTest, Apps: []string{"lu"}, Interval: 40_000, Seed: 1}
+	var grids []NamedGrid
+	distinct := map[simKey]bool{}
+	for _, name := range []string{"figure2", "figure4", "tuning"} {
+		g, err := BuildGrid(name, gp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, g)
+		for i, c := range g.Spec.Plan().Cells() {
+			distinct[c.simKeyAt(i)] = true
+		}
+	}
+	if len(distinct) != 3 {
+		t.Fatalf("grids hold %d distinct executions, want 3 (lu at 2, 8 and 32P)", len(distinct))
+	}
+	results, _, err := RunGrids(grids, 0, 1, Options{Parallel: 2}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[*core.IntervalSignature]bool{}
+	cells := 0
+	for k, rs := range results {
+		for _, r := range rs {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", grids[k].Name, r.Err)
+			}
+			te, ok := r.Extra.(TracedExtra)
+			if !ok || len(te.Records) == 0 || len(te.Records[0]) == 0 {
+				t.Fatalf("%s cell %d carries no traced records", grids[k].Name, r.Index)
+			}
+			runs[&te.Records[0][0]] = true
+			cells++
+		}
+	}
+	if len(runs) != len(distinct) {
+		t.Errorf("%d cells of 3 grids simulated %d times, want %d", cells, len(runs), len(distinct))
 	}
 }

@@ -35,7 +35,7 @@ import (
 // independent of worker count, enumeration order and shard-local
 // execution order — and cells sharing one simulation (the same
 // execution swept by several detectors) always land on the same shard,
-// preserving the record cache's memoization within each worker.
+// so each worker still simulates every execution once.
 
 // ShardFormat is the versioned format tag of a shard artifact. Bump the
 // trailing version on any incompatible schema change, and keep
@@ -97,7 +97,7 @@ func (p *Plan) ShardIndices(shard, of int) []int {
 // equal exactly when a shard of one can be merged into the other, so
 // the merge refuses artifacts produced under different flags, seeds or
 // grids. Tweak functions cannot be hashed; only their cache keys (and
-// presence) participate, matching the record cache's own blindness.
+// presence) participate, matching the engine's own blindness.
 // Dynamically registered workloads (DSL specs, ingested traces) fold
 // their definition hash in as well: a built-in name contributes
 // nothing extra — keeping all pre-DSL fingerprints stable — while two

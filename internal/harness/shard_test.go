@@ -48,7 +48,7 @@ func shardTuningSpec() *Spec {
 
 // TestShardPartition checks the partitioning invariants: every cell in
 // exactly one shard, assignment stable across calls, and sibling cells
-// sharing a simulation always co-located (the record cache's win
+// sharing a simulation always co-located (one simulation per execution
 // survives sharding).
 func TestShardPartition(t *testing.T) {
 	p := shardSpec().Plan()

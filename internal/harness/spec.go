@@ -127,7 +127,7 @@ func WithProcs(procs ...int) Option {
 
 // WithDetectors selects the detector kinds swept over each simulation.
 // Detectors are sweep-only, so every kind of a (variant, app, procs,
-// replicate) point shares one machine run through the record cache.
+// replicate) point shares one machine run.
 func WithDetectors(kinds ...core.DetectorKind) Option {
 	return func(s *Spec) { s.kinds = kinds }
 }

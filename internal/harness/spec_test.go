@@ -38,7 +38,7 @@ func stripReportWalls(r *Report) *Report {
 
 // TestSpecGridEnumeration checks the grid arithmetic: configurations
 // multiply out variants × apps × procs × detectors, cells add the
-// replicate axis, and the record cache collapses detectors onto shared
+// replicate axis, and the engine collapses detectors onto shared
 // simulations per (variant, app, procs, replicate) point.
 func TestSpecGridEnumeration(t *testing.T) {
 	s := NewSpec(
