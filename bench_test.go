@@ -1,17 +1,16 @@
 package dsmphase
 
-// Benchmark harness: one benchmark per table and figure of the paper,
-// plus the ablations called out in DESIGN.md §6 and micro-benchmarks of
-// the hot paths. Benchmarks run reduced inputs so `go test -bench=.`
-// finishes in minutes; regenerate paper-scale data with cmd/experiments
-// (-preset paper, or -grids figure4 -format text -size full -interval
-// 3000000 for one figure's curves).
+// Micro-benchmarks of what no other measurement times: the Table I
+// machine, workload generation, the DDS overhead model, the ablations no
+// grid carries, and the detector hot paths. Benchmarks run reduced
+// inputs so `go test -bench=.` finishes in minutes. The figure grids,
+// the engine, the threshold sweep and the ablation and tuning grids are
+// timed end to end and per layer by the repository benchmark (bench/,
+// `make bench-ab`), and their numbers are pinned by the cmd/experiments
+// scorecard tests.
 //
-//	BenchmarkTableI_*    — the simulated machine itself (throughput)
+//	BenchmarkTableI_*    — the simulated machine itself (paired by make bench-ab)
 //	BenchmarkTableII_*   — workload instruction-stream generation
-//	BenchmarkFigure2_*   — baseline BBV CoV curves at 2/8/32 nodes
-//	BenchmarkFigure4_*   — BBV vs BBV+DDV at 8/32 nodes
-//	BenchmarkSweep_*     — the offline threshold sweep alone
 //	BenchmarkOverhead_*  — the §III-B DDS bandwidth model
 //	BenchmarkAblation_*  — design-choice ablations
 //	Benchmark<hot path>  — detector and substrate micro-benchmarks
@@ -57,15 +56,14 @@ func simulateOnce(b *testing.B, rc harness.RunConfig) (*machine.Machine, machine
 // ---- Table I: the simulated machine ----
 
 // BenchmarkTableI_MachineThroughput measures end-to-end simulation speed
-// of the Table I system (instructions simulated per second) at the two
-// node counts the perf trajectory tracks (make bench-json /
-// BENCH_baseline.json). The 32P case is where scheduler overhead
-// dominates: the naive per-instruction min-scan costs O(P) per
-// committed instruction.
+// of the Table I system (instructions simulated per second) at two node
+// counts; `make bench-ab` pairs its ns/op against a base revision. The
+// 32P case is where scheduler overhead dominates: the naive
+// per-instruction min-scan costs O(P) per committed instruction.
 func BenchmarkTableI_MachineThroughput(b *testing.B) {
-	// The directory sub-benchmarks keep their bare "8P"/"32P" names so
-	// the BENCH_baseline.json throughput guard tracks the same series;
-	// the ivy variants ride alongside under a protocol suffix.
+	// The directory sub-benchmarks keep their bare "8P"/"32P" names, so
+	// every recorded comparison names the same series; the ivy variants
+	// ride alongside under a protocol suffix.
 	for _, proto := range coherence.Kinds() {
 		for _, procs := range []int{8, 32} {
 			name := fmt.Sprintf("%dP", procs)
@@ -157,164 +155,6 @@ func BenchmarkTableII_Generation(b *testing.B) {
 	}
 }
 
-// ---- Figure 2: baseline BBV degradation with node count ----
-
-func BenchmarkFigure2(b *testing.B) {
-	for _, app := range []string{"fmm", "lu", "equake", "art"} {
-		for _, procs := range []int{2, 8, 32} {
-			name := fmt.Sprintf("%s/%dP", app, procs)
-			b.Run(name, func(b *testing.B) {
-				rc := benchRC(app, procs)
-				var lastCoV float64
-				for i := 0; i < b.N; i++ {
-					m, sum := simulateOnce(b, rc)
-					c := harness.SweepMachine(m, rc, core.DetectorBBV, sum)
-					lastCoV = c.Curve.CoVAt(25)
-				}
-				b.ReportMetric(lastCoV, "CoV@25phases")
-			})
-		}
-	}
-}
-
-// ---- Figure 4: BBV vs BBV+DDV ----
-
-func BenchmarkFigure4(b *testing.B) {
-	for _, app := range []string{"fmm", "lu", "equake", "art"} {
-		for _, procs := range []int{8, 32} {
-			for _, kind := range []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV} {
-				name := fmt.Sprintf("%s/%dP/%s", app, procs, kind)
-				b.Run(name, func(b *testing.B) {
-					rc := benchRC(app, procs)
-					var lastCoV float64
-					for i := 0; i < b.N; i++ {
-						m, sum := simulateOnce(b, rc)
-						c := harness.SweepMachine(m, rc, kind, sum)
-						lastCoV = c.Curve.CoVAt(25)
-					}
-					b.ReportMetric(lastCoV, "CoV@25phases")
-				})
-			}
-		}
-	}
-}
-
-// ---- The offline threshold sweep ----
-
-// sweepSink keeps the benchmarked sweeps' results live.
-var sweepSink []stats.CurvePoint
-
-// BenchmarkSweep_ShortInterval times the offline threshold sweep alone
-// on the figure4 panel cells at a 40k total interval (test inputs), the
-// configuration in which the sweep is the largest layer of a report.
-// The simulations run once, outside the timer; each iteration sweeps
-// every cell of one detector over its default threshold grid, and
-// ns/classification divides by the (setting × interval) count.
-func BenchmarkSweep_ShortInterval(b *testing.B) {
-	g, err := harness.BuildGrid("figure4", harness.GridParams{Size: workloads.SizeTest, Interval: 40_000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	type cell struct {
-		recs [][]core.IntervalSignature
-		sc   harness.SweepConfig
-	}
-	cells := map[core.DetectorKind][]cell{}
-	classifications := map[core.DetectorKind]int{}
-	sims := map[string]*machine.Machine{}
-	for _, c := range g.Spec.Plan().Cells() {
-		key := fmt.Sprintf("%s/%dP/%d", c.Run.Workload, c.Run.Procs, c.Run.Seed)
-		m, ok := sims[key]
-		if !ok {
-			m, _ = simulateOnce(b, c.Run)
-			sims[key] = m
-		}
-		sc := harness.DefaultSweep(c.Kind, 1+float64(m.Network().Diameter()))
-		settings := len(sc.BBVThresholds)
-		if c.Kind != core.DetectorBBV {
-			settings *= len(sc.DDSThresholds)
-		}
-		recs := m.RecordsByProc()
-		for _, rs := range recs {
-			classifications[c.Kind] += settings * len(rs)
-		}
-		cells[c.Kind] = append(cells[c.Kind], cell{recs, sc})
-	}
-	for _, kind := range []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, c := range cells[kind] {
-					sweepSink = harness.Sweep(c.recs, c.sc)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*classifications[kind]), "ns/classification")
-		})
-	}
-}
-
-// ---- The sharded experiment engine ----
-
-// BenchmarkFigureEngine runs the Figure 4 multi-workload sweep (all
-// four applications, 8 nodes, BBV and BBV+DDV over shared simulations)
-// through the engine at several worker counts. workers=1 is the serial
-// baseline; higher counts show the worker-pool speedup on multi-core
-// hosts (the curves themselves are identical at every setting).
-func BenchmarkFigureEngine(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			spec := harness.NewSpec(
-				harness.WithProcs(8),
-				harness.WithDetectors(core.DetectorBBV, core.DetectorBBVDDV),
-				harness.WithSize(workloads.SizeTest),
-				harness.WithInterval(40_000),
-				harness.WithSeed(1),
-			)
-			for i := 0; i < b.N; i++ {
-				rep := spec.Run(harness.Options{Parallel: workers})
-				if err := rep.FirstError(); err != nil {
-					b.Fatal(err)
-				}
-				if res := rep.Curves(); len(res) != 8 {
-					b.Fatalf("got %d curves, want 8", len(res))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineRecordCache quantifies the engine's one job per
-// simulation: the same four-detector sweep sharing one simulation (one
-// job sweeps all kinds, then drops the machine) versus defeated
-// (distinct seeds force four simulations).
-func BenchmarkEngineRecordCache(b *testing.B) {
-	kinds := []core.DetectorKind{
-		core.DetectorWSS, core.DetectorBBV, core.DetectorDDS, core.DetectorBBVDDV,
-	}
-	b.Run("shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan := harness.NewPlan().Add(benchRC("lu", 8), kinds...)
-			if err := harness.FirstError(harness.RunPlan(plan, harness.Options{Parallel: 1})); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("resimulated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan := harness.NewPlan()
-			for s, k := range kinds {
-				rc := benchRC("lu", 8)
-				rc.Seed = harness.DeriveSeed(rc.Seed, rc.Workload, rc.Procs, s)
-				plan.Add(rc, k)
-			}
-			if err := harness.FirstError(harness.RunPlan(plan, harness.Options{Parallel: 1})); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // ---- §III-B: DDS exchange overhead model ----
 
 func BenchmarkOverhead_Model(b *testing.B) {
@@ -344,10 +184,20 @@ func BenchmarkOverhead_MeasuredGather(b *testing.B) {
 		}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			spec := benchSpec("lu", 8, core.DetectorBBVDDV, variant.opts...)
+			spec := harness.NewSpec(append([]harness.Option{
+				harness.WithApps("lu"),
+				harness.WithProcs(8),
+				harness.WithDetectors(core.DetectorBBVDDV),
+				harness.WithSize(workloads.SizeTest),
+				harness.WithInterval(40_000),
+				harness.WithSeed(1),
+			}, variant.opts...)...)
 			var cycles float64
 			for i := 0; i < b.N; i++ {
-				rep := runBenchSpec(b, spec)
+				rep := spec.Run(harness.Options{Parallel: 1})
+				if err := rep.FirstError(); err != nil {
+					b.Fatal(err)
+				}
 				cycles = rep.Configs[0].Curves[0].Summary.Cycles
 			}
 			b.ReportMetric(cycles, "simcycles")
@@ -356,35 +206,6 @@ func BenchmarkOverhead_MeasuredGather(b *testing.B) {
 }
 
 // ---- Ablations (DESIGN.md §6) ----
-//
-// The design-choice ablations are expressed as named Spec grids: each
-// variant is a WithTweak(name, key, fn) row, TweakKey-cached so every
-// detector sweeping a variant shares one simulation, and quality is
-// read from the aggregated Report band.
-
-// benchSpec builds a one-configuration Spec at the standard reduced
-// benchmark scale, plus any variant options.
-func benchSpec(app string, procs int, kind core.DetectorKind, extra ...harness.Option) *harness.Spec {
-	return harness.NewSpec(append([]harness.Option{
-		harness.WithApps(app),
-		harness.WithProcs(procs),
-		harness.WithDetectors(kind),
-		harness.WithSize(workloads.SizeTest),
-		harness.WithInterval(40_000),
-		harness.WithSeed(1),
-	}, extra...)...)
-}
-
-// runBenchSpec executes a Spec serially and fails the benchmark on any
-// cell error.
-func runBenchSpec(b *testing.B, spec *harness.Spec) *harness.Report {
-	b.Helper()
-	rep := spec.Run(harness.Options{Parallel: 1})
-	if err := rep.FirstError(); err != nil {
-		b.Fatal(err)
-	}
-	return rep
-}
 
 // BenchmarkAblation_Detector compares all three detector kinds on the
 // same workload, reporting classification quality.
@@ -401,82 +222,6 @@ func BenchmarkAblation_Detector(b *testing.B) {
 			b.ReportMetric(lastCoV, "CoV@25phases")
 		})
 	}
-}
-
-// BenchmarkAblation_Contention removes the contention vector C from the
-// DDS product — the "no-contention" grid row.
-func BenchmarkAblation_Contention(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		opts []harness.Option
-	}{
-		{"ignoreC=false", nil},
-		{"ignoreC=true", []harness.Option{
-			harness.WithTweak("no-contention", "dds-no-contention",
-				func(c *machine.Config) { c.DDS.IgnoreContention = true }),
-			harness.WithoutBaseline(),
-		}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			spec := benchSpec("art", 8, core.DetectorBBVDDV, variant.opts...)
-			var lastCoV float64
-			for i := 0; i < b.N; i++ {
-				lastCoV = runBenchSpec(b, spec).Configs[0].Band.MeanAt(25)
-			}
-			b.ReportMetric(lastCoV, "CoV@25phases")
-		})
-	}
-}
-
-// BenchmarkAblation_Distance replaces the hop-based distance matrix with
-// all-ones — the "uniform-distance" grid row.
-func BenchmarkAblation_Distance(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		opts []harness.Option
-	}{
-		{"uniformD=false", nil},
-		{"uniformD=true", []harness.Option{
-			harness.WithTweak("uniform-distance", "uniform-distance",
-				func(c *machine.Config) { c.UniformDistance = true }),
-			harness.WithoutBaseline(),
-		}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			spec := benchSpec("lu", 8, core.DetectorBBVDDV, variant.opts...)
-			var lastCoV float64
-			for i := 0; i < b.N; i++ {
-				lastCoV = runBenchSpec(b, spec).Configs[0].Band.MeanAt(25)
-			}
-			b.ReportMetric(lastCoV, "CoV@25phases")
-		})
-	}
-}
-
-// BenchmarkAblation_Grid runs the full DDS-design grid — baseline plus
-// both DDS tweaks, two detectors each — as one Spec, measuring the
-// engine's TweakKey record-cache sharing (three simulations serve six
-// sweeps).
-func BenchmarkAblation_Grid(b *testing.B) {
-	spec := benchSpec("lu", 8, core.DetectorBBVDDV,
-		harness.WithDetectors(core.DetectorBBV, core.DetectorBBVDDV),
-		harness.WithTweak("no-contention", "dds-no-contention",
-			func(c *machine.Config) { c.DDS.IgnoreContention = true }),
-		harness.WithTweak("uniform-distance", "uniform-distance",
-			func(c *machine.Config) { c.UniformDistance = true }),
-	)
-	if got, want := spec.Plan().Simulations(), 3; got != want {
-		b.Fatalf("grid runs %d simulations, want %d (TweakKey sharing)", got, want)
-	}
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		rep := runBenchSpec(b, spec)
-		// The headline ablation read-out: how much the contention vector
-		// matters at 25 phases.
-		base, noC := rep.Configs[1].Band.MeanAt(25), rep.Configs[3].Band.MeanAt(25)
-		gap = noC - base
-	}
-	b.ReportMetric(gap, "ΔCoV@25(no-contention)")
 }
 
 // BenchmarkAblation_FootprintSize varies the footprint-table capacity
@@ -531,43 +276,6 @@ func BenchmarkAblation_SweepVsResim(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_TuningLoop runs the closed adaptive-tuning loop —
-// detector × predictor × controller on live simulations — and reports
-// the headline ablation read-out: how much the DDS-aware detector's win
-// rate exceeds the BBV baseline's under the best predictor.
-func BenchmarkAblation_TuningLoop(b *testing.B) {
-	spec := benchSpec("lu", 4, core.DetectorBBVDDV,
-		harness.WithDetectors(core.DetectorBBV, core.DetectorBBVDDV),
-		harness.WithPredictors("last-phase", "markov", "run-length"),
-		harness.WithControllers(harness.ControllerSpec{Name: "trial-1", TrialsPerConfig: 1}),
-	)
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		results, _, err := harness.RunGrids([]harness.NamedGrid{{Name: "tuning", Tuning: true, Spec: spec}}, 0, 1, harness.Options{Parallel: 1}, false, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := spec.AssembleTuning(results[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rep.FirstError(); err != nil {
-			b.Fatal(err)
-		}
-		best := func(kind core.DetectorKind) float64 {
-			win := 0.0
-			for _, c := range rep.Configs {
-				if c.Config.Detector == kind && c.WinRate.Mean > win {
-					win = c.WinRate.Mean
-				}
-			}
-			return win
-		}
-		gap = best(core.DetectorBBVDDV) - best(core.DetectorBBV)
-	}
-	b.ReportMetric(gap, "Δwin-rate(DDV-BBV)")
 }
 
 // ---- Micro-benchmarks of detector hot paths ----

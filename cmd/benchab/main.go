@@ -1,13 +1,21 @@
-// Command benchab compares the repository benchmark (BENCHMARK.json,
-// bench/run.sh) between a base revision and the working tree. It
-// exports the base revision with git archive under the gitignored
-// .bench_build/ab/, then runs `bash bench/run.sh` in both trees in
-// alternating pairs, reversing the order every pair so that neither
-// side always runs second. For each workload and end-to-end metric it
-// prints both sides' median and interquartile range and the number of
-// pairs the working tree won. It exits 1 when a working-tree median is
-// worse than the base median by more than the metric's bound, or when
-// any run reports incorrect output. Run it from the repository root:
+// Command benchab compares the repository's performance between a base
+// revision and the working tree, in paired runs on one host. It exports
+// the base revision with git archive under the gitignored
+// .bench_build/ab/ and measures two series in both trees:
+//
+//   - the repository benchmark (BENCHMARK.json, `bash bench/run.sh`),
+//     one workload at a time, on its end-to-end metrics and their
+//     bounds;
+//   - the Table I micro-benchmarks (`go test -bench '^BenchmarkTableI_'`),
+//     on each sub-benchmark's ns/op, with a 10% bound.
+//
+// Runs alternate in pairs, reversing the order every pair so that
+// neither side always runs second. For each metric it prints both
+// sides' median and interquartile range and the number of pairs the
+// working tree won. It exits 1 when a working-tree median is worse than
+// the base median by more than the metric's bound, or when any
+// workload run reports incorrect output. Run it from the repository
+// root:
 //
 //	go run ./cmd/benchab -base HEAD~1 -workloads paper-grid -pairs 10 -seed 1
 //
@@ -20,6 +28,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -31,8 +40,17 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 )
+
+// tableI is the series name of the Table I micro-benchmarks, in the
+// printed tables and the recorded entry.
+const tableI = "table-i"
+
+// tableIBound is the largest relative ns/op slowdown of a Table I
+// sub-benchmark's median that passes.
+const tableIBound = 0.10
 
 // manifest is the part of BENCHMARK.json this tool reads.
 type manifest struct {
@@ -42,8 +60,8 @@ type manifest struct {
 	EndToEnd []metricSpec `json:"end_to_end"`
 }
 
-// metricSpec is one end-to-end metric: its direction and the largest
-// relative worsening the benchmark tolerates.
+// metricSpec is one compared metric: its direction and the largest
+// relative worsening that passes.
 type metricSpec struct {
 	Name   string  `json:"name"`
 	Unit   string  `json:"unit"`
@@ -51,12 +69,11 @@ type metricSpec struct {
 	Bound  float64 `json:"bound"`
 }
 
-// result is one bench/run.sh output line.
-type result struct {
-	Correct bool `json:"correct"`
-	Metrics map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+// sample is one run of a series: a bench/run.sh result line, or the
+// ns/op of every Table I sub-benchmark.
+type sample struct {
+	correct bool
+	metrics map[string]float64
 }
 
 func main() {
@@ -97,7 +114,8 @@ type entry struct {
 	NumCPU     int    `json:"num_cpu"`
 	Seed       uint64 `json:"seed"`
 	Pairs      int    `json:"pairs"`
-	// Workloads maps workload → end-to-end metric → summary.
+	// Workloads maps workload → end-to-end metric → summary, and
+	// "table-i" → Table I sub-benchmark → ns/op summary.
 	Workloads map[string]map[string]summary `json:"workloads"`
 }
 
@@ -145,47 +163,107 @@ func run(base, workloadList string, pairs int, seed uint64, out, log io.Writer) 
 	e.HeadDirty = status != ""
 	ok := true
 	for _, w := range names {
-		runs := map[string][]result{}
-		for i := 0; i < pairs; i++ {
-			order := []string{"base", "head"}
-			if i%2 == 1 {
-				order[0], order[1] = order[1], order[0]
-			}
-			for _, side := range order {
-				dir := "."
-				if side == "base" {
-					dir = baseDir
-				}
-				r, err := benchOnce(dir, w, seed)
-				if err != nil {
-					return false, e, fmt.Errorf("%s %s: %w", w, side, err)
-				}
-				fmt.Fprintf(log, "benchab: %s pair %d/%d %s:", w, i+1, pairs, side)
-				for _, m := range man.EndToEnd {
-					fmt.Fprintf(log, " %s=%.6g", m.Name, r.Metrics[m.Name].Value)
-				}
-				fmt.Fprintln(log)
-				if !r.Correct {
+		runs, err := pairRuns(w, pairs, baseDir, log, func(dir string) (sample, error) { return benchOnce(dir, w, seed) })
+		if err != nil {
+			return false, e, err
+		}
+		for _, side := range []string{"base", "head"} {
+			for i, r := range runs[side] {
+				if !r.correct {
 					fmt.Fprintf(out, "%s: %s run %d reported incorrect output\n", w, side, i+1)
 					ok = false
 				}
-				runs[side] = append(runs[side], r)
 			}
 		}
-		fmt.Fprintf(out, "\n%s (seed %d, %d pairs, base %s)\n\n", w, seed, pairs, base)
-		fmt.Fprintln(out, "| metric | base median (IQR) | head median (IQR) | change | head wins | verdict |")
-		fmt.Fprintln(out, "|---|---|---|---|---|---|")
-		e.Workloads[w] = map[string]summary{}
-		for _, m := range man.EndToEnd {
-			c := compare(m, values(runs["base"], m.Name), values(runs["head"], m.Name))
-			fmt.Fprintln(out, c.row(m))
-			if c.regressed {
-				ok = false
+		header := fmt.Sprintf("%s (seed %d, %d pairs, base %s)", w, seed, pairs, base)
+		passed, err := compareTable(out, header, man.EndToEnd, runs, w, e.Workloads)
+		if err != nil {
+			return false, e, err
+		}
+		ok = ok && passed
+	}
+	runs, err := pairRuns(tableI, pairs, baseDir, log, goBenchOnce)
+	if err != nil {
+		return false, e, err
+	}
+	header := fmt.Sprintf("%s (go test -bench '^BenchmarkTableI_' -benchtime 1s, %d pairs, base %s)", tableI, pairs, base)
+	passed, err := compareTable(out, header, tableISpecs(runs["head"][0]), runs, tableI, e.Workloads)
+	if err != nil {
+		return false, e, err
+	}
+	return ok && passed, e, nil
+}
+
+// pairRuns runs one series pairs times in each tree, alternating which
+// side goes first, and returns the samples per side ("base", "head"),
+// pair i at index i.
+func pairRuns(series string, pairs int, baseDir string, log io.Writer, once func(dir string) (sample, error)) (map[string][]sample, error) {
+	runs := map[string][]sample{}
+	for i := 0; i < pairs; i++ {
+		order := []string{"base", "head"}
+		if i%2 == 1 {
+			order[0], order[1] = order[1], order[0]
+		}
+		for _, side := range order {
+			dir := "."
+			if side == "base" {
+				dir = baseDir
 			}
-			e.Workloads[w][m.Name] = summary{c.baseMed, c.baseIQR, c.headMed, c.headIQR, c.wins}
+			r, err := once(dir)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", series, side, err)
+			}
+			fmt.Fprintf(log, "benchab: %s pair %d/%d %s:", series, i+1, pairs, side)
+			for _, name := range sortedKeys(r.metrics) {
+				fmt.Fprintf(log, " %s=%.6g", name, r.metrics[name])
+			}
+			fmt.Fprintln(log)
+			runs[side] = append(runs[side], r)
 		}
 	}
-	return ok, e, nil
+	return runs, nil
+}
+
+// compareTable prints one series' comparison table under header,
+// stores each metric's summary in recorded[series], and reports
+// whether every metric stayed within its bound.
+func compareTable(out io.Writer, header string, specs []metricSpec, runs map[string][]sample, series string, recorded map[string]map[string]summary) (bool, error) {
+	fmt.Fprintf(out, "\n%s\n\n", header)
+	fmt.Fprintln(out, "| metric | base median (IQR) | head median (IQR) | change | head wins | verdict |")
+	fmt.Fprintln(out, "|---|---|---|---|---|---|")
+	recorded[series] = map[string]summary{}
+	ok := true
+	for _, m := range specs {
+		base, head, err := values(runs, series, m.Name)
+		if err != nil {
+			return false, err
+		}
+		c := compare(m, base, head)
+		fmt.Fprintln(out, c.row(m))
+		ok = ok && !c.regressed
+		recorded[series][m.Name] = summary{c.baseMed, c.baseIQR, c.headMed, c.headIQR, c.wins}
+	}
+	return ok, nil
+}
+
+// tableISpecs compares every Table I sub-benchmark a working-tree run
+// reported on ns/op, with the Table I bound; values fails on one a base
+// run lacks.
+func tableISpecs(head sample) []metricSpec {
+	var specs []metricSpec
+	for _, name := range sortedKeys(head.metrics) {
+		specs = append(specs, metricSpec{Name: name, Unit: "ns/op", Better: "lower", Bound: tableIBound})
+	}
+	return specs
+}
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // appendEntry appends e to the JSON array in path, creating the file
@@ -266,26 +344,95 @@ func export(sha string) (string, error) {
 }
 
 // benchOnce runs one untraced benchmark in dir and parses its line.
-func benchOnce(dir, workload string, seed uint64) (result, error) {
-	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
+func benchOnce(dir, workload string, seed uint64) (sample, error) {
+	stdout, stderr, runErr := runIn(dir, "bash", "bench/run.sh", "--workload", workload,
 		"--seed", fmt.Sprint(seed), "--trace", "0")
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	runErr := cmd.Run()
-	var r result
-	if err := json.Unmarshal(bytes.TrimSpace(stdout.Bytes()), &r); err != nil {
-		return r, fmt.Errorf("no result line (%v): %s", runErr, stderr.String())
+	var r struct {
+		Correct bool `json:"correct"`
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
 	}
-	return r, nil
+	if err := json.Unmarshal(bytes.TrimSpace(stdout), &r); err != nil {
+		return sample{}, fmt.Errorf("no result line (%v): %s", runErr, stderr)
+	}
+	s := sample{correct: r.Correct, metrics: map[string]float64{}}
+	for name, v := range r.Metrics {
+		s.metrics[name] = v.Value
+	}
+	return s, nil
 }
 
-func values(rs []result, metric string) []float64 {
-	xs := make([]float64, len(rs))
-	for i, r := range rs {
-		xs[i] = r.Metrics[metric].Value
+// goBenchOnce runs the Table I micro-benchmarks once in dir.
+func goBenchOnce(dir string) (sample, error) {
+	stdout, stderr, err := runIn(dir, "go", "test", "-run", "^$", "-bench", "^BenchmarkTableI_", "-benchtime", "1s", ".")
+	if err != nil {
+		return sample{}, fmt.Errorf("go test -bench: %v: %s%s", err, stdout, stderr)
 	}
-	return xs
+	return parseGoBench(bytes.NewReader(stdout))
+}
+
+func runIn(dir, name string, args ...string) (stdout, stderr []byte, err error) {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	var o, e bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err = cmd.Run()
+	return o.Bytes(), e.Bytes(), err
+}
+
+// parseGoBench reads `go test -bench` output into a sample of each
+// benchmark's ns/op, keyed by its name without the "Benchmark" prefix
+// and the -GOMAXPROCS suffix.
+func parseGoBench(in io.Reader) (sample, error) {
+	s := sample{correct: true, metrics: map[string]float64{}}
+	sc := bufio.NewScanner(in)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
+			continue
+		}
+		name := strings.TrimPrefix(f[0], "Benchmark")
+		if i := strings.LastIndex(name, "-"); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		v, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			return s, fmt.Errorf("benchmark line %q: %w", sc.Text(), err)
+		}
+		s.metrics[name] = v
+	}
+	if len(s.metrics) == 0 {
+		return s, fmt.Errorf("no benchmark reported ns/op")
+	}
+	return s, sc.Err()
+}
+
+// values returns one metric's per-pair values on each side. A metric
+// missing from a run is an error naming the side, the series and the
+// metric: read as 0 it would turn into a fake win or a fake regression,
+// as it would when the base predates a metric the manifest now names.
+func values(runs map[string][]sample, series, metric string) (base, head []float64, err error) {
+	get := func(side string) ([]float64, error) {
+		xs := make([]float64, len(runs[side]))
+		for i, r := range runs[side] {
+			v, ok := r.metrics[metric]
+			if !ok {
+				return nil, fmt.Errorf("%s %s run %d: no %q in its result", series, side, i+1, metric)
+			}
+			xs[i] = v
+		}
+		return xs, nil
+	}
+	if base, err = get("base"); err != nil {
+		return nil, nil, err
+	}
+	if head, err = get("head"); err != nil {
+		return nil, nil, err
+	}
+	return base, head, nil
 }
 
 // comparison is one metric's base-vs-head summary.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -397,6 +398,40 @@ func TestShardMergeByteIdentity(t *testing.T) {
 		if !strings.Contains(errOut.String(), `"`+name+`"`) {
 			t.Errorf("merge without -%s did not note the unconsumed %q grid:\n%s", name, name, errOut.String())
 		}
+	}
+}
+
+// TestShardDirResume reruns a finished -shard-dir shard: every cell
+// must resume from the shard's cell stream, and the rewritten artifact
+// must be byte-identical to the first.
+func TestShardDirResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report run")
+	}
+	dir := t.TempDir()
+	args := []string{"-size", "test", "-interval", "40000", "-apps", "lu", "-shard", "0/2", "-shard-dir", dir}
+	artifact := filepath.Join(dir, "shard_0_of_2.json")
+	var out, firstLog, resumeLog bytes.Buffer
+	if err := run(args, &out, &firstLog); err != nil {
+		t.Fatalf("run(%v): %v (stderr: %s)", args, err, firstLog.String())
+	}
+	first, err := os.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &out, &resumeLog); err != nil {
+		t.Fatalf("rerun(%v): %v (stderr: %s)", args, err, resumeLog.String())
+	}
+	m := regexp.MustCompile(`resumed (\d+) cells`).FindStringSubmatch(resumeLog.String())
+	if m == nil || m[1] == "0" {
+		t.Errorf("rerun resumed no cells; stderr:\n%s", resumeLog.String())
+	}
+	resumed, err := os.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, resumed) {
+		t.Errorf("resumed artifact differs from the first:\n--- first ---\n%s\n--- resumed ---\n%s", first, resumed)
 	}
 }
 

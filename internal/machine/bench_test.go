@@ -41,14 +41,13 @@ func benchMachineProto(interval uint64, proto coherence.Kind) *Machine {
 }
 
 // BenchmarkStep measures the machine's per-committed-instruction cost —
-// the innermost loop everything in ISSUE/ROADMAP scale arguments
-// multiplies by — including its share of interval ends. ReportAllocs
-// makes any per-instruction or per-interval allocation regression
-// visible as a non-zero allocs/op. The directory backend keeps the
-// bare "BenchmarkStep" series name (BENCH_baseline.json tracks it);
-// the other backends run under BenchmarkStepProtocol as
-// protocol-suffixed sub-benchmarks (a b.Run here would demote the bare
-// series to an unreported parent).
+// the innermost loop every scale argument multiplies by — including its
+// share of interval ends. ReportAllocs makes any per-instruction or
+// per-interval allocation regression visible as a non-zero allocs/op.
+// The directory backend keeps the bare "BenchmarkStep" series name, so
+// earlier measurements stay comparable; the other backends run under
+// BenchmarkStepProtocol as protocol-suffixed sub-benchmarks (a b.Run
+// here would demote the bare series to an unreported parent).
 func BenchmarkStep(b *testing.B) {
 	runStepBench(b, coherence.KindDirectory)
 }

@@ -4,11 +4,12 @@ import (
 	"testing"
 )
 
-// TestChaosCampaign is the chaos-smoke gate: a fixed-seed campaign
-// over both profiles and both encoder families, held to the byte
-// identity, exact-injury, determinism and cache-corruption oracles by
-// RunChaos itself. A violation here means the resilient dispatcher
-// changed observable behavior under faults.
+// TestChaosCampaign is the chaos gate, the campaign `dsmphased -chaos 4
+// -chaos-seed 1` runs: four fixed-seed schedules over both profiles and
+// both encoder families, held to the byte identity, exact-injury,
+// determinism and cache-corruption oracles by RunChaos itself. A
+// violation here means the resilient dispatcher changed observable
+// behavior under faults.
 func TestChaosCampaign(t *testing.T) {
 	res, err := RunChaos(ChaosConfig{
 		Schedules:      4,
