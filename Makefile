@@ -14,7 +14,7 @@ build:
 # Every test under the race detector: the byte-identity gates (every
 # encoder, shard and stream golden, the merge, resume, -parallel and
 # served-report identities), both coherence backends, and the
-# coordinator, its CLI and the chaos campaign.
+# coordinator, its CLI and its forced-fault tests.
 test:
 	$(GO) test -race ./...
 

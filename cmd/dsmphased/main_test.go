@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,8 +9,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"dsmphase/internal/service"
 )
 
 // experimentsBin and dsmphasedBin are the two commands the tests run as
@@ -99,28 +96,5 @@ func TestServedReportMatchesDirect(t *testing.T) {
 	exited = true
 	if err != nil {
 		t.Errorf("dsmphased after SIGTERM: %v, want exit 0\n%s", err, serverLog.String())
-	}
-}
-
-// TestChaosFlag runs the smallest chaos campaign through the command's
-// -chaos wrapper (-chaos 1 rounds up to one schedule per profile): it
-// must pass and print the campaign outcome as JSON.
-func TestChaosFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end chaos run")
-	}
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(dsmphasedBin, "-chaos", "1", "-chaos-seed", "1",
-		"-data", t.TempDir(), "-experiments", experimentsBin)
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("dsmphased -chaos 1: %v\n%s", err, stderr.String())
-	}
-	var res service.ChaosResult
-	if err := json.Unmarshal(stdout.Bytes(), &res); err != nil {
-		t.Fatalf("stdout is not a campaign outcome: %v\n%s", err, stdout.String())
-	}
-	if res.Schedules != 2 || res.Completed != 1 || res.Degraded != 1 || len(res.Outcomes) != 2 || len(res.Violations) != 0 {
-		t.Errorf("outcome %+v, want one completed and one degraded schedule and no violations", res)
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // The corruption helpers. Each takes a path already on disk and
-// damages it in place, modeling a specific real-world failure. They
-// are exported so campaign harnesses can aim them at targets the
-// injector never sees — the disk result cache above all.
+// damages it in place, modeling a specific real-world failure.
+// CorruptArtifactValue is exported so a test can aim it at a target
+// the injector never sees: the disk result cache.
 
 // CorruptArtifactValue flips one content value of a shard-artifact
 // JSON file — the first cell's wall_ns, falling back to a grid's cell
@@ -76,8 +76,8 @@ func bumpFirstNumber(m map[string]any) bool {
 	return false
 }
 
-// TruncateFile cuts a file to half its size — a torn write.
-func TruncateFile(path string) error {
+// truncateFile cuts a file to half its size — a torn write.
+func truncateFile(path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -85,11 +85,11 @@ func TruncateFile(path string) error {
 	return os.Truncate(path, fi.Size()/2)
 }
 
-// TearStream truncates a JSONL cell stream midway through its final
+// tearStream truncates a JSONL cell stream midway through its final
 // line: the last durable cell is lost AND the tail is unparseable —
 // exactly what a crash mid-append leaves behind. A stream without a
 // complete line is left alone.
-func TearStream(path string) error {
+func tearStream(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -104,11 +104,11 @@ func TearStream(path string) error {
 	return os.Truncate(path, int64(cut))
 }
 
-// RewriteFingerprint replaces every grid fingerprint of an artifact
+// rewriteFingerprint replaces every grid fingerprint of an artifact
 // and restamps the checksum, so the file is internally consistent but
 // describes a plan the coordinator never asked for. Caught by the
 // dispatcher's fingerprint validation, not the checksum.
-func RewriteFingerprint(path string) error {
+func rewriteFingerprint(path string) error {
 	a, err := harness.ReadShardArtifactFile(path)
 	if err != nil {
 		return err

@@ -1,20 +1,15 @@
 // Package faults is a deterministic, seeded fault-injection plane for
-// the dsmphased coordinator. A Plan maps (shard, attempt) pairs to
-// fault kinds through an internal/rng Hash64 chain — no global state,
-// no wall clock — so two campaigns with the same seed replay the same
-// fault schedule against the same dispatch sequence. Wrap installs the
-// plane behind the service's Worker seam: the injector parses the
-// -shard/-shard-dir handshake off the attempt's argument vector and
-// sabotages the attempt before, during or after the wrapped worker
-// runs (transient exec failures, slow starts, hangs-until-cancelled,
-// crashes before the artifact write, torn cell-stream tails, corrupt,
-// truncated or wrong-fingerprint artifacts). The corruption helpers in
-// corrupt.go double as the disk-cache fault («corrupt cache entry»)
-// for campaign harnesses.
-//
-// Schedules are deterministic and seeded, campaigns are checked by an
-// oracle (service.RunChaos), and a campaign reproduces from its seed
-// alone.
+// the dsmphased coordinator's tests. A Plan maps (shard, attempt) pairs
+// to fault kinds through an internal/rng Hash64 chain — no global
+// state, no wall clock — so the same plan replays the same faults
+// against the same dispatch sequence. Wrap installs the plane behind
+// the service's Worker seam: the injector parses the -shard/-shard-dir
+// handshake off the attempt's argument vector and sabotages the attempt
+// before, during or after the wrapped worker runs (transient exec
+// failures, slow starts, hangs-until-cancelled, crashes before the
+// artifact write, torn cell-stream tails, corrupt, truncated or
+// wrong-fingerprint artifacts). CorruptArtifactValue doubles as the
+// corrupt disk-cache entry fault.
 package faults
 
 import (
@@ -34,9 +29,9 @@ const (
 	// TransientExec fails the attempt immediately, before the worker
 	// process would start — a connection blip or fork failure.
 	TransientExec
-	// SlowStart delays the attempt by Plan.SlowStartDelay before
-	// running it normally — exercises straggler/backoff interplay
-	// without failing anything.
+	// SlowStart delays the attempt by slowStartDelay before running it
+	// normally — exercises straggler/backoff interplay without failing
+	// anything.
 	SlowStart
 	// Hang blocks until the attempt's context is cancelled — a wedged
 	// worker only a per-attempt timeout can reclaim.
@@ -63,16 +58,17 @@ const (
 	// and reports success — a worker that ran the wrong plan.
 	WrongFingerprint
 
-	numKinds
+	// NumKinds counts the kinds, None included.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"none", "transient-exec", "slow-start", "hang", "crash-before-artifact",
 	"torn-stream", "corrupt-artifact", "truncate-artifact", "wrong-fingerprint",
 }
 
 func (k Kind) String() string {
-	if k < 0 || k >= numKinds {
+	if k < 0 || k >= NumKinds {
 		return fmt.Sprintf("faults.Kind(%d)", int(k))
 	}
 	return kindNames[k]
@@ -82,22 +78,6 @@ func (k Kind) String() string {
 type Weighted struct {
 	Kind   Kind
 	Weight int
-}
-
-// DefaultMix is a balanced campaign mix: roughly 60% clean attempts,
-// the rest spread over every fault kind.
-func DefaultMix() []Weighted {
-	return []Weighted{
-		{None, 60},
-		{TransientExec, 8},
-		{SlowStart, 5},
-		{Hang, 4},
-		{CrashBeforeArtifact, 6},
-		{TornStream, 5},
-		{CorruptArtifact, 5},
-		{TruncateArtifact, 4},
-		{WrongFingerprint, 3},
-	}
 }
 
 // Plan is a composable, seeded fault schedule. Draw is a pure function
@@ -119,8 +99,6 @@ type Plan struct {
 	// ReliableAfter notwithstanding. The degraded-report path's fuel.
 	Victim    int
 	VictimMix []Kind
-	// SlowStartDelay is the SlowStart stall (0 = 50ms).
-	SlowStartDelay time.Duration
 
 	mu       sync.Mutex
 	attempts map[int]int
@@ -168,9 +146,5 @@ func (p *Plan) Draw(shard, attempt int) Kind {
 	return None
 }
 
-func (p *Plan) slowStart() time.Duration {
-	if p.SlowStartDelay > 0 {
-		return p.SlowStartDelay
-	}
-	return 50 * time.Millisecond
-}
+// slowStartDelay is the SlowStart stall.
+const slowStartDelay = 50 * time.Millisecond

@@ -29,7 +29,7 @@ type Injector struct {
 }
 
 // Wrap builds an Injector. logf (optional) receives one line per
-// injected fault — the campaign's audit trail.
+// injected fault.
 func Wrap(inner Runner, plan *Plan, logf func(format string, args ...any)) *Injector {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -63,7 +63,7 @@ func (in *Injector) Run(ctx context.Context, bin string, args []string) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(in.plan.slowStart()):
+		case <-time.After(slowStartDelay):
 		}
 		return in.inner.Run(ctx, bin, args)
 
@@ -83,7 +83,7 @@ func (in *Injector) Run(ctx context.Context, bin string, args []string) error {
 			return err
 		}
 		_ = os.Remove(artifact)
-		if err := TearStream(stream); err != nil {
+		if err := tearStream(stream); err != nil {
 			return fmt.Errorf("faults: tearing stream: %w", err)
 		}
 		return fmt.Errorf("faults: injected crash mid-stream (shard %d attempt %d)", shard, attempt)
@@ -100,13 +100,13 @@ func (in *Injector) Run(ctx context.Context, bin string, args []string) error {
 		if err := in.inner.Run(ctx, bin, args); err != nil {
 			return err
 		}
-		return TruncateFile(artifact)
+		return truncateFile(artifact)
 
 	case WrongFingerprint:
 		if err := in.inner.Run(ctx, bin, args); err != nil {
 			return err
 		}
-		return RewriteFingerprint(artifact)
+		return rewriteFingerprint(artifact)
 	}
 	return in.inner.Run(ctx, bin, args)
 }

@@ -86,16 +86,11 @@ func (c *Cache) path(key string) string {
 }
 
 // Get returns the cached artifact for key, refreshing its LRU stamp.
-func (c *Cache) Get(key string) (*harness.ShardArtifact, bool) {
-	a, ok, _ := c.get(key)
-	return a, ok
-}
-
-// get is Get plus the eviction verdict: an entry that exists on disk
-// but no longer reads back — a failed content checksum above all — is
-// removed (the next identical submission recomputes it) and reported
-// as dropped, so the caller can publish the cache-evict event.
-func (c *Cache) get(key string) (a *harness.ShardArtifact, ok, dropped bool) {
+// An entry that exists on disk but no longer reads back — a failed
+// content checksum above all — is removed (the next identical
+// submission recomputes it) and reported as dropped, so the caller can
+// publish the cache-evict event.
+func (c *Cache) Get(key string) (a *harness.ShardArtifact, ok, dropped bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.path(key)

@@ -25,13 +25,13 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("absent"); ok {
+	if _, ok, _ := c.Get("absent"); ok {
 		t.Fatal("Get on empty cache hit")
 	}
 	if err := c.Put("k1", testArtifact("g1")); err != nil {
 		t.Fatal(err)
 	}
-	a, ok := c.Get("k1")
+	a, ok, _ := c.Get("k1")
 	if !ok {
 		t.Fatal("Put then Get missed")
 	}
@@ -69,7 +69,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		time.Sleep(5 * time.Millisecond) // distinct mtimes on coarse filesystems
 	}
 	// Touch k0 so k1 becomes the LRU victim.
-	if _, ok := c.Get("k0"); !ok {
+	if _, ok, _ := c.Get("k0"); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
 	time.Sleep(5 * time.Millisecond)
@@ -79,11 +79,11 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries after eviction, want 2", c.Len())
 	}
-	if _, ok := c.Get("k1"); ok {
+	if _, ok, _ := c.Get("k1"); ok {
 		t.Fatal("LRU entry k1 survived eviction")
 	}
 	for _, k := range []string{"k0", "k2"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok, _ := c.Get(k); !ok {
 			t.Fatalf("entry %s was evicted, want k1", k)
 		}
 	}

@@ -12,12 +12,15 @@ import (
 // (start, an attempt's finish, a clock tick), each carrying the current
 // time, and decisions come out for runShards to carry out. It reads no
 // clock and touches no process, file or lock, so tests drive the whole
-// retry, straggler, timeout and quarantine policy (Config documents
-// each knob) under a fake clock.
+// retry, straggler and timeout policy (Config documents each knob)
+// under a fake clock. Jobs run one at a time and runShards waits out
+// every attempt, so the machine owns the pool's busy bits for the job's
+// whole life; the workers are interchangeable local processes, and each
+// launch takes the lowest-index idle one.
 type shardMachine struct {
 	cfg      Config
-	seed     uint64      // retry jitter key: the plan fingerprint
-	workers  []workerRow // the pool's health, updated in place
+	seed     uint64 // retry jitter key: the plan fingerprint
+	busy     []bool // by worker: running an attempt
 	shards   []shardRow
 	attempts []attemptRow // by attempt handle
 	now      time.Time    // the latest event's time
@@ -25,22 +28,13 @@ type shardMachine struct {
 }
 
 // decision is one output; op is an Event type. "dispatch", "retry" and
-// "straggler" launch attempt id, the shard's attempt-th, on worker (a
-// benched worker's recovery probe when probe is set). "cancel" cancels
-// attempt id. "accept" ends the shard with attempt id's artifact and
-// "exhaust" with err. "quarantine" and "worker-restored" report a
-// health change of worker, scored by an attempt of shard.
+// "straggler" launch attempt id, the shard's attempt-th, on worker.
+// "cancel" cancels attempt id. "accept" ends the shard with attempt
+// id's artifact and "exhaust" with err.
 type decision struct {
 	op                         string
 	id, shard, attempt, worker int
-	probe                      bool
 	err                        error
-}
-
-// workerRow is one worker's health. The rows outlive a job's machine.
-type workerRow struct {
-	busy, benched bool
-	fails         int // consecutive failures
 }
 
 type shardRow struct {
@@ -59,10 +53,10 @@ type attemptRow struct {
 	cancelled     bool      // timed out, or the shard ended
 }
 
-// newShardMachine takes a filled cfg (Config.fill).
-func newShardMachine(cfg Config, fingerprint string, shards int, workers []workerRow) *shardMachine {
+// newShardMachine takes a filled cfg (Config.fill) and the pool size.
+func newShardMachine(cfg Config, fingerprint string, shards, workers int) *shardMachine {
 	seed, _ := strconv.ParseUint(fingerprint, 16, 64)
-	return &shardMachine{cfg: cfg, seed: seed, workers: workers, shards: make([]shardRow, shards)}
+	return &shardMachine{cfg: cfg, seed: seed, busy: make([]bool, workers), shards: make([]shardRow, shards)}
 }
 
 // start owes every shard its first dispatch, except the recovered ones
@@ -78,11 +72,6 @@ func (m *shardMachine) start(now time.Time, recovered []bool) []decision {
 	return m.tick(now)
 }
 
-// localError is an attempt's failure on the coordinator's side, before
-// its worker ran (preparing the attempt dir): the attempt fails, and
-// its worker's health is not scored.
-type localError struct{ error }
-
 // finished reports attempt id's end; err is nil only for a validated
 // artifact. Once its shard has ended, an attempt's finish only frees
 // its worker.
@@ -91,12 +80,9 @@ func (m *shardMachine) finished(now time.Time, id int, err error) []decision {
 	s := &m.shards[a.shard]
 	a.live = false
 	s.running--
-	m.workers[a.worker].busy = false
+	m.busy[a.worker] = false
 	if s.ended {
 		return m.tick(now)
-	}
-	if _, local := err.(localError); !local {
-		m.score(a.worker, a.shard, err == nil)
 	}
 	if err != nil && a.cancelled {
 		err = fmt.Errorf("attempt timed out after %v: %w", m.cfg.AttemptTimeout, err)
@@ -138,7 +124,7 @@ func (m *shardMachine) tick(now time.Time) []decision {
 		if !s.waiting || now.Before(s.retryAt) {
 			continue
 		}
-		w, probe := m.idle(true)
+		w := m.idle()
 		if w < 0 {
 			break
 		}
@@ -146,12 +132,12 @@ func (m *shardMachine) tick(now time.Time) []decision {
 		if s.attempts > 0 {
 			op = "retry"
 		}
-		m.launch(now, op, i, w, probe)
+		m.launch(now, op, i, w)
 	}
 	for i := range m.shards {
 		if s := &m.shards[i]; m.backupOwed(s) && !now.Before(s.backupAt) {
-			if w, _ := m.idle(false); w >= 0 {
-				m.launch(now, "straggler", i, w, false)
+			if w := m.idle(); w >= 0 {
+				m.launch(now, "straggler", i, w)
 			} else {
 				s.backupAt = now.Add(m.cfg.StragglerAfter)
 			}
@@ -213,52 +199,30 @@ func (m *shardMachine) backupOwed(s *shardRow) bool {
 	return !s.ended && !s.waiting && s.running > 0 && s.attempts < m.cfg.MaxAttempts
 }
 
-// idle returns the first idle healthy worker or, when probes are
-// allowed and none is, the first idle benched one as a probe; -1 when
-// every worker is busy.
-func (m *shardMachine) idle(allowProbe bool) (w int, probe bool) {
-	w = -1
-	for i, r := range m.workers {
-		if !r.busy && !r.benched {
-			return i, false
-		}
-		if allowProbe && !r.busy && w < 0 {
-			w = i
+// idle returns the lowest-index idle worker; -1 when every worker is
+// busy.
+func (m *shardMachine) idle() int {
+	for w, busy := range m.busy {
+		if !busy {
+			return w
 		}
 	}
-	return w, w >= 0
+	return -1
 }
 
-func (m *shardMachine) launch(now time.Time, op string, shard, w int, probe bool) {
+func (m *shardMachine) launch(now time.Time, op string, shard, w int) {
 	s := &m.shards[shard]
 	a := attemptRow{shard: shard, worker: w, live: true}
 	if m.cfg.AttemptTimeout > 0 {
 		a.deadline = now.Add(m.cfg.AttemptTimeout)
 	}
 	m.attempts = append(m.attempts, a)
-	m.emit(decision{op: op, id: len(m.attempts) - 1, shard: shard, attempt: s.attempts, worker: w, probe: probe})
+	m.emit(decision{op: op, id: len(m.attempts) - 1, shard: shard, attempt: s.attempts, worker: w})
 	s.attempts++
 	s.running++
 	s.waiting = false
 	s.backupAt = now.Add(m.cfg.StragglerAfter)
-	m.workers[w].busy = true
-}
-
-// score feeds an attempt's verdict to its worker's circuit breaker.
-func (m *shardMachine) score(w, shard int, ok bool) {
-	r := &m.workers[w]
-	if ok {
-		r.fails = 0
-		if r.benched {
-			r.benched = false
-			m.emit(decision{op: "worker-restored", shard: shard, worker: w})
-		}
-		return
-	}
-	if r.fails++; !r.benched && r.fails >= m.cfg.QuarantineAfter {
-		r.benched = true
-		m.emit(decision{op: "quarantine", shard: shard, worker: w})
-	}
+	m.busy[w] = true
 }
 
 func (m *shardMachine) emit(d decision) { m.out = append(m.out, d) }

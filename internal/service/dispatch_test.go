@@ -49,21 +49,13 @@ func render(ds []decision) []string {
 	for _, d := range ds {
 		switch d.op {
 		case "dispatch", "retry", "straggler":
-			s := fmt.Sprintf("launch a%d s%d#%d w%d %s", d.id, d.shard, d.attempt, d.worker, d.op)
-			if d.probe {
-				s += " probe"
-			}
-			out = append(out, s)
+			out = append(out, fmt.Sprintf("launch a%d s%d#%d w%d %s", d.id, d.shard, d.attempt, d.worker, d.op))
 		case "cancel":
 			out = append(out, fmt.Sprintf("cancel a%d", d.id))
 		case "accept":
 			out = append(out, fmt.Sprintf("accept s%d a%d", d.shard, d.id))
 		case "exhaust":
 			out = append(out, fmt.Sprintf("exhaust s%d: %v", d.shard, d.err))
-		case "quarantine":
-			out = append(out, fmt.Sprintf("benched w%d", d.worker))
-		case "worker-restored":
-			out = append(out, fmt.Sprintf("restored w%d", d.worker))
 		default:
 			out = append(out, "unknown op "+d.op)
 		}
@@ -76,11 +68,10 @@ func render(ds []decision) []string {
 // due whatever the jitter.
 func testMachineConfig(mutate func(*Config)) Config {
 	cfg := Config{
-		RetryBase:       10 * time.Millisecond,
-		RetryMax:        10 * time.Millisecond,
-		StragglerAfter:  time.Hour,
-		MaxAttempts:     3,
-		QuarantineAfter: 5,
+		RetryBase:      10 * time.Millisecond,
+		RetryMax:       10 * time.Millisecond,
+		StragglerAfter: time.Hour,
+		MaxAttempts:    3,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -112,13 +103,13 @@ func TestShardMachine(t *testing.T) {
 		name    string
 		cfg     func(*Config)
 		shards  int
-		workers []workerRow
+		workers int
 		steps   []mstep
 	}{{
 		name:    "exhaustion at MaxAttempts",
 		cfg:     func(c *Config) { c.MaxAttempts = 2 },
 		shards:  1,
-		workers: make([]workerRow, 1),
+		workers: 1,
 		steps: []mstep{
 			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}, next: time.Hour}, // a backup check
 			{at: 0, ev: fail(0)},
@@ -127,57 +118,45 @@ func TestShardMachine(t *testing.T) {
 		},
 	}, {
 		name:    "backup on a healthy idle worker within budget; the loser is ignored",
-		cfg:     func(c *Config) { c.StragglerAfter, c.MaxAttempts, c.QuarantineAfter = time.Second, 2, 1 },
+		cfg:     func(c *Config) { c.StragglerAfter, c.MaxAttempts = time.Second, 2 },
 		shards:  1,
-		workers: make([]workerRow, 2),
+		workers: 2,
 		steps: []mstep{
 			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}, next: time.Second},
 			{at: 999 * ms, ev: tick},
 			{at: time.Second, ev: tick, want: []string{"launch a1 s0#1 w1 straggler"}, next: never},
 			{at: 5 * time.Second, ev: tick}, // the budget is spent: no third attempt
 			{at: 6 * time.Second, ev: ok(1), want: []string{"accept s0 a1", "cancel a0"}, next: never},
-			// The cancelled loser's failure neither retries nor scores w0.
+			// The cancelled loser's failure neither retries nor launches.
 			{at: 6*time.Second + ms, ev: fail(0), next: never},
 		},
 	}, {
-		name:    "no backup while the only idle worker is benched; due again one StragglerAfter later",
-		cfg:     func(c *Config) { c.StragglerAfter = time.Second },
-		shards:  1,
-		workers: []workerRow{{}, {benched: true, fails: 5}},
+		name:    "no idle worker defers the backup by one StragglerAfter",
+		cfg:     func(c *Config) { c.StragglerAfter, c.MaxAttempts = time.Second, 2 },
+		shards:  2,
+		workers: 2,
 		steps: []mstep{
-			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}, next: time.Second},
+			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch", "launch a1 s1#0 w1 dispatch"}, next: time.Second},
 			{at: time.Second, ev: tick, next: 2 * time.Second},
-			{at: 2 * time.Second, ev: tick, next: 3 * time.Second},
-			{at: 2500 * ms, ev: ok(0), want: []string{"accept s0 a0"}, next: never},
+			{at: 1500 * ms, ev: ok(1), want: []string{"accept s1 a1"}, next: 2 * time.Second},
+			{at: 2 * time.Second, ev: tick, want: []string{"launch a2 s0#1 w1 straggler"}, next: never},
+			{at: 2500 * ms, ev: ok(0), want: []string{"accept s0 a0", "cancel a2"}, next: never},
+			{at: 2600 * ms, ev: fail(2), next: never},
 		},
 	}, {
 		name:    "timeout cancels the attempt and its finish is a failure",
 		cfg:     func(c *Config) { c.AttemptTimeout, c.MaxAttempts = time.Second, 1 },
 		shards:  1,
-		workers: make([]workerRow, 1),
+		workers: 1,
 		steps: []mstep{
 			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}, next: time.Second},
 			{at: time.Second, ev: tick, want: []string{"cancel a0"}, next: never},
 			{at: 1100 * ms, ev: fail(0), want: []string{"exhaust s0: all 1 attempts failed, last: attempt timed out after 1s: boom"}},
 		},
 	}, {
-		name:    "quarantine after N failures, probe only with no healthy worker idle, restore on success",
-		cfg:     func(c *Config) { c.QuarantineAfter, c.MaxAttempts = 2, 5 },
-		shards:  2,
-		workers: make([]workerRow, 2),
-		steps: []mstep{
-			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch", "launch a1 s1#0 w1 dispatch"}},
-			{at: 0, ev: fail(0)},
-			{at: 20 * ms, ev: tick, want: []string{"launch a2 s0#1 w0 retry"}},
-			{at: 30 * ms, ev: fail(2), want: []string{"benched w0"}},
-			{at: 60 * ms, ev: tick, want: []string{"launch a3 s0#2 w0 retry probe"}},
-			{at: 70 * ms, ev: ok(3), want: []string{"restored w0", "accept s0 a3"}},
-			{at: 80 * ms, ev: ok(1), want: []string{"accept s1 a1"}, next: never},
-		},
-	}, {
 		name:    "shards wait for a free worker and take it in shard order",
 		shards:  3,
-		workers: make([]workerRow, 1),
+		workers: 1,
 		steps: []mstep{
 			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}},
 			{at: 5 * time.Second, ev: ok(0), want: []string{"accept s0 a0", "launch a1 s1#0 w0 dispatch"}},
@@ -195,7 +174,7 @@ func TestShardMachine(t *testing.T) {
 			c.StragglerAfter, c.RetryBase, c.RetryMax = time.Second, 10*time.Second, 10*time.Second
 		},
 		shards:  1,
-		workers: make([]workerRow, 2),
+		workers: 2,
 		steps: []mstep{
 			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}},
 			{at: time.Second, ev: tick, want: []string{"launch a1 s0#1 w1 straggler"}},
@@ -204,23 +183,9 @@ func TestShardMachine(t *testing.T) {
 			{at: 30 * time.Second, ev: tick, next: never},
 		},
 	}, {
-		name:    "a coordinator-side failure is retried but never scores the worker",
-		cfg:     func(c *Config) { c.QuarantineAfter, c.MaxAttempts = 1, 2 },
-		shards:  1,
-		workers: make([]workerRow, 1),
-		steps: []mstep{
-			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}},
-			{at: 0, ev: func(m *shardMachine, now time.Time) []decision {
-				return m.finished(now, 0, localError{errBoom})
-			}},
-			{at: 20 * ms, ev: tick, want: []string{"launch a1 s0#1 w0 retry"}},
-			{at: 30 * ms, ev: ok(1), want: []string{"accept s0 a1"}, next: never},
-		},
-	}, {
 		name:    "after stop, nothing launches and finishes score nothing",
-		cfg:     func(c *Config) { c.QuarantineAfter = 1 },
 		shards:  3,
-		workers: make([]workerRow, 2),
+		workers: 2,
 		steps: []mstep{
 			{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch", "launch a1 s1#0 w1 dispatch"}},
 			{at: time.Second, ev: func(m *shardMachine, now time.Time) []decision { m.stop(); return m.tick(now) }, next: never},
@@ -230,7 +195,7 @@ func TestShardMachine(t *testing.T) {
 	}, {
 		name:    "recovered shards are never dispatched",
 		shards:  3,
-		workers: make([]workerRow, 2),
+		workers: 2,
 		steps: []mstep{
 			{at: 0, ev: func(m *shardMachine, now time.Time) []decision { return m.start(now, []bool{true, false, true}) },
 				want: []string{"launch a0 s1#0 w0 dispatch"}},
@@ -256,7 +221,7 @@ func TestShardMachineBackoff(t *testing.T) {
 	cfg := testMachineConfig(func(c *Config) {
 		c.RetryBase, c.RetryMax, c.MaxAttempts = 100*time.Millisecond, 300*time.Millisecond, 5
 	})
-	m := newShardMachine(cfg, "0123456789abcdef", 1, make([]workerRow, 1))
+	m := newShardMachine(cfg, "0123456789abcdef", 1, 1)
 	now := t0
 	if got := render(m.start(now, nil)); !reflect.DeepEqual(got, []string{"launch a0 s0#0 w0 dispatch"}) {
 		t.Fatalf("start: %q", got)
@@ -288,7 +253,7 @@ func TestShardMachineBackoff(t *testing.T) {
 	}
 	// The jitter is keyed on (fingerprint, shard, attempt): replayable,
 	// and spread across shards.
-	again := newShardMachine(cfg, "0123456789abcdef", 1, nil)
+	again := newShardMachine(cfg, "0123456789abcdef", 1, 1)
 	spread := false
 	for k := 1; k < 4; k++ {
 		if again.retryDelay(0, k) != m.retryDelay(0, k) {
@@ -301,81 +266,18 @@ func TestShardMachineBackoff(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolQuarantine drives the circuit breaker through the
-// machine, over health rows that persist across jobs: consecutive
-// failures bench a worker, a benched worker is handed out only as a
-// probe when no healthy worker is idle and never for a straggler
-// backup, and a probe success restores it to regular and backup
-// dispatch alike.
-func TestWorkerPoolQuarantine(t *testing.T) {
-	ms := time.Millisecond
-	cfg := testMachineConfig(func(c *Config) { c.QuarantineAfter, c.StragglerAfter = 2, time.Second })
-	rows := make([]workerRow, 2)
-	quarantined := func() int {
-		n := 0
-		for _, r := range rows {
-			if r.benched {
-				n++
-			}
-		}
-		return n
-	}
-
-	// Job 1: w0 fails twice in a row and is benched; the retry then goes
-	// to the healthy w1 though w0 is idle and listed first.
-	runSteps(t, newShardMachine(cfg, "", 1, rows), []mstep{
-		{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch"}},
-		{at: 0, ev: fail(0)}, // one failure: no transition
-		{at: 20 * ms, ev: tick, want: []string{"launch a1 s0#1 w0 retry"}},
-		{at: 30 * ms, ev: fail(1), want: []string{"benched w0"}},
-		{at: 60 * ms, ev: tick, want: []string{"launch a2 s0#2 w1 retry"}},
-		{at: 70 * ms, ev: ok(2), want: []string{"accept s0 a2"}},
-	})
-	if got := quarantined(); got != 1 {
-		t.Fatalf("quarantined after job 1 = %d, want 1", got)
-	}
-
-	// Job 2: the straggler backup never burns a probe on the benched w0.
-	runSteps(t, newShardMachine(cfg, "", 1, rows), []mstep{
-		{at: 0, ev: start, want: []string{"launch a0 s0#0 w1 dispatch"}},
-		{at: time.Second, ev: tick, next: 2 * time.Second},
-		{at: 1500 * ms, ev: ok(0), want: []string{"accept s0 a0"}},
-	})
-
-	// Job 3: with w1 busy, w0 is handed out as a probe; a failed probe
-	// keeps it benched, a successful one restores it.
-	runSteps(t, newShardMachine(cfg, "", 2, rows), []mstep{
-		{at: 0, ev: start, want: []string{"launch a0 s0#0 w1 dispatch", "launch a1 s1#0 w0 dispatch probe"}},
-		{at: 10 * ms, ev: fail(1)},
-		{at: 40 * ms, ev: tick, want: []string{"launch a2 s1#1 w0 retry probe"}},
-		{at: 50 * ms, ev: ok(2), want: []string{"restored w0", "accept s1 a2"}},
-		{at: 60 * ms, ev: ok(0), want: []string{"accept s0 a0"}},
-	})
-	if got := quarantined(); got != 0 {
-		t.Fatalf("quarantined after restore = %d", got)
-	}
-	// Job 4: the restored w0 takes regular dispatches and straggler
-	// backups again.
-	runSteps(t, newShardMachine(cfg, "", 2, rows), []mstep{
-		{at: 0, ev: start, want: []string{"launch a0 s0#0 w0 dispatch", "launch a1 s1#0 w1 dispatch"}},
-		{at: 100 * ms, ev: ok(0), want: []string{"accept s0 a0"}},
-		{at: time.Second, ev: tick, want: []string{"launch a2 s1#1 w0 straggler"}},
-	})
-}
-
 // TestShardMachineProperties drives seeded random machines with
 // random finishes and clock advances and checks the invariants the
 // shell and the fault plane rely on: no shard exceeds MaxAttempts, no
-// worker runs two attempts at once, a benched worker runs only probes
-// (never a backup) and only with no healthy worker idle, per-shard
-// attempt numbers count 0, 1, 2, …, each shard ends exactly once, and
-// the machine never stalls with nothing running.
+// worker runs two attempts at once, every launch takes the lowest-index
+// idle worker, per-shard attempt numbers count 0, 1, 2, …, each shard
+// ends exactly once, and the machine never stalls with nothing
+// running.
 func TestShardMachineProperties(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := rng.New(seed)
 		cfg := testMachineConfig(func(c *Config) {
 			c.MaxAttempts = 1 + r.Intn(4)
-			c.QuarantineAfter = 1 + r.Intn(3)
 			c.StragglerAfter = time.Duration(1+r.Intn(5)) * 100 * time.Millisecond
 			if r.Intn(2) == 0 {
 				c.AttemptTimeout = time.Duration(1+r.Intn(10)) * 100 * time.Millisecond
@@ -383,22 +285,14 @@ func TestShardMachineProperties(t *testing.T) {
 			c.RetryBase = time.Duration(1+r.Intn(50)) * time.Millisecond
 			c.RetryMax = 200 * time.Millisecond
 		})
-		shards := 1 + r.Intn(5)
-		rows := make([]workerRow, 1+r.Intn(4))
-		benched := make([]bool, len(rows))
-		for w := range rows {
-			if r.Intn(4) == 0 {
-				rows[w] = workerRow{benched: true, fails: cfg.QuarantineAfter}
-				benched[w] = true
-			}
-		}
+		shards, workers := 1+r.Intn(5), 1+r.Intn(4)
 		violate := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d: %s", seed, fmt.Sprintf(format, args...))
 		}
 
-		m := newShardMachine(cfg, fmt.Sprintf("%x", seed), shards, rows)
-		busy := make([]bool, len(rows))
+		m := newShardMachine(cfg, fmt.Sprintf("%x", seed), shards, workers)
+		busy := make([]bool, workers)
 		attempts := make([]int, shards)
 		ends := make([]int, shards)
 		var live []int      // attempt handles launched and not finished
@@ -419,17 +313,9 @@ func TestShardMachineProperties(t *testing.T) {
 					if busy[d.worker] {
 						violate("worker %d launched while running an attempt", d.worker)
 					}
-					if benched[d.worker] != d.probe {
-						violate("worker %d benched=%v launched with probe=%v", d.worker, benched[d.worker], d.probe)
-					}
-					if d.probe && d.op == "straggler" {
-						violate("straggler backup on benched worker %d", d.worker)
-					}
-					if d.probe {
-						for w := range busy {
-							if !busy[w] && !benched[w] {
-								violate("probe on worker %d while healthy worker %d idle", d.worker, w)
-							}
+					for w := 0; w < d.worker; w++ {
+						if !busy[w] {
+							violate("launch on worker %d while worker %d idle", d.worker, w)
 						}
 					}
 					if d.id != len(workerOf) {
@@ -445,16 +331,10 @@ func TestShardMachineProperties(t *testing.T) {
 					if d.op == "exhaust" && attempts[d.shard] != cfg.MaxAttempts {
 						violate("shard %d exhausted after %d of %d attempts", d.shard, attempts[d.shard], cfg.MaxAttempts)
 					}
-				case "quarantine":
-					benched[d.worker] = true
-				case "worker-restored":
-					benched[d.worker] = false
 				}
 			}
-			for w := range rows {
-				if rows[w].busy != busy[w] || rows[w].benched != benched[w] {
-					violate("worker %d row %+v, model busy=%v benched=%v", w, rows[w], busy[w], benched[w])
-				}
+			if !reflect.DeepEqual(m.busy, busy) {
+				violate("busy workers %v, model %v", m.busy, busy)
 			}
 		}
 

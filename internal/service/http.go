@@ -103,12 +103,9 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		"markdown": "text/markdown; charset=utf-8",
 	}
 	var buf strings.Builder
-	if err := j.RenderReport(c, &buf, format, r.URL.Query().Get("title")); err != nil {
+	if err := j.RenderReport(&buf, format, r.URL.Query().Get("title")); err != nil {
 		status := http.StatusConflict // job not done yet
-		switch {
-		case strings.Contains(err.Error(), "evicted"):
-			status = http.StatusGone
-		case strings.Contains(err.Error(), "unknown"):
+		if strings.Contains(err.Error(), "unknown") {
 			status = http.StatusBadRequest
 		}
 		writeError(w, status, err)
@@ -129,11 +126,7 @@ func (c *Coordinator) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	art, err := j.Artifact(c)
 	if err != nil {
-		status := http.StatusConflict
-		if strings.Contains(err.Error(), "evicted") {
-			status = http.StatusGone
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusConflict, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, art)
@@ -194,8 +187,5 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats["cache_entries"] = int64(c.cache.Len())
 	stats["cache_evictions"] = c.cache.Evictions()
 	stats["cache_corrupt_dropped"] = c.cache.CorruptDropped()
-	// Each bench and each restore is counted once, so the difference is
-	// exactly the workers benched now.
-	stats["workers_quarantined_now"] = stats["workers_quarantined"] - stats["workers_restored"]
 	writeJSON(w, http.StatusOK, stats)
 }

@@ -35,7 +35,9 @@ func FuzzJobRequest(f *testing.F) {
 	for i := 0; i < maxApps; i++ {
 		manyApps.Apps = append(manyApps.Apps, fmt.Sprintf("app%d", i), "lu")
 	}
-	for _, req := range []JobRequest{testRequest(), chaosRequest("tuning"), shipped, manyApps} {
+	tuning := testRequest()
+	tuning.Grid, tuning.Shards = "tuning", 2
+	for _, req := range []JobRequest{testRequest(), tuning, shipped, manyApps} {
 		data, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)

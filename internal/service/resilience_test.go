@@ -8,12 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"dsmphase/internal/faults"
-	"dsmphase/internal/harness"
 )
 
 // victimShard returns the shard of `of` holding the request's plan
@@ -36,92 +36,235 @@ func victimShard(t *testing.T, req JobRequest, of int) int {
 	return 0
 }
 
+// TestServiceFaultKinds forces each fault kind on the first attempt of
+// every shard (the second runs clean): every job ends done, its report
+// byte-identical to the direct run in every format. A kind that fails
+// its attempt costs each shard one retry, and a slow start costs none;
+// the corrupt artifact is caught by its content checksum alone, and the
+// hung attempt only by AttemptTimeout. A kind without a row fails the
+// test.
+func TestServiceFaultKinds(t *testing.T) {
+	req := testRequest() // two shards, both non-empty
+	ref := directRun(t, req)
+	const hangTimeout = 5 * time.Second // well above a clean attempt
+	rows := []struct {
+		kind  faults.Kind
+		fails bool // the kind fails the attempt it is forced on
+	}{
+		{faults.TransientExec, true},
+		{faults.SlowStart, false},
+		{faults.Hang, true},
+		{faults.CrashBeforeArtifact, true},
+		{faults.TornStream, true},
+		{faults.CorruptArtifact, true},
+		{faults.TruncateArtifact, true},
+		{faults.WrongFingerprint, true},
+	}
+	covered := map[faults.Kind]bool{}
+	for _, row := range rows {
+		covered[row.kind] = true
+	}
+	for k := faults.None + 1; k < faults.NumKinds; k++ {
+		if !covered[k] {
+			t.Errorf("fault kind %v has no row", k)
+		}
+	}
+	for _, row := range rows {
+		t.Run(row.kind.String(), func(t *testing.T) {
+			t.Parallel()
+			plan := &faults.Plan{Mix: []faults.Weighted{{Kind: row.kind, Weight: 1}}, ReliableAfter: 1}
+			coord := newTestCoordinator(t, func(cfg *Config) {
+				cfg.RetryBase = time.Millisecond
+				if row.kind == faults.Hang {
+					cfg.AttemptTimeout = hangTimeout
+				}
+				cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
+			})
+			st, err := coord.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = waitJob(t, coord, st.ID, hangTimeout+time.Minute); st.State != StateDone {
+				t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
+			}
+			checkReports(t, coord, st.ID, ref)
+
+			var retries, checksums int64
+			if row.fails {
+				retries = int64(st.Shards)
+			}
+			if row.kind == faults.CorruptArtifact {
+				checksums = int64(st.Shards)
+			}
+			if got := coord.Counters.ShardsRetried.Load(); got != retries {
+				t.Errorf("shards_retried = %d, want %d", got, retries)
+			}
+			if got := coord.Counters.ChecksumFailures.Load(); got != checksums {
+				t.Errorf("checksum_failures = %d, want %d", got, checksums)
+			}
+			if took := st.Finished.Sub(*st.Started); row.kind == faults.Hang && took < hangTimeout {
+				t.Errorf("hung attempts ended after %v, before the %v AttemptTimeout", took, hangTimeout)
+			}
+		})
+	}
+}
+
 // TestServiceDegradedReport: with one shard doomed by the fault plane
 // and AllowPartial set, the job terminates "degraded" instead of
-// "failed": the report serves, exactly the doomed shard's cells carry
-// errors, the injured list matches, and the partial result never
-// enters the cache.
+// "failed": the report serves in every format, exactly the injured
+// cells carry errors, all of them the doomed shard's, every healthy
+// cell equals the direct run's, and the partial result never enters
+// the cache. The figure2 row's doomed attempts never start, so every
+// victim cell is injured. The tuning row puts the other encoder family
+// under faults: its victim's attempts alternate with a crash that tears
+// the stream, so the last stream's surviving cells are recovered and
+// only the cells it lost are injured — the same ones again on a fresh
+// coordinator.
 func TestServiceDegradedReport(t *testing.T) {
-	req := testRequest()
-	req.AllowPartial = true
-	victim := victimShard(t, req, 2)
-	plan := &faults.Plan{Victim: victim, VictimMix: []faults.Kind{faults.TransientExec}}
-	coord := newTestCoordinator(t, func(cfg *Config) {
-		cfg.MaxAttempts = 2
-		cfg.RetryBase = time.Millisecond
-		cfg.RetryMax = 2 * time.Millisecond
-		cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
-	})
+	tuning := testRequest()
+	tuning.Grid, tuning.Shards = "tuning", 2
+	for _, row := range []struct {
+		req         JobRequest
+		victimMix   []faults.Kind
+		maxAttempts int
+		recovers    bool // some victim cells survive in its last stream
+	}{
+		{testRequest(), []faults.Kind{faults.TransientExec}, 2, false},
+		{tuning, []faults.Kind{faults.TransientExec, faults.TornStream}, 4, true},
+	} {
+		t.Run(row.req.Grid, func(t *testing.T) {
+			req := row.req
+			req.AllowPartial = true
+			victim := victimShard(t, req, 2)
+			ref := directRun(t, req)
+			degrade := func() (*Coordinator, *Client, JobStatus) {
+				plan := &faults.Plan{Victim: victim, VictimMix: row.victimMix}
+				coord := newTestCoordinator(t, func(cfg *Config) {
+					cfg.MaxAttempts = row.maxAttempts
+					cfg.RetryBase = time.Millisecond
+					cfg.RetryMax = 2 * time.Millisecond
+					cfg.WorkerParallel = 1 // cells stream in plan order, so the tear is deterministic
+					cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
+				})
+				srv := httptest.NewServer(coord.Handler())
+				t.Cleanup(srv.Close)
+				client := &Client{BaseURL: srv.URL}
+				return coord, client, submitAndWait(t, client, req) // Wait returns degraded jobs like done ones
+			}
+			coord, client, st := degrade()
+			if st.State != StateDegraded {
+				t.Fatalf("job state = %s, want degraded", st.State)
+			}
+			if st.CellsDone != st.CellsTotal-len(st.Injured) {
+				t.Fatalf("cells_done = %d with %d/%d injured", st.CellsDone, len(st.Injured), st.CellsTotal)
+			}
+
+			r := req
+			r.normalize()
+			g, err := r.compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			victimCells := g.Spec.Plan().ShardIndices(victim, 2)
+			onVictim := map[int]bool{}
+			for _, i := range victimCells {
+				onVictim[i] = true
+			}
+			injured := map[int]bool{}
+			for _, i := range st.Injured {
+				if !onVictim[i] {
+					t.Fatalf("injured cell %d is not on victim shard %d (cells %v)", i, victim, victimCells)
+				}
+				injured[i] = true
+			}
+			if row.recovers && (len(st.Injured) == 0 || len(st.Injured) == len(victimCells)) {
+				t.Fatalf("injured %v of victim cells %v: want some recovered and some lost", st.Injured, victimCells)
+			}
+			if !row.recovers && len(st.Injured) != len(victimCells) {
+				t.Fatalf("injured %v, want victim shard's cells %v", st.Injured, victimCells)
+			}
+
+			art, err := client.Artifact(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sc := range art.Grids[0].Results {
+				if (sc.Err != "") != injured[sc.Index] {
+					t.Fatalf("cell %d: error %q, injured=%v", sc.Index, sc.Err, injured[sc.Index])
+				}
+				if sc.Err != "" && !strings.Contains(sc.Err, "exhausted its attempts") {
+					t.Fatalf("injured cell %d error %q does not carry the shard failure", sc.Index, sc.Err)
+				}
+				if sc.Err == "" && !sameCell(sc, ref.cells[sc.Index]) {
+					t.Errorf("healthy cell %d differs from the direct run's", sc.Index)
+				}
+			}
+
+			// Degraded reports render in every format.
+			for format := range ref.reports {
+				if rep, err := client.Report(st.ID, format, req.Grid); err != nil || len(rep) == 0 {
+					t.Fatalf("degraded %s report: %d bytes, %v", format, len(rep), err)
+				}
+			}
+
+			// Never cached: the identical resubmission dispatches fresh workers.
+			if st2 := submitAndWait(t, client, req); st2.Cached {
+				t.Fatal("degraded result was served from the cache")
+			}
+			stats, err := client.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := coord.Counters.JobsDegraded.Load(); got != 2 || stats["jobs_degraded"] != 2 {
+				t.Fatalf("jobs_degraded = %d, stats %d, want 2", got, stats["jobs_degraded"])
+			}
+
+			if row.recovers {
+				// The same plan on a fresh coordinator injures the same cells.
+				if _, _, again := degrade(); !reflect.DeepEqual(again.Injured, st.Injured) {
+					t.Fatalf("replay injured %v (%s), first run %v", again.Injured, again.State, st.Injured)
+				}
+			}
+		})
+	}
+}
+
+// TestServiceCorruptCacheEntryRecomputes: a cache entry whose content
+// no longer matches its checksum is dropped, not served: the
+// resubmission recomputes on workers, byte-identical to the direct run
+// in every format, and rewrites the entry for the next submission.
+func TestServiceCorruptCacheEntryRecomputes(t *testing.T) {
+	coord := newTestCoordinator(t, nil)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	client := &Client{BaseURL: srv.URL}
+	req := testRequest()
+	ref := directRun(t, req)
 
-	st := submitAndWait(t, client, req) // Wait returns degraded jobs like done ones
-	if st.State != StateDegraded {
-		t.Fatalf("job state = %s, want degraded", st.State)
+	st := submitAndWait(t, client, req)
+	if st.State != StateDone {
+		t.Fatalf("first job state = %s", st.State)
 	}
-	if len(st.Injured) == 0 {
-		t.Fatal("degraded job lists no injured cells")
-	}
-	if st.CellsDone != st.CellsTotal-len(st.Injured) {
-		t.Fatalf("cells_done = %d with %d/%d injured", st.CellsDone, len(st.Injured), st.CellsTotal)
-	}
-
-	// The error cells are exactly the injured list, which is exactly the
-	// victim shard's cell set (TransientExec never streams a cell).
-	art, err := client.Artifact(st.ID)
-	if err != nil {
+	j, _ := coord.Job(st.ID)
+	if err := faults.CorruptArtifactValue(coord.cache.path(j.Key)); err != nil {
 		t.Fatal(err)
 	}
-	r := req
-	r.normalize()
-	g, err := r.compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantInjured := g.Spec.Plan().ShardIndices(victim, 2)
-	injured := map[int]bool{}
-	for _, i := range st.Injured {
-		injured[i] = true
-	}
-	if len(wantInjured) != len(st.Injured) {
-		t.Fatalf("injured %v, want victim shard's cells %v", st.Injured, wantInjured)
-	}
-	for _, i := range wantInjured {
-		if !injured[i] {
-			t.Fatalf("victim cell %d missing from injured list %v", i, st.Injured)
-		}
-	}
-	for _, sc := range art.Grids[0].Results {
-		if (sc.Err != "") != injured[sc.Index] {
-			t.Fatalf("cell %d: error %q, injured=%v", sc.Index, sc.Err, injured[sc.Index])
-		}
-		if sc.Err != "" && !strings.Contains(sc.Err, "exhausted its attempts") {
-			t.Fatalf("injured cell %d error %q does not carry the shard failure", sc.Index, sc.Err)
-		}
-	}
 
-	// Degraded reports render in every format.
-	for _, format := range harness.EncoderNames() {
-		if _, err := client.Report(st.ID, format, req.Grid); err != nil {
-			t.Fatalf("degraded %s report: %v", format, err)
-		}
-	}
-
-	// Never cached: the identical resubmission dispatches fresh workers.
 	st2 := submitAndWait(t, client, req)
-	if st2.Cached {
-		t.Fatal("degraded result was served from the cache")
-	}
-	if got := coord.Counters.JobsDegraded.Load(); got != 2 {
-		t.Fatalf("jobs_degraded = %d, want 2", got)
+	if st2.Cached || st2.State != StateDone {
+		t.Fatalf("resubmission over a corrupt entry: state=%s cached=%v, want a recomputed done job", st2.State, st2.Cached)
 	}
 	stats, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["jobs_degraded"] != 2 {
-		t.Fatalf("stats jobs_degraded = %d", stats["jobs_degraded"])
+	if stats["cache_corrupt_dropped"] != 1 {
+		t.Fatalf("cache_corrupt_dropped = %d, want 1", stats["cache_corrupt_dropped"])
+	}
+	checkReports(t, coord, st2.ID, ref)
+
+	if st3, err := client.Submit(req); err != nil || !st3.Cached {
+		t.Fatalf("third submission: cached=%v, err %v; want a hit on the rewritten entry", st3.Cached, err)
 	}
 }
 

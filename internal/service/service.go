@@ -39,7 +39,7 @@ type Config struct {
 	CacheBytes int64
 	// StragglerAfter paces straggler backups: a shard still running
 	// StragglerAfter after its latest launch gets a backup attempt on an
-	// idle healthy worker, within MaxAttempts; with none idle then, it
+	// idle worker, within MaxAttempts; with none idle then, it
 	// is due again one StragglerAfter later. First valid completion
 	// wins; the other attempts are cancelled. 0 = 10 minutes.
 	StragglerAfter time.Duration
@@ -57,11 +57,6 @@ type Config struct {
 	// attempt still running after it is cancelled and counted failed —
 	// the only way to reclaim a hung worker process. 0 = no timeout.
 	AttemptTimeout time.Duration
-	// QuarantineAfter benches a worker after N consecutive failed
-	// attempts (artifact validation included). A benched worker is
-	// dispatched only when no healthy worker is idle, as a probe; a
-	// probe success restores it. 0 = 5.
-	QuarantineAfter int
 	// WrapWorker, when non-nil, wraps every parsed worker — the seam
 	// the fault-injection plane (internal/faults.Wrap) plugs into.
 	WrapWorker func(Worker) Worker
@@ -99,9 +94,6 @@ func (c *Config) fill() {
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = time.Minute
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 5
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 500 * time.Millisecond
@@ -313,10 +305,10 @@ func terminalState(s string) bool {
 // events embed the same harness.ProgressEvent the CLI's stderr printer
 // renders, so both surfaces consume one structured source.
 type Event struct {
-	// Type is the event kind: queued, start, dispatch, retry, probe,
-	// straggler, recovered, quarantine, worker-restored,
-	// checksum-failed, shard-done, shard-degraded, cells, merged,
-	// cache-evict, cache-hit, done, degraded, failed.
+	// Type is the event kind: queued, start, dispatch, retry,
+	// straggler, recovered, checksum-failed, shard-done,
+	// shard-degraded, cells, merged, cache-evict, cache-hit, done,
+	// degraded, failed.
 	Type string `json:"type"`
 	// Job is the job ID.
 	Job string `json:"job"`
@@ -443,20 +435,17 @@ func (j *Job) Status() JobStatus {
 // Counters are the coordinator's scrape-friendly counters (GET
 // /v1/stats).
 type Counters struct {
-	JobsSubmitted      atomic.Int64
-	JobsDone           atomic.Int64
-	JobsDegraded       atomic.Int64
-	JobsFailed         atomic.Int64
-	ShardsDispatched   atomic.Int64
-	ShardsRetried      atomic.Int64
-	ShardsRecovered    atomic.Int64
-	Stragglers         atomic.Int64
-	CacheHits          atomic.Int64
-	WorkersSpawned     atomic.Int64
-	WorkersQuarantined atomic.Int64
-	WorkersRestored    atomic.Int64
-	WorkerProbes       atomic.Int64
-	ChecksumFailures   atomic.Int64
+	JobsSubmitted    atomic.Int64
+	JobsDone         atomic.Int64
+	JobsDegraded     atomic.Int64
+	JobsFailed       atomic.Int64
+	ShardsDispatched atomic.Int64
+	ShardsRetried    atomic.Int64
+	ShardsRecovered  atomic.Int64
+	Stragglers       atomic.Int64
+	CacheHits        atomic.Int64
+	WorkersSpawned   atomic.Int64
+	ChecksumFailures atomic.Int64
 }
 
 // Snapshot renders the counters as a stable-keyed map.
@@ -472,9 +461,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 		"stragglers_redispatched": c.Stragglers.Load(),
 		"cache_hits":              c.CacheHits.Load(),
 		"workers_spawned":         c.WorkersSpawned.Load(),
-		"workers_quarantined":     c.WorkersQuarantined.Load(),
-		"workers_restored":        c.WorkersRestored.Load(),
-		"worker_probes":           c.WorkerProbes.Load(),
 		"checksum_failures":       c.ChecksumFailures.Load(),
 	}
 }
@@ -498,7 +484,6 @@ type Coordinator struct {
 	nextID int
 
 	// Once New returns, only the dispatcher goroutine touches these.
-	health   []workerRow   // by worker
 	etaPer   time.Duration // the persisted per-cell timing prior
 	etaCells int
 }
@@ -538,7 +523,6 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.workers = append(c.workers, w)
 	}
-	c.health = make([]workerRow, len(c.workers))
 	c.loadETA()
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.wg.Add(1)
@@ -579,7 +563,9 @@ func (c *Coordinator) dispatch() {
 
 // Submit validates, registers and enqueues a job. A submission whose
 // cache key is already resident completes instantly without touching
-// the queue or the pool.
+// the queue or the pool. A job is registered (given its ID, listed and
+// counted) only once it is queued or served from the cache: a
+// submission refused for a full queue leaves no job behind.
 func (c *Coordinator) Submit(req JobRequest) (JobStatus, error) {
 	if c.draining.Load() {
 		return JobStatus{}, fmt.Errorf("service: coordinator is draining, not accepting jobs")
@@ -604,49 +590,54 @@ func (c *Coordinator) Submit(req JobRequest) (JobStatus, error) {
 		state:       StateQueued,
 		created:     time.Now(),
 	}
-	c.mu.Lock()
-	c.nextID++
-	j.ID = fmt.Sprintf("job-%d", c.nextID)
-	c.jobs[j.ID] = j
-	c.order = append(c.order, j.ID)
-	c.mu.Unlock()
-	c.Counters.JobsSubmitted.Add(1)
-
-	art, ok, dropped := c.cache.get(j.Key)
-	if dropped {
-		// The cached entry existed but failed its content checksum:
-		// evicted, and this job recomputes it.
-		j.publish(Event{Type: "cache-evict", Msg: j.Key})
-		c.cfg.Logf("job %s: corrupt cache entry %s evicted, recomputing", j.ID, j.Key)
-	}
-	if ok {
-		c.Counters.CacheHits.Add(1)
-		c.Counters.JobsDone.Add(1)
-		j.mu.Lock()
+	art, hit, dropped := c.cache.Get(j.Key)
+	if hit {
 		j.state = StateDone
 		j.cached = true
 		j.started, j.finished = j.created, time.Now()
 		j.artifact = art
 		j.cellsDone = j.cellsTotal
 		j.shardsDone = of
-		j.mu.Unlock()
-		j.publish(Event{Type: "cache-hit", Msg: j.Key})
-		j.publish(Event{Type: "done"})
-		c.cfg.Logf("job %s: %s served from cache (%s)", j.ID, req.Grid, j.Key)
-		return j.Status(), nil
 	}
 
-	select {
-	case c.queue <- j:
+	// Under c.mu the job takes the next ID and publishes the events that
+	// precede the dispatcher's; the ID is spent, and the job listed,
+	// only once it is queued or served from the cache.
+	c.mu.Lock()
+	j.ID = fmt.Sprintf("job-%d", c.nextID+1)
+	if dropped {
+		// The cached entry existed but failed its content checksum:
+		// evicted, and this job recomputes it.
+		j.publish(Event{Type: "cache-evict", Msg: j.Key})
+	}
+	if hit {
+		j.publish(Event{Type: "cache-hit", Msg: j.Key})
+		j.publish(Event{Type: "done"})
+	} else {
 		j.publish(Event{Type: "queued"})
+		select {
+		case c.queue <- j:
+		default:
+			c.mu.Unlock()
+			return JobStatus{}, fmt.Errorf("service: job queue full")
+		}
+	}
+	c.nextID++
+	c.jobs[j.ID] = j
+	c.order = append(c.order, j.ID)
+	c.mu.Unlock()
+	c.Counters.JobsSubmitted.Add(1)
+
+	if dropped {
+		c.cfg.Logf("job %s: corrupt cache entry %s evicted, recomputing", j.ID, j.Key)
+	}
+	if hit {
+		c.Counters.CacheHits.Add(1)
+		c.Counters.JobsDone.Add(1)
+		c.cfg.Logf("job %s: %s served from cache (%s)", j.ID, req.Grid, j.Key)
+	} else {
 		c.cfg.Logf("job %s: queued %s (%d cells, %d shards, fingerprint %s)",
 			j.ID, req.Grid, j.cellsTotal, of, j.fingerprint)
-	default:
-		j.mu.Lock()
-		j.state = StateFailed
-		j.err = "job queue full"
-		j.mu.Unlock()
-		return j.Status(), fmt.Errorf("service: job queue full")
 	}
 	return j.Status(), nil
 }
@@ -897,7 +888,7 @@ func (c *Coordinator) runShards(j *Job, jobDir string) []shardOutcome {
 		}
 	}
 
-	m := newShardMachine(c.cfg, j.fingerprint, j.of, c.health)
+	m := newShardMachine(c.cfg, j.fingerprint, j.of, len(c.workers))
 	var streams []string             // by attempt handle
 	var cancels []context.CancelFunc // by attempt handle
 	defer func() {
@@ -923,14 +914,6 @@ func (c *Coordinator) runShards(j *Job, jobDir string) []shardOutcome {
 				shardDone(d.shard)
 			case "exhaust":
 				outs[d.shard].err = d.err
-			case "quarantine":
-				c.Counters.WorkersQuarantined.Add(1)
-				j.publish(Event{Type: d.op, Shard: d.shard, Msg: c.workers[d.worker].Name()})
-				c.cfg.Logf("worker %s quarantined after %d consecutive failures", c.workers[d.worker].Name(), c.cfg.QuarantineAfter)
-			case "worker-restored":
-				c.Counters.WorkersRestored.Add(1)
-				j.publish(Event{Type: d.op, Shard: d.shard, Msg: c.workers[d.worker].Name()})
-				c.cfg.Logf("worker %s restored by successful probe", c.workers[d.worker].Name())
 			}
 		}
 	}
@@ -960,7 +943,7 @@ func (c *Coordinator) runShards(j *Job, jobDir string) []shardOutcome {
 		}
 		if c.ctx.Err() != nil {
 			// Coordinator shutdown, which cancelled every attempt: wait
-			// them out unscored, launching nothing more.
+			// them out, launching nothing more.
 			m.stop()
 		}
 		if fin != nil {
@@ -976,8 +959,7 @@ func (c *Coordinator) runShards(j *Job, jobDir string) []shardOutcome {
 // attempt dir, writes the shipped workload specs into it, seeds its
 // cell stream with a copy of the shard's previous one (prev; the new
 // worker resumes from it), runs the worker, validates the artifact and
-// reports to done. A dir it cannot prepare fails the attempt as a
-// localError, which leaves the worker's health unscored.
+// reports to done. A dir it cannot prepare fails the attempt.
 func (c *Coordinator) launch(ctx context.Context, j *Job, d decision, dir, prev, stream string, done chan<- attemptDone) {
 	w := c.workers[d.worker]
 	c.Counters.ShardsDispatched.Add(1)
@@ -988,10 +970,6 @@ func (c *Coordinator) launch(ctx context.Context, j *Job, d decision, dir, prev,
 	case "straggler":
 		c.Counters.Stragglers.Add(1)
 	}
-	if d.probe {
-		c.Counters.WorkerProbes.Add(1)
-		j.publish(Event{Type: "probe", Shard: d.shard, Msg: w.Name()})
-	}
 	j.publish(Event{Type: d.op, Shard: d.shard, Msg: w.Name()})
 	c.cfg.Logf("job %s: shard %d attempt %d on %s", j.ID, d.shard, d.attempt, w.Name())
 	go func() {
@@ -1000,7 +978,7 @@ func (c *Coordinator) launch(ctx context.Context, j *Job, d decision, dir, prev,
 			err = writeWorkloadSpecs(dir, j.Req.Workloads)
 		}
 		if err != nil {
-			done <- attemptDone{d.id, localError{err}}
+			done <- attemptDone{d.id, err}
 			return
 		}
 		if prev != "" {
@@ -1142,22 +1120,17 @@ func (c *Coordinator) updateETA(a *harness.ShardArtifact) {
 	}
 }
 
-// Artifact returns a done (or degraded) job's merged results artifact
-// (from memory, falling back to the cache).
-func (j *Job) Artifact(c *Coordinator) (*harness.ShardArtifact, error) {
+// Artifact returns a done (or degraded) job's merged results artifact,
+// which the job holds from its cache hit or merge on. The coordinator
+// argument is unused; the repository benchmark (bench/served.go) still
+// passes one.
+func (j *Job) Artifact(*Coordinator) (*harness.ShardArtifact, error) {
 	j.mu.Lock()
-	art, state := j.artifact, j.state
-	j.mu.Unlock()
-	if state != StateDone && state != StateDegraded {
-		return nil, fmt.Errorf("service: job %s is %s, not done", j.ID, state)
+	defer j.mu.Unlock()
+	if j.state != StateDone && j.state != StateDegraded {
+		return nil, fmt.Errorf("service: job %s is %s, not done", j.ID, j.state)
 	}
-	if art != nil {
-		return art, nil
-	}
-	if art, ok := c.cache.Get(j.Key); ok {
-		return art, nil
-	}
-	return nil, fmt.Errorf("service: job %s: result evicted from cache; resubmit", j.ID)
+	return j.artifact, nil
 }
 
 // RenderReport encodes a done job's report in the named format —
@@ -1165,8 +1138,8 @@ func (j *Job) Artifact(c *Coordinator) (*harness.ShardArtifact, error) {
 // AssembleTuning underneath), the identical aggregation a direct run
 // uses, so the bytes match a local run exactly. An empty title defaults
 // to the grid name.
-func (j *Job) RenderReport(c *Coordinator, w io.Writer, format, title string) error {
-	art, err := j.Artifact(c)
+func (j *Job) RenderReport(w io.Writer, format, title string) error {
+	art, err := j.Artifact(nil)
 	if err != nil {
 		return err
 	}

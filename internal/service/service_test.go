@@ -12,11 +12,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"dsmphase/internal/faults"
 	"dsmphase/internal/harness"
 	"dsmphase/internal/workloads"
 )
@@ -72,42 +72,112 @@ func newTestCoordinator(t *testing.T, mutate func(*Config)) *Coordinator {
 	return c
 }
 
-// directReport renders the request's grid by running it in-process —
-// the reference bytes every served report must match exactly.
-func directReport(t *testing.T, req JobRequest, format string) []byte {
+// directRef is a request's reference material from one in-process run
+// of its grid — no shards, workers or coordinator: the report in every
+// encoder format, which every served report must match byte for byte,
+// and the cells by plan index with the wall clock, the artifact's only
+// nondeterministic field, zeroed.
+type directRef struct {
+	reports map[string][]byte
+	cells   map[int]harness.ShardCell
+}
+
+func directRun(t *testing.T, req JobRequest) directRef {
 	t.Helper()
 	req.normalize()
 	g, err := req.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := harness.RunGrids([]harness.NamedGrid{g}, 0, 1, harness.Options{}, false, nil)
+	all, _, err := harness.RunGrids([]harness.NamedGrid{g}, 0, 1, harness.Options{}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if g.Tuning {
-		rep, err := g.Spec.AssembleTuning(results[0])
-		if err != nil {
-			t.Fatal(err)
+	results := all[0]
+	ref := directRef{reports: map[string][]byte{}, cells: map[int]harness.ShardCell{}}
+	// Both encoder families register the same format names.
+	for _, format := range harness.EncoderNames() {
+		var buf bytes.Buffer
+		if g.Tuning {
+			rep, err := g.Spec.AssembleTuning(results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := harness.NewTuningEncoder(format, req.Grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Encode(&buf, rep); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			enc, err := harness.NewEncoder(format, req.Grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Encode(&buf, g.Spec.Assemble(results)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		enc, err := harness.NewTuningEncoder(format, req.Grid)
-		if err != nil {
-			t.Fatal(err)
+		ref.reports[format] = buf.Bytes()
+	}
+	sg, err := harness.NewShardGrid(g.Name, g.Spec, results, g.Tuning, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range sg.Results {
+		sc.WallNS = 0
+		ref.cells[sc.Index] = sc
+	}
+	return ref
+}
+
+// directReport is the direct run's report in one format.
+func directReport(t *testing.T, req JobRequest, format string) []byte {
+	t.Helper()
+	return directRun(t, req).reports[format]
+}
+
+// sameCell compares two serialized cells, the wall clock aside.
+func sameCell(a, b harness.ShardCell) bool {
+	a.WallNS, b.WallNS = 0, 0
+	ja, errA := json.Marshal(a)
+	jb, errB := json.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(ja, jb)
+}
+
+// waitJob polls a job to a terminal state, failing the test past the
+// deadline.
+func waitJob(t *testing.T, coord *Coordinator, id string, timeout time.Duration) JobStatus {
+	t.Helper()
+	j, ok := coord.Job(id)
+	if !ok {
+		t.Fatalf("no job %s", id)
+	}
+	for deadline := time.Now().Add(timeout); ; time.Sleep(10 * time.Millisecond) {
+		st := j.Status()
+		if terminalState(st.State) {
+			return st
 		}
-		if err := enc.Encode(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		enc, err := harness.NewEncoder(format, req.Grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(&buf, g.Spec.Assemble(results[0])); err != nil {
-			t.Fatal(err)
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s after %v", id, st.State, timeout)
 		}
 	}
-	return buf.Bytes()
+}
+
+// checkReports renders a finished job in every encoder format and
+// wants the direct run's bytes.
+func checkReports(t *testing.T, coord *Coordinator, id string, ref directRef) {
+	t.Helper()
+	j, _ := coord.Job(id)
+	for format, want := range ref.reports {
+		var buf bytes.Buffer
+		if err := j.RenderReport(&buf, format, j.Req.Grid); err != nil {
+			t.Errorf("%s report: %v", format, err)
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("served %s report differs from the direct run", format)
+		}
+	}
 }
 
 func submitAndWait(t *testing.T, client *Client, req JobRequest) JobStatus {
@@ -305,39 +375,6 @@ func TestServiceCacheHit(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("cached job's report differs from the original")
-	}
-}
-
-// TestServiceWorkerCrashResumes is the fault-tolerance pin: every
-// shard's first worker attempt dies mid-append (the fault plane's
-// TornStream: the artifact is lost and the cell stream's last line is
-// cut), the coordinator re-dispatches, the retry resumes from the dead
-// attempt's cell stream, and the final report is still byte-identical
-// to a direct run.
-func TestServiceWorkerCrashResumes(t *testing.T) {
-	plan := &faults.Plan{Mix: []faults.Weighted{{Kind: faults.TornStream, Weight: 1}}, ReliableAfter: 1}
-	coord := newTestCoordinator(t, func(cfg *Config) {
-		cfg.RetryBase = time.Millisecond
-		cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
-	})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	client := &Client{BaseURL: srv.URL}
-
-	req := testRequest()
-	st := submitAndWait(t, client, req)
-	if st.State != StateDone {
-		t.Fatalf("job state = %s", st.State)
-	}
-	if got := coord.Counters.ShardsRetried.Load(); got == 0 {
-		t.Fatal("no shard was retried despite the injected crashes")
-	}
-	served, err := client.Report(st.ID, "json", req.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct := directReport(t, req, "json"); !bytes.Equal(served, direct) {
-		t.Error("report after crash-and-resume differs from direct run")
 	}
 }
 
@@ -562,6 +599,46 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code, _ := submit(445_452_064); code != http.StatusAccepted {
 		t.Fatalf("a request the size of the 8-node small-size lu capture: status %d, want 202", code)
+	}
+}
+
+// TestSubmitQueueFullLeavesNoJob: a submission refused because the
+// queue is full is neither registered nor counted, so no job is left
+// that never finishes, and concurrent submissions take distinct IDs.
+// The coordinator is closed first, so nothing drains the queue.
+func TestSubmitQueueFullLeavesNoJob(t *testing.T) {
+	coord := newTestCoordinator(t, nil)
+	coord.Close()
+	req := testRequest()
+	const submitters = 4
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cap(coord.queue)/submitters; i++ {
+				if _, err := coord.Submit(req); err != nil {
+					t.Errorf("submission: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := coord.Submit(req); err == nil || !strings.Contains(err.Error(), "queue full") {
+		t.Fatalf("submission past a full queue: %v, want queue full", err)
+	}
+	jobs := coord.JobList()
+	if len(jobs) != cap(coord.queue) {
+		t.Fatalf("%d jobs listed, want the %d queued", len(jobs), cap(coord.queue))
+	}
+	for i, st := range jobs {
+		if want := fmt.Sprintf("job-%d", i+1); st.ID != want || st.State != StateQueued {
+			t.Fatalf("job %d is %s, %s (%s); want %s, queued", i, st.ID, st.State, st.Error, want)
+		}
+	}
+	if got := coord.Counters.JobsSubmitted.Load(); got != int64(cap(coord.queue)) {
+		t.Fatalf("jobs_submitted = %d, want %d", got, cap(coord.queue))
 	}
 }
 

@@ -1,15 +1,17 @@
 // Package service is the experiment coordinator behind cmd/dsmphased:
 // a long-running HTTP/JSON server that accepts job submissions (a named
 // experiment grid plus Spec parameters), fans the grid's shards out
-// over a pool of workers that exec cmd/experiments -shard with a
-// -shard-dir handshake, survives worker death (per-cell JSONL streams
-// let a re-dispatched shard resume from its last completed cell),
-// detects stragglers and re-dispatches them safely (shard artifacts are
-// fingerprint-validated and idempotent, so a duplicate completion is a
-// no-op), auto-merges completed shard sets through the same
-// MergeShards/Assemble path the CLI uses — so a served report is
-// byte-identical to a direct Spec.Run — and answers repeat submissions
-// from a Plan.Fingerprint-keyed disk cache without spawning a worker.
+// over a pool of interchangeable local workers that exec
+// cmd/experiments -shard with a -shard-dir handshake, retries failed
+// and timed-out attempts with backoff, survives worker death (per-cell
+// JSONL streams let a re-dispatched shard resume from its last
+// completed cell), detects stragglers and re-dispatches them safely
+// (shard artifacts are fingerprint-validated and idempotent, so a
+// duplicate completion is a no-op), auto-merges completed shard sets
+// through the same MergeShards/Assemble path the CLI uses — so a
+// served report is byte-identical to a direct Spec.Run — and answers
+// repeat submissions from a Plan.Fingerprint-keyed disk cache without
+// spawning a worker.
 //
 // See docs/SERVICE.md for the HTTP API and the artifact/resume schema.
 package service
@@ -23,8 +25,12 @@ import (
 )
 
 // Worker executes one shard attempt. Local workers exec the experiments
-// binary as a child process; the interface is the seam a cross-machine
-// transport and the fault-injection plane (internal/faults) plug into.
+// binary as a child process; the interface is the seam the
+// fault-injection plane (internal/faults) plugs into. The dispatcher
+// keeps no per-worker health: local workers are interchangeable
+// children of one host, so one worker's failures predict nothing about
+// it. A cross-machine transport plugging in here would have to bring
+// per-worker health back.
 // Run must honor ctx cancellation — the dispatcher cancels losing
 // straggler attempts — and must not return until the attempt's
 // artifact (if any) is fully on disk.
