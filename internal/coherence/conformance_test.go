@@ -122,17 +122,17 @@ func TestConformancePrivateTraces(t *testing.T) {
 				t.Fatalf("n=%d access %d (%+v): directory miss=%v, ivy miss=%v",
 					n, i, trace[i], dMiss, iMiss)
 			}
-			if dres[i].MemoryAccess != ires[i].MemoryAccess {
+			if dres[i].MemoryAccess() != ires[i].MemoryAccess() {
 				t.Fatalf("n=%d access %d (%+v): directory mem=%v, ivy mem=%v",
-					n, i, trace[i], dres[i].MemoryAccess, ires[i].MemoryAccess)
+					n, i, trace[i], dres[i].MemoryAccess(), ires[i].MemoryAccess())
 			}
 		}
 		var dMem, iMem int
 		for i := range trace {
-			if dres[i].MemoryAccess {
+			if dres[i].MemoryAccess() {
 				dMem++
 			}
-			if ires[i].MemoryAccess {
+			if ires[i].MemoryAccess() {
 				iMem++
 			}
 		}

@@ -173,7 +173,7 @@ func (p *IVY) managerTrip(t uint64, proc, mgr int, res *AccessResult) uint64 {
 	p.st.DirectoryTrips++
 	if mgr != proc {
 		p.st.RemoteTrips++
-		res.Remote = true
+		res.flags |= flagRemote
 		t = p.net.Send(t, proc, mgr, p.costs.CtrlBytes)
 	}
 	return t + p.costs.DirectoryCycles
@@ -201,11 +201,11 @@ func (p *IVY) readFault(t uint64, proc int, page uint64, e ivyPage) AccessResult
 	if e.Copyset == 0 {
 		// First fault: home memory supplies the page, requester becomes
 		// the owner (holding it read-only until someone writes).
-		res.MemoryAccess = true
+		res.flags |= flagMemoryAccess
 		t = p.readPage(t, mgr, page)
 		if mgr != proc {
 			t = p.net.Send(t, mgr, proc, p.pageMsgBytes())
-			res.Remote = true
+			res.flags |= flagRemote
 		}
 		e.Owner = int8(proc)
 	} else {
@@ -219,7 +219,7 @@ func (p *IVY) readFault(t uint64, proc int, page uint64, e ivyPage) AccessResult
 		}
 		e.Writable = false
 		t = p.net.Send(t, o, proc, p.pageMsgBytes())
-		res.Remote = true
+		res.flags |= flagRemote
 	}
 	p.st.PageTransfers++
 	e.Copyset |= 1 << uint(proc)
@@ -259,11 +259,11 @@ func (p *IVY) writeFault(t uint64, proc int, page uint64, e ivyPage) AccessResul
 	mgr := p.home.Home(page)
 	t = p.managerTrip(t, proc, mgr, &res)
 	if e.Copyset == 0 {
-		res.MemoryAccess = true
+		res.flags |= flagMemoryAccess
 		t = p.readPage(t, mgr, page)
 		if mgr != proc {
 			t = p.net.Send(t, mgr, proc, p.pageMsgBytes())
-			res.Remote = true
+			res.flags |= flagRemote
 		}
 	} else {
 		// The previous owner supplies the page and gives it up; the
@@ -279,7 +279,7 @@ func (p *IVY) writeFault(t uint64, proc int, page uint64, e ivyPage) AccessResul
 		p.st.PageInvalidations++
 		res.Invalidations++
 		data = p.net.Send(data, o, proc, p.pageMsgBytes())
-		res.Remote = true
+		res.flags |= flagRemote
 		acks := p.invalidateCopies(t, mgr, proc, &e, &res)
 		t = data
 		if acks > t {

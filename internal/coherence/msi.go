@@ -252,7 +252,7 @@ func (p *DirectoryProtocol) fillL2(t uint64, proc int, addr uint64, st cache.Sta
 func (p *DirectoryProtocol) loadMiss(t uint64, proc int, line, addr uint64) AccessResult {
 	h := p.home.Home(line)
 	lineBytes := p.lineAddrBytes(line)
-	res := AccessResult{Remote: h != proc}
+	res := AccessResult{flags: remoteIf(h != proc)}
 	p.st.DirectoryTrips++
 	if h != proc {
 		p.st.RemoteTrips++
@@ -280,7 +280,7 @@ func (p *DirectoryProtocol) loadMiss(t uint64, proc int, line, addr uint64) Acce
 		p.mems[h].Write(wb, lineBytes)
 		if o != proc {
 			t = p.net.Send(t, o, proc, p.costs.DataBytes)
-			res.Remote = true
+			res.flags |= flagRemote
 		}
 		dir.setEntry(line, Entry{
 			Sharers: e.Sharers | 1<<uint(proc),
@@ -289,7 +289,7 @@ func (p *DirectoryProtocol) loadMiss(t uint64, proc int, line, addr uint64) Acce
 		})
 	default:
 		// Uncached or Shared: home memory supplies data.
-		res.MemoryAccess = true
+		res.flags |= flagMemoryAccess
 		t = p.mems[h].Read(t, lineBytes)
 		dir.AddSharer(line, proc)
 		if h != proc {
@@ -306,7 +306,7 @@ func (p *DirectoryProtocol) loadMiss(t uint64, proc int, line, addr uint64) Acce
 func (p *DirectoryProtocol) storeMiss(t uint64, proc int, line, addr uint64) AccessResult {
 	h := p.home.Home(line)
 	lineBytes := p.lineAddrBytes(line)
-	res := AccessResult{Remote: h != proc}
+	res := AccessResult{flags: remoteIf(h != proc)}
 	p.st.DirectoryTrips++
 	if h != proc {
 		p.st.RemoteTrips++
@@ -326,11 +326,11 @@ func (p *DirectoryProtocol) storeMiss(t uint64, proc int, line, addr uint64) Acc
 		p.l2[o].Invalidate(lineBytes)
 		p.l1[o].Invalidate(lineBytes)
 		t = p.net.Send(t, o, proc, p.costs.DataBytes)
-		res.Remote = true
+		res.flags |= flagRemote
 	case SharedState:
 		// Invalidate every sharer; the requester waits for the slowest ack.
 		t = p.invalidateSharers(t, h, proc, line, e, &res)
-		res.MemoryAccess = true
+		res.flags |= flagMemoryAccess
 		rd := p.mems[h].Read(t, lineBytes)
 		if rd > t {
 			t = rd
@@ -339,7 +339,7 @@ func (p *DirectoryProtocol) storeMiss(t uint64, proc int, line, addr uint64) Acc
 			t = p.net.Send(t, h, proc, p.costs.DataBytes)
 		}
 	default: // Uncached
-		res.MemoryAccess = true
+		res.flags |= flagMemoryAccess
 		t = p.mems[h].Read(t, lineBytes)
 		if h != proc {
 			t = p.net.Send(t, h, proc, p.costs.DataBytes)
@@ -356,7 +356,7 @@ func (p *DirectoryProtocol) storeMiss(t uint64, proc int, line, addr uint64) Acc
 // home to invalidate all other sharers, then gains ownership.
 func (p *DirectoryProtocol) upgrade(t uint64, proc int, line, addr uint64) AccessResult {
 	h := p.home.Home(line)
-	res := AccessResult{HitLevel: 2, Remote: h != proc}
+	res := AccessResult{HitLevel: 2, flags: remoteIf(h != proc)}
 	p.st.DirectoryTrips++
 	if h != proc {
 		p.st.RemoteTrips++

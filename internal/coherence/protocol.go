@@ -24,22 +24,44 @@ func DefaultCosts() Costs {
 	return Costs{DirectoryCycles: 10, CtrlBytes: 8, DataBytes: 40}
 }
 
-// AccessResult describes one completed load/store transaction.
+// AccessResult describes one completed load/store transaction. It is
+// returned once per simulated load or store, so it stays within the Go
+// compiler's limits for a struct kept in registers (at most 4 fields
+// and 32 bytes): the two booleans share one flags field.
 type AccessResult struct {
 	// Done is the completion time in cycles.
 	Done uint64
 	// HitLevel is 1 for an L1 hit (or a resident page under IVY), 2 for
 	// an L2 hit, 0 for a miss/fault that went to the home node.
 	HitLevel int
-	// Remote reports whether the transaction crossed the network (home,
-	// manager or owner on another node).
-	Remote bool
 	// Invalidations counts copies invalidated by this transaction: line
 	// sharers under the directory backend, page copies under IVY.
 	Invalidations int
-	// MemoryAccess reports whether SDRAM was read.
-	MemoryAccess bool
+	flags         accessFlags
 }
+
+// accessFlags are AccessResult's boolean outcomes.
+type accessFlags uint8
+
+const (
+	flagRemote accessFlags = 1 << iota
+	flagMemoryAccess
+)
+
+// remoteIf is flagRemote when remote holds.
+func remoteIf(remote bool) accessFlags {
+	if remote {
+		return flagRemote
+	}
+	return 0
+}
+
+// Remote reports whether the transaction crossed the network (home,
+// manager or owner on another node).
+func (r AccessResult) Remote() bool { return r.flags&flagRemote != 0 }
+
+// MemoryAccess reports whether SDRAM was read.
+func (r AccessResult) MemoryAccess() bool { return r.flags&flagMemoryAccess != 0 }
 
 // Stats aggregates protocol activity. The line-granular counters
 // (L1Hits..Writebacks) are shared by both backends where they apply;

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -65,7 +66,7 @@ func TestLocalLoadMissThenHits(t *testing.T) {
 	p := testProtocol(2)
 	a := addrAt(0, 0x100)
 	r := p.Access(0, 0, a, false)
-	if r.HitLevel != 0 || r.Remote || !r.MemoryAccess {
+	if r.HitLevel != 0 || r.Remote() || !r.MemoryAccess() {
 		t.Errorf("first access = %+v, want local memory miss", r)
 	}
 	if r.Done < 150 {
@@ -84,7 +85,7 @@ func TestRemoteLoadCostsMoreThanLocal(t *testing.T) {
 	p := testProtocol(4)
 	local := p.Access(0, 0, addrAt(0, 0x40), false)
 	remote := p.Access(0, 0, addrAt(3, 0x40), false)
-	if !remote.Remote {
+	if !remote.Remote() {
 		t.Fatal("access to node 3's home must be remote")
 	}
 	if remote.Done-0 <= local.Done-0 {
@@ -136,7 +137,7 @@ func TestDirtyForwardOnLoad(t *testing.T) {
 	}
 	// Proc 0 loads: directory forwards to owner, both end shared.
 	r2 := p.Access(r.Done, 0, a, false)
-	if !r2.Remote {
+	if !r2.Remote() {
 		t.Error("forwarded load must be remote")
 	}
 	e := p.Directory(2).Lookup(line)
@@ -167,7 +168,7 @@ func TestDirtyForwardOnStore(t *testing.T) {
 	if hit, _ := p.CacheL2(2).Probe(a); hit {
 		t.Error("previous owner must be invalidated")
 	}
-	if !r.Remote {
+	if !r.Remote() {
 		t.Error("ownership transfer must be remote")
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -310,5 +311,20 @@ func TestProtocolDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAccessResultFitsRegisters pins AccessResult within the Go
+// compiler's limits for a struct it can keep in registers: at most 4
+// fields and 32 bytes (4 words on 64-bit). Past either limit, every
+// Access call spills the result to the stack and copies it back — one
+// fifth field once made that copy ~7% of a simulation's profile.
+func TestAccessResultFitsRegisters(t *testing.T) {
+	typ := reflect.TypeOf(AccessResult{})
+	if n := typ.NumField(); n > 4 {
+		t.Errorf("AccessResult has %d fields, want at most 4", n)
+	}
+	if size := typ.Size(); size > 32 {
+		t.Errorf("AccessResult is %d bytes, want at most 32", size)
 	}
 }

@@ -481,11 +481,11 @@ func (c ShardCell) CellResult() (CellResult, error) {
 		inner = ct
 	}
 	if c.Trace != "" {
-		recs, err := trace.ReadJSONL(strings.NewReader(c.Trace))
+		recs, err := c.DecodeTrace()
 		if err != nil {
-			return CellResult{}, fmt.Errorf("harness: cell %d trace: %w", c.Index, err)
+			return CellResult{}, err
 		}
-		res.Extra = TracedExtra{Records: trace.SplitByProc(recs), Inner: inner}
+		res.Extra = TracedExtra{Records: recs, Inner: inner}
 	} else {
 		res.Extra = inner
 	}

@@ -10,10 +10,11 @@ package trace
 // machinery as the synthetic generators.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"dsmphase/internal/coherence"
 	"dsmphase/internal/isa"
@@ -72,46 +73,124 @@ func AccessFromInst(proc int, in isa.Inst) Access {
 	return a
 }
 
-// WriteAccessJSONL writes one JSON object per access record.
+// WriteAccessJSONL writes one JSON object per access record, the bytes
+// encoding/json writes for Access.
 func WriteAccessJSONL(w io.Writer, recs []Access) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("trace: encoding access %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
+	return writeJSONL(w, recs, appendAccess)
 }
 
-// ReadAccessJSONL reads a stream written by WriteAccessJSONL. Every
-// record's opcode is validated, and a proc must lie in [0,
-// coherence.MaxProcs): the workload layer allocates one stream per
-// processor up to the largest. Addresses and repeat counts are taken
-// as-is (the workload layer validates structure).
-func ReadAccessJSONL(r io.Reader) ([]Access, error) {
-	var out []Access
-	dec := json.NewDecoder(bufio.NewReader(r))
-	for {
-		var a Access
-		if err := dec.Decode(&a); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decoding access %d: %w", len(out), err)
-		}
-		if _, err := a.Inst(); err != nil {
-			return nil, fmt.Errorf("trace: access %d: %w", len(out), err)
-		}
-		if a.Proc < 0 {
-			return nil, fmt.Errorf("trace: access %d has negative proc %d", len(out), a.Proc)
-		}
-		if a.Proc >= coherence.MaxProcs {
-			return nil, fmt.Errorf("trace: access %d has proc %d; systems have at most %d processors",
-				len(out), a.Proc, coherence.MaxProcs)
-		}
-		if a.N < 0 {
-			return nil, fmt.Errorf("trace: access %d has negative repeat %d", len(out), a.N)
-		}
-		out = append(out, a)
+func appendAccess(b []byte, a *Access) ([]byte, error) {
+	b = append(b, `{"proc":`...)
+	b = strconv.AppendInt(b, int64(a.Proc), 10)
+	b = append(b, `,"op":`...)
+	if _, ok := mnemonic(a.Op); ok {
+		b = append(b, '"')
+		b = append(b, a.Op...)
+		b = append(b, '"')
+	} else {
+		// Any other string is escaped as encoding/json escapes it (HTML
+		// characters, invalid UTF-8); marshaling a string cannot fail.
+		q, _ := json.Marshal(a.Op)
+		b = append(b, q...)
 	}
+	b = append(b, `,"pc":`...)
+	b = strconv.AppendUint(b, uint64(a.PC), 10)
+	if a.Addr != 0 {
+		b = append(b, `,"addr":`...)
+		b = strconv.AppendUint(b, a.Addr, 10)
+	}
+	if a.Taken {
+		b = append(b, `,"taken":true`...)
+	}
+	if a.N != 0 {
+		b = append(b, `,"n":`...)
+		b = strconv.AppendInt(b, int64(a.N), 10)
+	}
+	return append(b, "}\n"...), nil
+}
+
+// ReadAccessJSONL reads a stream written by WriteAccessJSONL, or any
+// JSONL stream of Access objects encoding/json decodes. Every record's
+// opcode is validated, and a proc must lie in [0, coherence.MaxProcs):
+// the workload layer allocates one stream per processor up to the
+// largest. Addresses and repeat counts are taken as-is (the workload
+// layer validates structure).
+func ReadAccessJSONL(r io.Reader) ([]Access, error) {
+	return readJSONL(r, "access", parseAccess, func(i int, a *Access) (Access, error) {
+		return *a, checkAccess(i, a)
+	})
+}
+
+// checkAccess validates record i for either decode path.
+func checkAccess(i int, a *Access) error {
+	if _, err := a.Inst(); err != nil {
+		return fmt.Errorf("trace: access %d: %w", i, err)
+	}
+	if a.Proc < 0 {
+		return fmt.Errorf("trace: access %d has negative proc %d", i, a.Proc)
+	}
+	if a.Proc >= coherence.MaxProcs {
+		return fmt.Errorf("trace: access %d has proc %d; systems have at most %d processors",
+			i, a.Proc, coherence.MaxProcs)
+	}
+	if a.N < 0 {
+		return fmt.Errorf("trace: access %d has negative repeat %d", i, a.N)
+	}
+	return nil
+}
+
+// parseAccess is the fast path for one line: keys are Access's tags,
+// each at most once, in any order, and op is one of the six mnemonics
+// (any other op string is left to encoding/json and then rejected).
+func parseAccess(line []byte, a *Access) bool {
+	p := lineParser{b: line}
+	return p.object(func(key []byte) (uint, bool) {
+		var ok bool
+		switch string(key) {
+		case "proc":
+			a.Proc, ok = p.int()
+			return 1 << 0, ok
+		case "op":
+			a.Op, ok = p.op()
+			return 1 << 1, ok
+		case "pc":
+			var pc uint64
+			pc, ok = p.uint(math.MaxUint32)
+			a.PC = uint32(pc)
+			return 1 << 2, ok
+		case "addr":
+			a.Addr, ok = p.uint(math.MaxUint64)
+			return 1 << 3, ok
+		case "taken":
+			a.Taken, ok = p.bool()
+			return 1 << 4, ok
+		case "n":
+			a.N, ok = p.int()
+			return 1 << 5, ok
+		}
+		return 0, false
+	})
+}
+
+// mnemonics are the op names Inst accepts.
+var mnemonics = [...]string{"int", "fp", "load", "store", "branch", "sync"}
+
+// mnemonic returns the element of mnemonics equal to s, so a decoded
+// record's op shares it rather than allocating.
+func mnemonic(s string) (string, bool) {
+	for _, m := range mnemonics {
+		if s == m {
+			return m, true
+		}
+	}
+	return "", false
+}
+
+// op reads a string holding one of the mnemonics.
+func (p *lineParser) op() (string, bool) {
+	s, ok := p.str()
+	if !ok {
+		return "", false
+	}
+	return mnemonic(string(s))
 }

@@ -92,6 +92,22 @@ func TestJSONLRejectsUnusableRecords(t *testing.T) {
 				`{"proc":0,"index":-3,"bbv":[1]` + wss + `}` + "\n",
 			wantErr: "interval 1 has proc 0, index -3",
 		},
+		{
+			// SplitByProc would return these in stream order, not
+			// interval order.
+			name: "out-of-order index",
+			stream: `{"proc":0,"index":1,"bbv":[1]` + wss + `}` + "\n" +
+				`{"proc":0,"index":0,"bbv":[1]` + wss + `}` + "\n" +
+				`{"proc":0,"index":0,"bbv":[1]` + wss + `}` + "\n",
+			wantErr: "interval 0 (proc 0) has index 1, want 0",
+		},
+		{
+			name: "repeated index",
+			stream: `{"proc":0,"index":0,"bbv":[1]` + wss + `}` + "\n" +
+				`{"proc":1,"index":0,"bbv":[1]` + wss + `}` + "\n" +
+				`{"proc":0,"index":0,"bbv":[1]` + wss + `}` + "\n",
+			wantErr: "interval 2 (proc 0) has index 0, want 1",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recs, err := ReadJSONL(strings.NewReader(tc.stream))
