@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"dsmphase/internal/coherence"
@@ -108,5 +110,47 @@ func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
 	// into the hot path.
 	if avg >= 1 {
 		t.Errorf("steady-state step path allocates: %.1f allocs per 10k instructions, want < 1", avg)
+	}
+}
+
+// BenchmarkRunQueue is the scheduler layer's series: one takeMin and
+// one fix per op, the repair every parked shared event pays, with the
+// front landing at the bimodal ranks the horizon scheduler produces —
+// 60% within 3 slots of the front, 25% behind everyone (it ran far
+// past the horizon) and 15% anywhere between. The landing ranks are
+// drawn once from a fixed seed, so both sides of an A/B replay the same
+// sequence.
+func BenchmarkRunQueue(b *testing.B) {
+	for _, procs := range []int{8, 32} {
+		b.Run(fmt.Sprintf("%dP", procs), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			ranks := make([]int, 4096)
+			for i := range ranks {
+				switch r := rng.Intn(20); {
+				case r < 12:
+					ranks[i] = 1 + rng.Intn(3)
+				case r < 17:
+					ranks[i] = procs - 1
+				default:
+					ranks[i] = 4 + rng.Intn(procs-5)
+				}
+			}
+			q := newRunQueue(procs)
+			for id := 0; id < procs; id++ {
+				q.push(&proc{id: id, clock: float64(id)})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.takeMin()
+				// Land between logical slots rank and rank+1, so the
+				// front ends at slot rank once it leaves slot 0.
+				rank := ranks[i&(len(ranks)-1)]
+				clock := q.at(procs-1).clock + 1
+				if rank < procs-1 {
+					clock = (q.at(rank).clock + q.at(rank+1).clock) / 2
+				}
+				q.fix(clock)
+			}
+		})
 	}
 }

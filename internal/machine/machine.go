@@ -252,8 +252,8 @@ func (m *Machine) Run() (Summary, error) {
 // or nil. Ties break to the LOWEST processor ID — the scan visits
 // processors in ID order and replaces best only on a strictly smaller
 // clock — which is the determinism contract the horizon scheduler's
-// heap order (procLess) must and does reproduce; TestPickRunnableTieBreak
-// pins it on both schedulers.
+// run queue, sorted by (clock, id) (heapSlot.less), must and does
+// reproduce; TestPickRunnableTieBreak pins it on both schedulers.
 func (m *Machine) pickRunnable() *proc {
 	var best *proc
 	for _, p := range m.procs {

@@ -10,14 +10,14 @@ import "math"
 // so commits all instructions merged in ascending (clock, id) order.
 // Only the order of shared events (Machine.shared) is observable; every
 // other instruction touches only its own processor's state. The horizon
-// scheduler keeps runnable processors in a binary min-heap keyed by
-// (clock, id), takes the root, reads the runner-up's key once (nothing
-// else moves while the root runs), and commits the root's instructions
-// until it blocks (barrier arrival / thread completion) or its next
-// instruction is a shared event past that key. The heap is then
-// repaired with one sift-down of the root — no pop/push pair.
+// scheduler keeps runnable processors in a run queue sorted by
+// (clock, id), takes the front, reads the runner-up's key once (nothing
+// else moves while the front runs), and commits the front's
+// instructions until it blocks (barrier arrival / thread completion) or
+// its next instruction is a shared event past that key. The queue is
+// then repaired by reinserting the front from its nearer end.
 //
-// Private instructions only add to a clock, so every heap key is at
+// Private instructions only add to a clock, so every queue key is at
 // most its processor's next shared-event key; a shared event commits
 // only below the runner-up's key, hence below every other processor's
 // next shared event. Shared events therefore commit in the naive scan's
@@ -28,7 +28,7 @@ import "math"
 // state — makes invisible.
 
 // heapSlot is one runnable processor with its (clock, id) key held
-// inline, so sifting compares without dereferencing the processor.
+// inline, so reinsertion compares without dereferencing the processor.
 type heapSlot struct {
 	clock float64
 	id    int
@@ -43,115 +43,141 @@ func (a *heapSlot) less(b *heapSlot) bool {
 	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
 }
 
-// procHeap is a binary min-heap of runnable processors. Only the
-// root's key ever changes (the taken processor runs while everyone
-// else stands still), so the heap needs no decrease-key: takeMin, run,
-// fix — or removeMin when the processor blocked.
-type procHeap struct {
-	h []heapSlot
+// runQueue holds the runnable processors sorted by (clock, id) in a
+// power-of-two ring: logical slot i is ring[(head+i)&mask], slot 0 is
+// the scheduling winner and slot 1 the runner-up. Only the front's key
+// ever changes (the taken processor runs while everyone else stands
+// still), so the queue needs no decrease-key: takeMin, run, fix — or
+// removeMin when the processor blocked.
+//
+// A parked front mostly lands either a few slots back or behind
+// everyone (it ran far past the horizon), so fix reinserts it from the
+// nearer end: both are a sorted list's cheap cases, where a binary heap
+// would pay a full sift-down.
+type runQueue struct {
+	ring []heapSlot
+	mask int
+	head int
+	n    int
 }
 
-func newProcHeap(capacity int) *procHeap {
-	return &procHeap{h: make([]heapSlot, 0, capacity)}
+// newRunQueue returns an empty queue with room for capacity processors
+// (the ring rounds it up to a power of two).
+func newRunQueue(capacity int) *runQueue {
+	size := 1
+	for size < capacity {
+		size <<= 1
+	}
+	return &runQueue{ring: make([]heapSlot, size), mask: size - 1}
 }
 
-// takeMin returns the scheduling winner (the root, left in place), or
-// nil for an empty heap, and the runner-up's key — the least of the
-// root's children, the second element of the heap's total order — or
+// at returns logical slot i.
+func (q *runQueue) at(i int) *heapSlot {
+	return &q.ring[(q.head+i)&q.mask]
+}
+
+// takeMin returns the scheduling winner (the front, left in place), or
+// nil for an empty queue, and the runner-up's key — logical slot 1 — or
 // (+Inf, 0) when the winner runs alone. It asserts the determinism
 // contract: among equal clocks, processors pop in ascending ID order (a
-// violation would mean the heap invariant broke and replicated runs
-// could diverge). The caller runs min, then calls fix (still runnable)
-// or removeMin (blocked).
-func (ph *procHeap) takeMin() (min *proc, nextClock float64, nextID int) {
-	h := ph.h
-	switch len(h) {
+// violation would mean the queue order broke and replicated runs could
+// diverge). The caller runs min, then calls fix (still runnable) or
+// removeMin (blocked).
+func (q *runQueue) takeMin() (min *proc, nextClock float64, nextID int) {
+	switch q.n {
 	case 0:
 		return nil, 0, 0
 	case 1:
-		return h[0].p, math.Inf(1), 0
+		return q.ring[q.head].p, math.Inf(1), 0
 	}
-	next := &h[1]
-	if len(h) > 2 && h[2].less(next) {
-		next = &h[2]
+	front, next := q.at(0), q.at(1)
+	if next.clock == front.clock && next.id < front.id {
+		panic("machine: scheduler run queue pops equal clocks out of ID order")
 	}
-	if next.clock == h[0].clock && next.id < h[0].id {
-		panic("machine: scheduler heap pops equal clocks out of ID order")
-	}
-	return h[0].p, next.clock, next.id
+	return front.p, next.clock, next.id
 }
 
-// fix records the root's advanced clock and restores the heap order.
-func (ph *procHeap) fix(clock float64) {
-	ph.h[0].clock = clock
-	ph.siftDown(0)
-}
-
-// removeMin deletes the root.
-func (ph *procHeap) removeMin() {
-	n := len(ph.h)
-	last := ph.h[n-1]
-	ph.h[n-1] = heapSlot{}
-	ph.h = ph.h[:n-1]
-	if n > 1 {
-		ph.h[0] = last
-		ph.siftDown(0)
+// fix records the front's advanced clock and restores the order. One
+// compare against the middle slot picks the nearer end: a front that
+// still sorts before it shifts back slot by slot from the head;
+// otherwise the head advances past it and it is inserted from the tail.
+// Either walk stops at the middle slot at the latest.
+func (q *runQueue) fix(clock float64) {
+	front := &q.ring[q.head]
+	front.clock = clock
+	if q.n == 1 {
+		return
 	}
+	s := *front
+	if s.less(q.at(q.n / 2)) {
+		i := q.head
+		for {
+			next := (i + 1) & q.mask
+			if !q.ring[next].less(&s) {
+				break
+			}
+			q.ring[i] = q.ring[next]
+			i = next
+		}
+		q.ring[i] = s
+		return
+	}
+	q.removeMin()
+	q.insertFromTail(s)
 }
 
-func (ph *procHeap) push(p *proc) {
-	ph.h = append(ph.h, heapSlot{clock: p.clock, id: p.id, p: p})
-	i := len(ph.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ph.h[i].less(&ph.h[parent]) {
+// insertFromTail adds s to the sorted queue, walking back from the
+// first free slot. The ring must have room.
+func (q *runQueue) insertFromTail(s heapSlot) {
+	i := (q.head + q.n) & q.mask
+	for n := q.n; n > 0; n-- {
+		prev := (i - 1) & q.mask
+		if !s.less(&q.ring[prev]) {
 			break
 		}
-		ph.h[i], ph.h[parent] = ph.h[parent], ph.h[i]
-		i = parent
+		q.ring[i] = q.ring[prev]
+		i = prev
 	}
+	q.ring[i] = s
+	q.n++
 }
 
-func (ph *procHeap) siftDown(i int) {
-	h := ph.h
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h[l].less(&h[smallest]) {
-			smallest = l
-		}
-		if r < n && h[r].less(&h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+// removeMin deletes the front.
+func (q *runQueue) removeMin() {
+	q.ring[q.head] = heapSlot{}
+	q.head = (q.head + 1) & q.mask
+	q.n--
+}
+
+// push adds a runnable processor; the queue must hold fewer than its
+// capacity.
+func (q *runQueue) push(p *proc) {
+	if q.n == len(q.ring) {
+		panic("machine: scheduler run queue is full")
 	}
+	q.insertFromTail(heapSlot{clock: p.clock, id: p.id, p: p})
 }
 
 // runHorizon drives all threads to completion under the horizon
 // scheduler. Observable behavior is byte-identical to runNaive.
 func (m *Machine) runHorizon() error {
-	heap := newProcHeap(len(m.procs))
+	q := newRunQueue(len(m.procs))
 	for _, p := range m.procs {
 		if !p.done && !p.atBarrier {
-			heap.push(p)
+			q.push(p)
 		}
 	}
 	for {
-		p, nextClock, nextID := heap.takeMin()
+		p, nextClock, nextID := q.takeMin()
 		if p == nil {
 			if m.allDone() {
 				return nil
 			}
 			if m.allBlocked() {
 				m.releaseBarrier()
-				for _, q := range m.procs {
-					if !q.done && !q.atBarrier {
-						heap.push(q)
+				for _, r := range m.procs {
+					if !r.done && !r.atBarrier {
+						q.push(r)
 					}
 				}
 				continue
@@ -162,19 +188,19 @@ func (m *Machine) runHorizon() error {
 		// horizon (nextClock, nextID), or until it blocks.
 		for {
 			if !p.fill() {
-				heap.removeMin()
+				q.removeMin()
 				break
 			}
 			if (p.clock > nextClock || (p.clock == nextClock && p.id > nextID)) &&
 				m.shared(p, &p.buf[p.pos]) {
-				heap.fix(p.clock)
+				q.fix(p.clock)
 				break
 			}
 			if err := m.commit(p); err != nil {
 				return err
 			}
 			if p.atBarrier {
-				heap.removeMin()
+				q.removeMin()
 				break
 			}
 		}

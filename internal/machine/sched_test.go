@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -246,55 +247,168 @@ func TestPickRunnableTieBreak(t *testing.T) {
 	}
 }
 
-// TestProcHeapEqualClocksPopInIDOrder drives the heap directly: pushed
-// in scrambled order with equal clocks, takeMin/removeMin must yield
-// ascending processor IDs (the assert inside takeMin guards exactly
-// this), each with the next ID as its runner-up.
-func TestProcHeapEqualClocksPopInIDOrder(t *testing.T) {
-	ph := newProcHeap(8)
+// TestRunQueueEqualClocksPopInIDOrder drives the run queue directly:
+// pushed in scrambled order with equal clocks, takeMin/removeMin must
+// yield ascending processor IDs (the assert inside takeMin guards
+// exactly this), each with the next ID as its runner-up.
+func TestRunQueueEqualClocksPopInIDOrder(t *testing.T) {
+	q := newRunQueue(8)
 	for _, id := range []int{5, 1, 7, 0, 3, 6, 2, 4} {
-		ph.push(&proc{id: id, clock: 42})
+		q.push(&proc{id: id, clock: 42})
 	}
 	for want := 0; want < 8; want++ {
-		p, nextClock, nextID := ph.takeMin()
+		p, nextClock, nextID := q.takeMin()
 		if p == nil || p.id != want {
 			t.Fatalf("takeMin #%d = %+v, want id %d", want, p, want)
 		}
 		if want < 7 && (nextClock != 42 || nextID != want+1) {
 			t.Fatalf("takeMin #%d runner-up = (%v, %d), want (42, %d)", want, nextClock, nextID, want+1)
 		}
-		ph.removeMin()
+		q.removeMin()
 	}
-	if p, _, _ := ph.takeMin(); p != nil {
-		t.Errorf("empty heap takeMin = %v", p)
+	if p, _, _ := q.takeMin(); p != nil {
+		t.Errorf("empty queue takeMin = %v", p)
 	}
 }
 
-// TestProcHeapRunnerUp checks takeMin's runner-up key is the second
-// element of the heap's total order even when it sits in the root's
-// second child, that a lone processor's horizon is infinite, and that
-// fix(clock) restores order after the root's clock advances.
-func TestProcHeapRunnerUp(t *testing.T) {
-	ph := newProcHeap(4)
+// TestRunQueueRunnerUp checks takeMin's runner-up key is the second
+// element of the queue's total order whatever the push order, that a
+// lone processor's horizon is infinite, and that fix(clock) restores
+// order after the front's clock advances.
+func TestRunQueueRunnerUp(t *testing.T) {
+	q := newRunQueue(4)
 	a := &proc{id: 0, clock: 1}
 	b := &proc{id: 1, clock: 9}
 	c := &proc{id: 2, clock: 3}
 	d := &proc{id: 3, clock: 4}
-	ph.push(a)
-	if min, nextClock, _ := ph.takeMin(); min != a || !math.IsInf(nextClock, 1) {
+	q.push(a)
+	if min, nextClock, _ := q.takeMin(); min != a || !math.IsInf(nextClock, 1) {
 		t.Fatalf("lone takeMin = (id %d, %v), want (0, +Inf)", min.id, nextClock)
 	}
 	for _, p := range []*proc{b, c, d} {
-		ph.push(p)
+		q.push(p)
 	}
-	min, nextClock, nextID := ph.takeMin()
+	min, nextClock, nextID := q.takeMin()
 	if min != a || nextClock != 3 || nextID != 2 {
 		t.Fatalf("takeMin = (id %d, %v, %d), want (0, 3, 2)", min.id, nextClock, nextID)
 	}
-	// The root runs past the runner-up; fix must promote c.
-	ph.fix(3.5)
-	min, nextClock, nextID = ph.takeMin()
+	// The front runs past the runner-up; fix must promote c.
+	q.fix(3.5)
+	min, nextClock, nextID = q.takeMin()
 	if min != c || nextClock != 3.5 || nextID != 0 {
 		t.Fatalf("after fix: takeMin = (id %d, %v, %d), want (2, 3.5, 0)", min.id, nextClock, nextID)
 	}
+}
+
+// TestRunQueueMatchesSortedReference drives random push/fix/removeMin
+// sequences against a slice re-sorted by (clock, id) after every step,
+// at every capacity from 1 to 64 (5 and 33 round the ring up; powers
+// of two fill it exactly). Clocks come from a small range, so equal
+// clocks are common, and fix advances the front by nothing, a little
+// (a landing near the front) or a lot (a landing at the back), as the
+// horizon scheduler does. Each size must fill its queue, wrap its ring
+// head and drain again; after every step the whole logical order, and
+// so the front and the runner-up key takeMin reports, must match.
+func TestRunQueueMatchesSortedReference(t *testing.T) {
+	for capacity := 1; capacity <= 64; capacity++ {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		q := newRunQueue(capacity)
+		var ref []heapSlot
+		idle := make([]*proc, capacity)
+		for i := range idle {
+			idle[i] = &proc{id: i}
+		}
+		filled, wrapped := false, false
+		for step := 0; step < 1500; step++ {
+			// Phases of 100 steps lean towards filling, repairing and
+			// draining the queue in turn: out of 10 draws, push, fix
+			// and removeMin take w[0], w[1] and the rest.
+			w := [3][2]int{{6, 4}, {2, 7}, {0, 4}}[(step/100)%3]
+			op := 2
+			if r := rng.Intn(10); r < w[0] {
+				op = 0
+			} else if r < w[0]+w[1] {
+				op = 1
+			}
+			head := q.head
+			switch {
+			case op == 0 && len(idle) > 0:
+				k := rng.Intn(len(idle))
+				p := idle[k]
+				idle[k] = idle[len(idle)-1]
+				idle = idle[:len(idle)-1]
+				p.clock = float64(rng.Intn(8))
+				q.push(p)
+				ref = append(ref, heapSlot{clock: p.clock, id: p.id, p: p})
+			case op == 1 && len(ref) > 0:
+				clock := ref[0].clock
+				switch rng.Intn(4) {
+				case 0:
+				case 1, 2:
+					clock += float64(rng.Intn(3))
+				default:
+					clock += float64(8 + rng.Intn(8))
+				}
+				q.fix(clock)
+				ref[0].clock = clock
+			case op == 2 && len(ref) > 0:
+				q.removeMin()
+				idle = append(idle, ref[0].p)
+				ref = ref[1:]
+			default:
+				continue
+			}
+			sort.Slice(ref, func(i, j int) bool { return ref[i].less(&ref[j]) })
+			if q.head < head {
+				wrapped = true
+			}
+			if len(ref) == capacity {
+				filled = true
+			}
+			if q.n != len(ref) {
+				t.Fatalf("cap %d step %d: queue holds %d, reference %d", capacity, step, q.n, len(ref))
+			}
+			for i := range ref {
+				if got := q.at(i); got.clock != ref[i].clock || got.id != ref[i].id || got.p != ref[i].p {
+					t.Fatalf("cap %d step %d: slot %d = (%v, %d), reference (%v, %d)",
+						capacity, step, i, got.clock, got.id, ref[i].clock, ref[i].id)
+				}
+			}
+			p, nextClock, nextID := q.takeMin()
+			switch len(ref) {
+			case 0:
+				if p != nil {
+					t.Fatalf("cap %d step %d: empty queue takeMin = proc %d", capacity, step, p.id)
+				}
+			case 1:
+				if p != ref[0].p || !math.IsInf(nextClock, 1) {
+					t.Fatalf("cap %d step %d: lone takeMin = (proc %d, %v)", capacity, step, p.id, nextClock)
+				}
+			default:
+				if p != ref[0].p || nextClock != ref[1].clock || nextID != ref[1].id {
+					t.Fatalf("cap %d step %d: takeMin = (proc %d, %v, %d), reference (%d, %v, %d)",
+						capacity, step, p.id, nextClock, nextID, ref[0].id, ref[1].clock, ref[1].id)
+				}
+			}
+		}
+		if !filled || (!wrapped && capacity > 1) {
+			t.Errorf("cap %d: filled %t, head wrapped %t; the op mix must reach both", capacity, filled, wrapped)
+		}
+	}
+}
+
+// TestRunQueueTakeMinPanicsOnIDOrder pins the determinism assertion: a
+// runner-up that ties the front's clock with a lower ID means the order
+// broke, and takeMin panics rather than schedule it.
+func TestRunQueueTakeMinPanicsOnIDOrder(t *testing.T) {
+	q := newRunQueue(2)
+	q.push(&proc{id: 1, clock: 1})
+	q.push(&proc{id: 0, clock: 2})
+	q.at(1).clock = 1
+	defer func() {
+		if recover() == nil {
+			t.Error("takeMin accepted equal clocks out of ID order")
+		}
+	}()
+	q.takeMin()
 }

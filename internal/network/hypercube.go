@@ -47,7 +47,7 @@ type Hypercube struct {
 	cfg   Config
 	n     int
 	dim   int
-	busy  [][]uint64 // busy[node][dim]: busy-until for the outgoing link
+	busy  []uint64 // busy[node*dim+d]: busy-until of node's dimension-d link
 	stats Stats
 }
 
@@ -58,11 +58,7 @@ func New(n int, cfg Config) *Hypercube {
 		panic("network: node count must be a positive power of two")
 	}
 	dim := bits.TrailingZeros(uint(n))
-	h := &Hypercube{cfg: cfg, n: n, dim: dim, busy: make([][]uint64, n)}
-	for i := range h.busy {
-		h.busy[i] = make([]uint64, dim)
-	}
-	return h
+	return &Hypercube{cfg: cfg, n: n, dim: dim, busy: make([]uint64, n*dim)}
 }
 
 // Nodes returns the node count.
@@ -91,9 +87,11 @@ func (h *Hypercube) Flits(bytes int) int {
 }
 
 // Send injects a message of the given payload size from src to dst at
-// time now and returns its arrival time at dst. src == dst returns now.
-// Routing is e-cube: dimensions are corrected lowest-first, which makes
-// the path — and therefore link contention — deterministic.
+// time now and returns its arrival time at dst; both must be nodes of
+// the cube. src == dst returns now.
+// Routing is e-cube: the differing address bits are corrected
+// lowest-first, which makes the path — and therefore link contention —
+// deterministic.
 func (h *Hypercube) Send(now uint64, src, dst int, payloadBytes int) uint64 {
 	if src == dst {
 		return now
@@ -103,11 +101,9 @@ func (h *Hypercube) Send(now uint64, src, dst int, payloadBytes int) uint64 {
 	t := now
 	cur := src
 	hops := 0
-	for d := 0; d < h.dim; d++ {
-		if (cur^dst)&(1<<d) == 0 {
-			continue
-		}
-		link := &h.busy[cur][d]
+	for diff := uint(src ^ dst); diff != 0; diff &= diff - 1 {
+		d := bits.TrailingZeros(diff)
+		link := &h.busy[cur*h.dim+d]
 		depart := t
 		if *link > depart {
 			h.stats.QueueCycles += *link - depart

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -160,5 +161,100 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if s.TotalLatency == 0 {
 		t.Error("latency must be recorded")
+	}
+}
+
+// refHypercube is the link table and routing loop Hypercube.Send used
+// before the table was flattened: one busy slice per node, every
+// dimension visited in ascending order and skipped when the address bit
+// already matches. TestSendMatchesDimensionOrderReference holds Send to
+// it.
+type refHypercube struct {
+	cfg   Config
+	dim   int
+	busy  [][]uint64
+	stats Stats
+}
+
+func newRefHypercube(n int, cfg Config) *refHypercube {
+	r := &refHypercube{cfg: cfg, dim: bits.TrailingZeros(uint(n)), busy: make([][]uint64, n)}
+	for i := range r.busy {
+		r.busy[i] = make([]uint64, r.dim)
+	}
+	return r
+}
+
+func (r *refHypercube) send(now uint64, src, dst int, payloadBytes int) uint64 {
+	if src == dst {
+		return now
+	}
+	flits := uint64((payloadBytes + r.cfg.FlitBytes - 1) / r.cfg.FlitBytes)
+	if flits < 1 {
+		flits = 1
+	}
+	serial := flits * r.cfg.FlitCycles
+	t := now
+	cur := src
+	hops := 0
+	for d := 0; d < r.dim; d++ {
+		if (cur^dst)&(1<<d) == 0 {
+			continue
+		}
+		link := &r.busy[cur][d]
+		depart := t
+		if *link > depart {
+			r.stats.QueueCycles += *link - depart
+			depart = *link
+		}
+		*link = depart + serial
+		t = depart + r.cfg.RouterCycles + r.cfg.WireCycles
+		cur ^= 1 << d
+		hops++
+	}
+	t += (flits - 1) * r.cfg.FlitCycles
+	r.stats.Messages++
+	r.stats.Bytes += uint64(payloadBytes)
+	r.stats.TotalLatency += t - now
+	r.stats.TotalHops += uint64(hops)
+	return t
+}
+
+// TestSendMatchesDimensionOrderReference replays random message
+// sequences through Send and the per-dimension reference loop: every
+// arrival time and every Stats field, QueueCycles included, must match.
+// Send times mostly advance but also repeat (bursts that contend for
+// the same links) and step back (a protocol reply computed ahead of
+// another processor's earlier request), as they do in the machine.
+func TestSendMatchesDimensionOrderReference(t *testing.T) {
+	odd := Config{RouterCycles: 3, WireCycles: 11, FlitBytes: 16, FlitCycles: 7}
+	for _, n := range []int{1, 2, 8, 32, 64} {
+		for _, cfg := range []Config{DefaultConfig(), odd} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			h, ref := New(n, cfg), newRefHypercube(n, cfg)
+			now := uint64(1000)
+			for i := 0; i < 5000; i++ {
+				switch rng.Intn(4) {
+				case 0:
+				case 1:
+					if now >= 100 {
+						now -= uint64(rng.Intn(100))
+					}
+				default:
+					now += uint64(rng.Intn(60))
+				}
+				src, dst, bytes := rng.Intn(n), rng.Intn(n), rng.Intn(130)
+				got, want := h.Send(now, src, dst, bytes), ref.send(now, src, dst, bytes)
+				if got != want {
+					t.Fatalf("n=%d %+v message %d (%d->%d, %d B at %d): arrival %d, reference %d",
+						n, cfg, i, src, dst, bytes, now, got, want)
+				}
+				if got := h.Stats(); got != ref.stats {
+					t.Fatalf("n=%d %+v message %d: stats %+v, reference %+v", n, cfg, i, got, ref.stats)
+				}
+			}
+			if n > 1 && ref.stats.QueueCycles == 0 {
+				t.Errorf("n=%d %+v: the sequence never contended for a link", n, cfg)
+			}
+		}
 	}
 }
