@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -19,6 +20,9 @@ import (
 //	GET  /v1/jobs/{id}/artifact       — the merged dsmphase-shard/1 artifact
 //	GET  /v1/jobs/{id}/events         — SSE progress (history, then live)
 //	GET  /v1/stats                    — coordinator counters
+//
+// The report and artifact routes read the merged artifact back from
+// disk on each request (Job.Artifact).
 
 // Handler returns the coordinator's HTTP API.
 func (c *Coordinator) Handler() http.Handler {
@@ -45,6 +49,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// errorStatus maps a Submit, Artifact or RenderReport error to its
+// HTTP status; any other error is the request's fault (400) on
+// submission and the server's (500) on a result read.
+func errorStatus(err error, other int) int {
+	switch {
+	case errors.Is(err, errUnknownFormat):
+		return http.StatusBadRequest
+	case errors.Is(err, errNotDone):
+		return http.StatusConflict
+	case errors.Is(err, errEvicted):
+		return http.StatusGone
+	case errors.Is(err, errQueueFull), errors.Is(err, errDraining):
+		return http.StatusServiceUnavailable
+	}
+	return other
+}
+
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if r.ContentLength > maxRequestBytes {
@@ -57,11 +78,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := c.Submit(req)
 	if err != nil {
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue full") || strings.Contains(err.Error(), "draining") {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, errorStatus(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, st)
@@ -103,12 +120,8 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		"markdown": "text/markdown; charset=utf-8",
 	}
 	var buf strings.Builder
-	if err := j.RenderReport(&buf, format, r.URL.Query().Get("title")); err != nil {
-		status := http.StatusConflict // job not done yet
-		if strings.Contains(err.Error(), "unknown") {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, err)
+	if err := j.RenderReport(c, &buf, format, r.URL.Query().Get("title")); err != nil {
+		writeError(w, errorStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 	ct := contentTypes[format]
@@ -126,7 +139,7 @@ func (c *Coordinator) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	art, err := j.Artifact(c)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		writeError(w, errorStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, art)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"dsmphase/internal/faults"
+	"dsmphase/internal/harness"
 )
 
 // victimShard returns the shard of `of` holding the request's plan
@@ -48,23 +49,23 @@ func TestServiceFaultKinds(t *testing.T) {
 	ref := directRun(t, req)
 	const hangTimeout = 5 * time.Second // well above a clean attempt
 	rows := []struct {
-		kind  faults.Kind
+		kind  faultKind
 		fails bool // the kind fails the attempt it is forced on
 	}{
-		{faults.TransientExec, true},
-		{faults.SlowStart, false},
-		{faults.Hang, true},
-		{faults.CrashBeforeArtifact, true},
-		{faults.TornStream, true},
-		{faults.CorruptArtifact, true},
-		{faults.TruncateArtifact, true},
-		{faults.WrongFingerprint, true},
+		{transientExec, true},
+		{slowStart, false},
+		{hang, true},
+		{crashBeforeArtifact, true},
+		{tornStream, true},
+		{corruptArtifact, true},
+		{truncateArtifact, true},
+		{wrongFingerprint, true},
 	}
-	covered := map[faults.Kind]bool{}
+	covered := map[faultKind]bool{}
 	for _, row := range rows {
 		covered[row.kind] = true
 	}
-	for k := faults.None + 1; k < faults.NumKinds; k++ {
+	for k := clean + 1; k < numFaultKinds; k++ {
 		if !covered[k] {
 			t.Errorf("fault kind %v has no row", k)
 		}
@@ -72,13 +73,12 @@ func TestServiceFaultKinds(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.kind.String(), func(t *testing.T) {
 			t.Parallel()
-			plan := &faults.Plan{Mix: []faults.Weighted{{Kind: row.kind, Weight: 1}}, ReliableAfter: 1}
 			coord := newTestCoordinator(t, func(cfg *Config) {
 				cfg.RetryBase = time.Millisecond
-				if row.kind == faults.Hang {
+				if row.kind == hang {
 					cfg.AttemptTimeout = hangTimeout
 				}
-				cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
+				cfg.WrapWorker = faultTable{{0, 0}: row.kind, {1, 0}: row.kind}.wrap(t)
 			})
 			st, err := coord.Submit(req)
 			if err != nil {
@@ -93,7 +93,7 @@ func TestServiceFaultKinds(t *testing.T) {
 			if row.fails {
 				retries = int64(st.Shards)
 			}
-			if row.kind == faults.CorruptArtifact {
+			if row.kind == corruptArtifact {
 				checksums = int64(st.Shards)
 			}
 			if got := coord.Counters.ShardsRetried.Load(); got != retries {
@@ -102,49 +102,52 @@ func TestServiceFaultKinds(t *testing.T) {
 			if got := coord.Counters.ChecksumFailures.Load(); got != checksums {
 				t.Errorf("checksum_failures = %d, want %d", got, checksums)
 			}
-			if took := st.Finished.Sub(*st.Started); row.kind == faults.Hang && took < hangTimeout {
+			if took := st.Finished.Sub(*st.Started); row.kind == hang && took < hangTimeout {
 				t.Errorf("hung attempts ended after %v, before the %v AttemptTimeout", took, hangTimeout)
 			}
 		})
 	}
 }
 
-// TestServiceDegradedReport: with one shard doomed by the fault plane
-// and AllowPartial set, the job terminates "degraded" instead of
-// "failed": the report serves in every format, exactly the injured
-// cells carry errors, all of them the doomed shard's, every healthy
-// cell equals the direct run's, and the partial result never enters
-// the cache. The figure2 row's doomed attempts never start, so every
-// victim cell is injured. The tuning row puts the other encoder family
-// under faults: its victim's attempts alternate with a crash that tears
-// the stream, so the last stream's surviving cells are recovered and
-// only the cells it lost are injured — the same ones again on a fresh
-// coordinator.
+// TestServiceDegradedReport: with every attempt of one shard doomed by
+// a fault table and AllowPartial set, the job terminates "degraded"
+// instead of "failed": the report serves in every format, exactly the
+// injured cells carry errors, all of them the doomed shard's, every
+// healthy cell equals the direct run's, and the partial result never
+// enters the cache. The figure2 row's doomed attempts never start, so
+// every victim cell is injured. The tuning row puts the other encoder
+// family under faults: its victim's attempts alternate with a crash
+// that tears the stream, so the last stream's surviving cells are
+// recovered and only the cells it lost are injured — the same ones
+// again on a fresh coordinator.
 func TestServiceDegradedReport(t *testing.T) {
 	tuning := testRequest()
 	tuning.Grid, tuning.Shards = "tuning", 2
 	for _, row := range []struct {
 		req         JobRequest
-		victimMix   []faults.Kind
+		victimMix   []faultKind // the victim's attempts cycle through it
 		maxAttempts int
 		recovers    bool // some victim cells survive in its last stream
 	}{
-		{testRequest(), []faults.Kind{faults.TransientExec}, 2, false},
-		{tuning, []faults.Kind{faults.TransientExec, faults.TornStream}, 4, true},
+		{testRequest(), []faultKind{transientExec}, 2, false},
+		{tuning, []faultKind{transientExec, tornStream}, 4, true},
 	} {
 		t.Run(row.req.Grid, func(t *testing.T) {
 			req := row.req
 			req.AllowPartial = true
 			victim := victimShard(t, req, 2)
 			ref := directRun(t, req)
+			doomed := faultTable{}
+			for a := 0; a < row.maxAttempts; a++ {
+				doomed[faultAt{victim, a}] = row.victimMix[a%len(row.victimMix)]
+			}
 			degrade := func() (*Coordinator, *Client, JobStatus) {
-				plan := &faults.Plan{Victim: victim, VictimMix: row.victimMix}
 				coord := newTestCoordinator(t, func(cfg *Config) {
 					cfg.MaxAttempts = row.maxAttempts
 					cfg.RetryBase = time.Millisecond
 					cfg.RetryMax = 2 * time.Millisecond
 					cfg.WorkerParallel = 1 // cells stream in plan order, so the tear is deterministic
-					cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
+					cfg.WrapWorker = doomed.wrap(t)
 				})
 				srv := httptest.NewServer(coord.Handler())
 				t.Cleanup(srv.Close)
@@ -220,7 +223,7 @@ func TestServiceDegradedReport(t *testing.T) {
 			}
 
 			if row.recovers {
-				// The same plan on a fresh coordinator injures the same cells.
+				// The same table on a fresh coordinator injures the same cells.
 				if _, _, again := degrade(); !reflect.DeepEqual(again.Injured, st.Injured) {
 					t.Fatalf("replay injured %v (%s), first run %v", again.Injured, again.State, st.Injured)
 				}
@@ -246,7 +249,7 @@ func TestServiceCorruptCacheEntryRecomputes(t *testing.T) {
 		t.Fatalf("first job state = %s", st.State)
 	}
 	j, _ := coord.Job(st.ID)
-	if err := faults.CorruptArtifactValue(coord.cache.path(j.Key)); err != nil {
+	if err := corruptArtifactValue(coord.cache.path(j.Key)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -273,21 +276,20 @@ func TestServiceCorruptCacheEntryRecomputes(t *testing.T) {
 // durable cell but before the artifact write, then Close); a new
 // coordinator over the same DataDir accepts the resubmission, reuses
 // the dead attempt's cell stream — the worker resumes rather than
-// recomputes — and serves bytes identical to a direct run. The fault
-// plan is shared, so the restarted coordinator's attempts are each
-// shard's second and run clean.
+// recomputes — and serves bytes identical to a direct run. Only the
+// first coordinator's workers crash; the restarted one runs clean.
 func TestServiceRestartResume(t *testing.T) {
 	dataDir := t.TempDir()
-	plan := &faults.Plan{Mix: []faults.Weighted{{Kind: faults.CrashBeforeArtifact, Weight: 1}}, ReliableAfter: 1}
 	cfg := Config{
 		DataDir:        dataDir,
 		ExperimentsBin: experimentsBin,
 		PollInterval:   50 * time.Millisecond,
 		MaxAttempts:    1, // the crashed attempt exhausts the budget: job fails, dirs stay
-		WrapWorker:     func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) },
 		Logf:           t.Logf,
 	}
-	coord1, err := New(cfg)
+	crashing := cfg
+	crashing.WrapWorker = faultTable{{0, 0}: crashBeforeArtifact, {1, 0}: crashBeforeArtifact}.wrap(t)
+	coord1, err := New(crashing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,5 +455,79 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	})
 	if _, err := hopeless.Stats(); err == nil || !strings.Contains(err.Error(), "giving up after 2 attempts") {
 		t.Fatalf("exhausted retries: %v", err)
+	}
+}
+
+// TestServiceMemoryBoundedByCache: the coordinator holds no finished
+// result in memory, so the results it serves are bounded by its cache,
+// not by the jobs it has run. Under a budget that keeps only the newest
+// entry, every earlier done job answers 410 Gone on both result routes,
+// the cached job serves the direct run's bytes, and a degraded job,
+// never cached, still serves its result from its job dir.
+func TestServiceMemoryBoundedByCache(t *testing.T) {
+	const jobs = 3
+	// The done jobs run two shards. The degraded job runs three, and
+	// its shard 2, which no two-shard job has, fails its one attempt.
+	coord := newTestCoordinator(t, func(cfg *Config) {
+		cfg.CacheBytes = 1 // below any entry: a Put keeps only its own
+		cfg.MaxAttempts = 1
+		cfg.WrapWorker = faultTable{{2, 0}: transientExec}.wrap(t)
+	})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	client := &Client{BaseURL: srv.URL}
+
+	var ids []string
+	for seed := uint64(1); seed <= jobs; seed++ {
+		req := testRequest()
+		req.Seed = seed
+		st := submitAndWait(t, client, req)
+		if st.State != StateDone {
+			t.Fatalf("seed %d: state %s", seed, st.State)
+		}
+		ids = append(ids, st.ID)
+	}
+	if n := coord.cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries, want 1", n)
+	}
+	for _, id := range ids[:jobs-1] {
+		for _, route := range []string{"/report?format=json", "/artifact"} {
+			resp, err := http.Get(srv.URL + "/v1/jobs/" + id + route)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGone || !strings.Contains(string(body), "evicted") {
+				t.Errorf("evicted job %s %s: status %d, body %s; want 410 naming the eviction", id, route, resp.StatusCode, body)
+			}
+		}
+	}
+	last := testRequest()
+	last.Seed = jobs
+	checkReports(t, coord, ids[jobs-1], directRun(t, last))
+
+	degraded := testRequest()
+	degraded.Seed, degraded.Shards, degraded.AllowPartial = jobs+1, 3, true
+	st := submitAndWait(t, client, degraded)
+	degraded.normalize()
+	g, err := degraded.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost := g.Spec.Plan().ShardIndices(2, 3); st.State != StateDegraded || !reflect.DeepEqual(st.Injured, lost) {
+		t.Fatalf("degraded job: state %s, injured %v; want degraded with shard 2's cells %v injured", st.State, st.Injured, lost)
+	}
+	j, _ := coord.Job(st.ID)
+	if _, err := os.Stat(coord.degradedResult(j)); err != nil {
+		t.Fatalf("degraded result not in its job dir: %v", err)
+	}
+	for _, format := range harness.EncoderNames() {
+		if rep, err := client.Report(st.ID, format, ""); err != nil || len(rep) == 0 {
+			t.Errorf("degraded %s report: %d bytes, %v", format, len(rep), err)
+		}
+	}
+	if _, err := client.Artifact(st.ID); err != nil {
+		t.Errorf("degraded artifact: %v", err)
 	}
 }

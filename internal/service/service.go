@@ -57,8 +57,9 @@ type Config struct {
 	// attempt still running after it is cancelled and counted failed —
 	// the only way to reclaim a hung worker process. 0 = no timeout.
 	AttemptTimeout time.Duration
-	// WrapWorker, when non-nil, wraps every parsed worker — the seam
-	// the fault-injection plane (internal/faults.Wrap) plugs into.
+	// WrapWorker, when non-nil, wraps every parsed worker: the seam
+	// that tests force faults through and the repository benchmark
+	// times worker attempts through.
 	WrapWorker func(Worker) Worker
 	// WorkerParallel is the -parallel value passed to each worker
 	// process; 0 keeps the worker's own default (all CPUs).
@@ -283,6 +284,20 @@ func writeWorkloadSpecs(dir string, sources []string) error {
 	return nil
 }
 
+// The errors the HTTP surface maps to status codes (http.go).
+var (
+	// errNotDone: the job has no result yet (409).
+	errNotDone = errors.New("service: job not done")
+	// errEvicted: the result cache no longer holds a done job's result
+	// (410).
+	errEvicted = errors.New("service: result evicted from the cache")
+	// errUnknownFormat: the report format names no encoder (400).
+	errUnknownFormat = errors.New("service: unknown report format")
+	// errQueueFull and errDraining refuse a submission (503).
+	errQueueFull = errors.New("service: job queue full")
+	errDraining  = errors.New("service: coordinator is draining, not accepting jobs")
+)
+
 // Job states.
 const (
 	StateQueued  = "queued"
@@ -363,8 +378,7 @@ type Job struct {
 	finished   time.Time
 	shardsDone int
 	cellsDone  int
-	injured    []int                  // degraded jobs: error-carrying plan indices
-	artifact   *harness.ShardArtifact // merged single-shard results
+	injured    []int // degraded jobs: error-carrying plan indices
 	history    []Event
 	subs       map[chan Event]bool
 }
@@ -568,7 +582,7 @@ func (c *Coordinator) dispatch() {
 // submission refused for a full queue leaves no job behind.
 func (c *Coordinator) Submit(req JobRequest) (JobStatus, error) {
 	if c.draining.Load() {
-		return JobStatus{}, fmt.Errorf("service: coordinator is draining, not accepting jobs")
+		return JobStatus{}, errDraining
 	}
 	req.normalize()
 	grid, err := req.compile()
@@ -590,12 +604,11 @@ func (c *Coordinator) Submit(req JobRequest) (JobStatus, error) {
 		state:       StateQueued,
 		created:     time.Now(),
 	}
-	art, hit, dropped := c.cache.Get(j.Key)
+	_, hit, dropped := c.cache.Get(j.Key)
 	if hit {
 		j.state = StateDone
 		j.cached = true
 		j.started, j.finished = j.created, time.Now()
-		j.artifact = art
 		j.cellsDone = j.cellsTotal
 		j.shardsDone = of
 	}
@@ -619,7 +632,7 @@ func (c *Coordinator) Submit(req JobRequest) (JobStatus, error) {
 		case c.queue <- j:
 		default:
 			c.mu.Unlock()
-			return JobStatus{}, fmt.Errorf("service: job queue full")
+			return JobStatus{}, errQueueFull
 		}
 	}
 	c.nextID++
@@ -680,7 +693,7 @@ func (c *Coordinator) runJob(j *Job) {
 	j.mu.Unlock()
 	j.publish(Event{Type: "start"})
 
-	jobDir := filepath.Join(c.cfg.DataDir, "jobs", j.ID)
+	jobDir := c.jobDir(j)
 	outs := c.runShards(j, jobDir)
 	if c.ctx.Err() != nil {
 		// Coordinator shutdown, not shard exhaustion: never degrade,
@@ -738,8 +751,9 @@ func (c *Coordinator) runJob(j *Job) {
 		return
 	}
 	// Re-serialize the merged plan-ordered results as a one-shard
-	// artifact: the cache value, and the byte source every report
-	// encoder renders from.
+	// artifact: the byte source every report encoder renders from. It
+	// lives on disk only, read back per request: a done job's in its
+	// cache entry, a degraded job's in its kept job dir.
 	mg, err := harness.NewShardGrid(j.Grid.Name, j.Grid.Spec, results, j.Grid.Tuning, false)
 	if err != nil {
 		c.failJob(j, err)
@@ -747,18 +761,21 @@ func (c *Coordinator) runJob(j *Job) {
 	}
 	merged := &harness.ShardArtifact{Format: harness.ShardFormat, Shard: 0, Of: 1, Grids: []harness.ShardGrid{mg}}
 	if exhausted == 0 {
+		err = c.cache.Put(j.Key, merged)
+		c.updateETA(merged)
+	} else {
 		// Degraded results never enter the cache (a later identical
 		// submission deserves a fresh, possibly whole, run) and never
 		// feed the ETA prior (injured cells have zero wall time).
-		if err := c.cache.Put(j.Key, merged); err != nil {
-			c.cfg.Logf("job %s: cache put: %v", j.ID, err)
-		}
-		c.updateETA(merged)
+		err = harness.WriteShardArtifactFile(c.degradedResult(j), merged)
+	}
+	if err != nil {
+		c.failJob(j, fmt.Errorf("storing the merged result: %w", err))
+		return
 	}
 	j.publish(Event{Type: "merged"})
 
 	j.mu.Lock()
-	j.artifact = merged
 	j.finished = time.Now()
 	j.cellsDone = j.cellsTotal - len(injured)
 	j.injured = injured
@@ -782,8 +799,17 @@ func (c *Coordinator) runJob(j *Job) {
 	j.publish(Event{Type: "done"})
 	c.cfg.Logf("job %s: done in %v", j.ID, time.Since(j.started).Round(time.Millisecond))
 	// The per-attempt work dirs only matter for post-mortems of failed
-	// jobs; a finished job's truth is the merged artifact.
+	// jobs; a finished job's truth is its cache entry.
 	_ = os.RemoveAll(jobDir)
+}
+
+// jobDir holds a job's per-attempt work dirs and, once the job is
+// degraded, its merged result.
+func (c *Coordinator) jobDir(j *Job) string { return filepath.Join(c.cfg.DataDir, "jobs", j.ID) }
+
+// degradedResult is the file that holds a degraded job's merged result.
+func (c *Coordinator) degradedResult(j *Job) string {
+	return filepath.Join(c.jobDir(j), "merged.json")
 }
 
 // synthesizeDegradedShard builds the artifact of a shard that
@@ -1120,33 +1146,39 @@ func (c *Coordinator) updateETA(a *harness.ShardArtifact) {
 	}
 }
 
-// Artifact returns a done (or degraded) job's merged results artifact,
-// which the job holds from its cache hit or merge on. The coordinator
-// argument is unused; the repository benchmark (bench/served.go) still
-// passes one.
-func (j *Job) Artifact(*Coordinator) (*harness.ShardArtifact, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateDone && j.state != StateDegraded {
-		return nil, fmt.Errorf("service: job %s is %s, not done", j.ID, j.state)
+// Artifact reads a done (or degraded) job's merged results artifact
+// back from disk: a done job's from its entry in c's result cache, a
+// degraded job's from its kept job dir. Once the cache has evicted a
+// done job's entry, it fails with errEvicted.
+func (j *Job) Artifact(c *Coordinator) (*harness.ShardArtifact, error) {
+	switch st := j.Status().State; st {
+	case StateDone:
+		a, ok, _ := c.cache.Get(j.Key)
+		if !ok {
+			return nil, fmt.Errorf("%w: job %s (key %s); resubmit to recompute it", errEvicted, j.ID, j.Key)
+		}
+		return a, nil
+	case StateDegraded:
+		return harness.ReadShardArtifactFile(c.degradedResult(j))
+	default:
+		return nil, fmt.Errorf("%w: job %s is %s", errNotDone, j.ID, st)
 	}
-	return j.artifact, nil
 }
 
 // RenderReport encodes a done job's report in the named format —
 // through MergeShards and the grid's encoder (Assemble or
 // AssembleTuning underneath), the identical aggregation a direct run
 // uses, so the bytes match a local run exactly. An empty title defaults
-// to the grid name.
-func (j *Job) RenderReport(w io.Writer, format, title string) error {
-	art, err := j.Artifact(nil)
-	if err != nil {
-		return err
-	}
+// to the grid name. The merged results are read back through Artifact.
+func (j *Job) RenderReport(c *Coordinator, w io.Writer, format, title string) error {
 	if title == "" {
 		title = j.Req.Grid
 	}
 	enc, err := j.Grid.Encoder(format, title)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUnknownFormat, err)
+	}
+	art, err := j.Artifact(c)
 	if err != nil {
 		return err
 	}

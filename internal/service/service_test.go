@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -172,7 +173,7 @@ func checkReports(t *testing.T, coord *Coordinator, id string, ref directRef) {
 	j, _ := coord.Job(id)
 	for format, want := range ref.reports {
 		var buf bytes.Buffer
-		if err := j.RenderReport(&buf, format, j.Req.Grid); err != nil {
+		if err := j.RenderReport(coord, &buf, format, j.Req.Grid); err != nil {
 			t.Errorf("%s report: %v", format, err)
 		} else if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("served %s report differs from the direct run", format)
@@ -625,7 +626,7 @@ func TestSubmitQueueFullLeavesNoJob(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := coord.Submit(req); err == nil || !strings.Contains(err.Error(), "queue full") {
+	if _, err := coord.Submit(req); !errors.Is(err, errQueueFull) {
 		t.Fatalf("submission past a full queue: %v, want queue full", err)
 	}
 	jobs := coord.JobList()
@@ -711,4 +712,64 @@ func (b blockingWorker) Run(ctx context.Context, _ string, _ []string) error {
 	<-ctx.Done()
 	b <- struct{}{}
 	return ctx.Err()
+}
+
+// TestHTTPStatusCodes: each error a result route or a submission can
+// meet has its status, and the body names the cause. A job not done is
+// 409 on both result routes, an unknown format 400, an evicted result
+// 410 on both, and a full or draining coordinator 503. The coordinator
+// is closed first, so a submitted job stays queued; the evicted job is
+// a done job whose cache entry is absent, which is what eviction leaves
+// (TestServiceMemoryBoundedByCache evicts for real).
+func TestHTTPStatusCodes(t *testing.T) {
+	coord := newTestCoordinator(t, nil)
+	coord.Close()
+	queued, err := coord.Submit(testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := testRequest()
+	req.normalize()
+	g, err := req.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted := &Job{ID: "job-evicted", Req: req, Grid: g, Key: JobKey(g), state: StateDone}
+	coord.mu.Lock()
+	coord.jobs[evicted.ID] = evicted
+	coord.mu.Unlock()
+
+	submit := `{"grid":"figure2","size":"test","apps":["lu"],"interval":20000}`
+	for _, row := range []struct {
+		name, method, path string
+		setup              func()
+		want               int
+		cause              string // in the error body
+	}{
+		{"report of a queued job", "GET", "/v1/jobs/" + queued.ID + "/report?format=csv", nil, http.StatusConflict, "not done"},
+		{"artifact of a queued job", "GET", "/v1/jobs/" + queued.ID + "/artifact", nil, http.StatusConflict, "not done"},
+		{"unknown format", "GET", "/v1/jobs/job-evicted/report?format=pdf", nil, http.StatusBadRequest, "unknown report format"},
+		{"evicted report", "GET", "/v1/jobs/job-evicted/report?format=csv", nil, http.StatusGone, "evicted"},
+		{"evicted artifact", "GET", "/v1/jobs/job-evicted/artifact", nil, http.StatusGone, "evicted"},
+		{"queue full", "POST", "/v1/jobs", func() {
+			for len(coord.queue) < cap(coord.queue) {
+				coord.queue <- &Job{}
+			}
+		}, http.StatusServiceUnavailable, "queue full"},
+		{"draining", "POST", "/v1/jobs", func() {
+			for len(coord.queue) > 0 {
+				<-coord.queue
+			}
+			coord.BeginDrain()
+		}, http.StatusServiceUnavailable, "draining"},
+	} {
+		if row.setup != nil {
+			row.setup()
+		}
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(row.method, row.path, strings.NewReader(submit)))
+		if rec.Code != row.want || !strings.Contains(rec.Body.String(), row.cause) {
+			t.Errorf("%s: status %d, body %s; want %d naming %q", row.name, rec.Code, rec.Body, row.want, row.cause)
+		}
+	}
 }

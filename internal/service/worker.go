@@ -25,11 +25,11 @@ import (
 )
 
 // Worker executes one shard attempt. Local workers exec the experiments
-// binary as a child process; the interface is the seam the
-// fault-injection plane (internal/faults) plugs into. The dispatcher
-// keeps no per-worker health: local workers are interchangeable
-// children of one host, so one worker's failures predict nothing about
-// it. A cross-machine transport plugging in here would have to bring
+// binary as a child process; the interface is the seam tests force
+// faults through (Config.WrapWorker). The dispatcher keeps no
+// per-worker health: local workers are interchangeable children of one
+// host, so one worker's failures predict nothing about it. A
+// cross-machine transport plugging in here would have to bring
 // per-worker health back.
 // Run must honor ctx cancellation — the dispatcher cancels losing
 // straggler attempts — and must not return until the attempt's
