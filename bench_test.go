@@ -1,18 +1,18 @@
 package dsmphase
 
 // Micro-benchmarks of what no other measurement times: the Table I
-// machine, workload generation, the DDS overhead model, the ablations no
-// grid carries, and the detector hot paths. Benchmarks run reduced
-// inputs so `go test -bench=.` finishes in minutes. The figure grids,
-// the engine, the threshold sweep and the ablation and tuning grids are
-// timed end to end and per layer by the repository benchmark (bench/,
-// `make bench-ab`), and their numbers are pinned by the cmd/experiments
-// scorecard tests.
+// machine, workload generation, the DDS overhead model, the offline
+// sweep against re-simulation, and the detector hot paths. Benchmarks
+// run reduced inputs so `go test -bench=.` finishes in minutes. The
+// figure grids, the engine, the threshold sweep and the ablation and
+// tuning grids are timed end to end and per layer by the repository
+// benchmark (bench/, `make bench-ab`), and their numbers are pinned by
+// the cmd/experiments scorecard tests.
 //
 //	BenchmarkTableI_*    — the simulated machine itself (paired by make bench-ab)
 //	BenchmarkTableII_*   — workload instruction-stream generation
 //	BenchmarkOverhead_*  — the §III-B DDS bandwidth model
-//	BenchmarkAblation_*  — design-choice ablations
+//	BenchmarkAblation_*  — the offline-sweep design choice
 //	Benchmark<hot path>  — detector and substrate micro-benchmarks
 
 import (
@@ -28,7 +28,6 @@ import (
 	"dsmphase/internal/machine"
 	"dsmphase/internal/memory"
 	"dsmphase/internal/network"
-	"dsmphase/internal/stats"
 	"dsmphase/internal/workloads"
 )
 
@@ -206,46 +205,6 @@ func BenchmarkOverhead_MeasuredGather(b *testing.B) {
 }
 
 // ---- Ablations (DESIGN.md §6) ----
-
-// BenchmarkAblation_Detector compares all three detector kinds on the
-// same workload, reporting classification quality.
-func BenchmarkAblation_Detector(b *testing.B) {
-	for _, kind := range []core.DetectorKind{core.DetectorWSS, core.DetectorBBV, core.DetectorDDS, core.DetectorBBVDDV} {
-		b.Run(kind.String(), func(b *testing.B) {
-			rc := benchRC("lu", 8)
-			var lastCoV float64
-			for i := 0; i < b.N; i++ {
-				m, sum := simulateOnce(b, rc)
-				c := harness.SweepMachine(m, rc, kind, sum)
-				lastCoV = c.Curve.CoVAt(25)
-			}
-			b.ReportMetric(lastCoV, "CoV@25phases")
-		})
-	}
-}
-
-// BenchmarkAblation_FootprintSize varies the footprint-table capacity
-// around the paper's 32 entries.
-func BenchmarkAblation_FootprintSize(b *testing.B) {
-	rc := benchRC("fmm", 8)
-	m, sum, err := harness.Simulate(rc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = sum
-	recs := m.RecordsByProc()
-	for _, size := range []int{8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
-			sc := harness.DefaultSweep(core.DetectorBBVDDV, 4)
-			sc.TableSize = size
-			var env stats.Curve
-			for i := 0; i < b.N; i++ {
-				env = stats.LowerEnvelope(harness.Sweep(recs, sc))
-			}
-			b.ReportMetric(env.CoVAt(25), "CoV@25phases")
-		})
-	}
-}
 
 // BenchmarkAblation_SweepVsResim quantifies the key harness design
 // choice: replaying classification over recorded signatures versus

@@ -67,17 +67,12 @@ func (a *Accumulator) Branch(pc uint32) {
 // Total returns the number of instructions recorded since the last Reset.
 func (a *Accumulator) Total() uint64 { return a.totalInstr }
 
-// Snapshot returns the accumulator normalized to sum 1 (the fractional
-// basic-block distribution for the interval). An interval with no
-// recorded instructions yields a zero vector.
-func (a *Accumulator) Snapshot() []float64 {
-	return a.SnapshotInto(make([]float64, len(a.counts)))
-}
-
-// SnapshotInto writes the normalized snapshot into dst, which must have
-// the accumulator's length, and returns it. Callers that record many
-// intervals hand in arena-backed slices so the per-interval hot path
-// allocates nothing (the machine's endInterval).
+// SnapshotInto writes the accumulator normalized to sum 1 (the
+// fractional basic-block distribution for the interval) into dst, which
+// must have the accumulator's length, and returns it. An interval with no
+// recorded instructions yields a zero vector. The machine's endInterval
+// hands in arena-backed slices, so the per-interval hot path allocates
+// nothing.
 func (a *Accumulator) SnapshotInto(dst []float64) []float64 {
 	if len(dst) != len(a.counts) {
 		panic("core: SnapshotInto needs a dst of the accumulator's size")

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// snapshot returns a's normalized snapshot in a fresh slice.
+func snapshot(a *Accumulator) []float64 { return a.SnapshotInto(make([]float64, a.Size())) }
+
 func TestAccumulatorBasics(t *testing.T) {
 	a := NewAccumulator(8)
 	if a.Size() != 8 {
@@ -19,7 +22,7 @@ func TestAccumulatorBasics(t *testing.T) {
 	if a.Total() != 4 {
 		t.Fatalf("Total = %d, want 4", a.Total())
 	}
-	snap := a.Snapshot()
+	snap := snapshot(a)
 	var sum float64
 	nonZero := 0
 	for _, v := range snap {
@@ -44,7 +47,7 @@ func TestAccumulatorReset(t *testing.T) {
 	if a.Total() != 0 {
 		t.Error("Total not reset")
 	}
-	for i, v := range a.Snapshot() {
+	for i, v := range snapshot(a) {
 		if v != 0 {
 			t.Errorf("bucket %d = %v after reset", i, v)
 		}
@@ -53,7 +56,7 @@ func TestAccumulatorReset(t *testing.T) {
 
 func TestAccumulatorEmptySnapshot(t *testing.T) {
 	a := NewAccumulator(4)
-	snap := a.Snapshot()
+	snap := snapshot(a)
 	for _, v := range snap {
 		if v != 0 {
 			t.Fatal("empty accumulator snapshot must be zero")
@@ -67,7 +70,7 @@ func TestAccumulatorTailInstructionsDropped(t *testing.T) {
 	// Instructions after the last branch are not attributed.
 	a.Instruction()
 	a.Instruction()
-	snap := a.Snapshot()
+	snap := snapshot(a)
 	var sum float64
 	for _, v := range snap {
 		sum += v
@@ -86,7 +89,7 @@ func TestAccumulatorDistinctBlocks(t *testing.T) {
 	}
 	a.Instruction()
 	a.Branch(0x2040)
-	snap := a.Snapshot()
+	snap := snapshot(a)
 	i1, i2 := hashPC(0x100, 32), hashPC(0x2040, 32)
 	if i1 == i2 {
 		t.Skip("hash collision in chosen PCs; pick different test PCs")
@@ -179,7 +182,7 @@ func TestAccumulatorSnapshotProperty(t *testing.T) {
 			return false
 		}
 		var sum float64
-		for _, v := range a.Snapshot() {
+		for _, v := range snapshot(a) {
 			if v < 0 {
 				return false
 			}

@@ -49,8 +49,8 @@ func ParseDetectorKind(name string) (DetectorKind, error) {
 
 // IntervalSignature is everything the phase-detection hardware observes
 // about one sampling interval on one processor. The machine records one
-// per (processor, interval); classification — online or the offline
-// 200-threshold sweep — consumes only these.
+// per (processor, interval); classification — Replay, the offline
+// threshold sweep — consumes only these.
 type IntervalSignature struct {
 	// Proc is the processor that owns the interval.
 	Proc int
@@ -65,10 +65,6 @@ type IntervalSignature struct {
 	DDS float64
 	// RawDDS is the unnormalized Σ F·D·C sum.
 	RawDDS float64
-	// PhaseID is the phase the online hardware detector assigned at
-	// interval end, or -1 when the machine ran without one (offline
-	// classification via ClassifyRecorded).
-	PhaseID int
 	// Instructions is the committed non-synchronization instruction count
 	// (the interval length definition of the paper).
 	Instructions uint64
@@ -88,36 +84,11 @@ func (s IntervalSignature) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instructions)
 }
 
-// Detector is the per-processor online phase detector: a BBV accumulator
-// plus footprint table, optionally extended with DDS matching. It mirrors
-// the hardware organization of Fig. 1 / Fig. 3 in the paper.
-type Detector struct {
-	Kind  DetectorKind
-	Acc   *Accumulator
-	Table *FootprintTable
-}
-
-// NewDetector builds an online detector. For DetectorBBV thDDS is
-// ignored. For DetectorDDS the BBV threshold is set permissive (see
-// NewKindTable).
-func NewDetector(kind DetectorKind, accSize, tableSize int, thBBV, thDDS float64) *Detector {
-	return &Detector{Kind: kind, Acc: NewAccumulator(accSize), Table: NewKindTable(kind, tableSize, thBBV, thDDS)}
-}
-
-// EndInterval classifies the just-finished interval given its DDS and
-// resets the accumulator for the next interval. It returns the phase ID.
-func (d *Detector) EndInterval(dds float64) (phaseID int, matched bool) {
-	bbv := d.Acc.Snapshot()
-	phaseID, matched = d.Table.Classify(bbv, dds)
-	d.Acc.Reset()
-	return phaseID, matched
-}
-
 // ClassifyRecorded replays footprint-table dynamics over a recorded
 // per-processor signature sequence at the given thresholds, returning the
-// phase ID assigned to each interval. This is the offline equivalent of
-// running the online detector with those thresholds; it is a one-setting
-// Replay (the WSS baseline replays its own table).
+// phase ID assigned to each interval: the IDs a footprint table fed the
+// sequence interval by interval would assign. It is a one-setting Replay
+// (the WSS baseline replays its own table).
 func ClassifyRecorded(kind DetectorKind, tableSize int, thBBV, thDDS float64, sigs []IntervalSignature) []int {
 	if kind == DetectorWSS {
 		// The WSS baseline classifies on the working-set signature with

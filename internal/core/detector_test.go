@@ -29,29 +29,49 @@ func TestIntervalSignatureCPI(t *testing.T) {
 	}
 }
 
-func feedBlock(d *Detector, pc uint32, nInstr, times int) {
+// intervalDetector is the per-processor detector hardware the machine
+// models: a BBV accumulator that the machine snapshots at interval end,
+// and the footprint table the recorded snapshots are classified with.
+type intervalDetector struct {
+	acc   *Accumulator
+	table *FootprintTable
+}
+
+func newIntervalDetector(kind DetectorKind, thBBV, thDDS float64) *intervalDetector {
+	return &intervalDetector{acc: NewAccumulator(32), table: NewKindTable(kind, 32, thBBV, thDDS)}
+}
+
+// endInterval classifies the accumulated interval with the given DDS
+// and resets the accumulator for the next one.
+func (d *intervalDetector) endInterval(dds float64) (phaseID int, matched bool) {
+	phaseID, matched = d.table.Classify(snapshot(d.acc), dds)
+	d.acc.Reset()
+	return phaseID, matched
+}
+
+func feedBlock(d *intervalDetector, pc uint32, nInstr, times int) {
 	for i := 0; i < times; i++ {
 		for k := 0; k < nInstr; k++ {
-			d.Acc.Instruction()
+			d.acc.Instruction()
 		}
-		d.Acc.Branch(pc)
+		d.acc.Branch(pc)
 	}
 }
 
 func TestOnlineDetectorBBVSeparatesCode(t *testing.T) {
-	d := NewDetector(DetectorBBV, 32, 32, 0.2, 0)
+	d := newIntervalDetector(DetectorBBV, 0.2, 0)
 	// Interval 1: block A only.
 	feedBlock(d, 0x100, 8, 100)
-	p1, _ := d.EndInterval(0)
+	p1, _ := d.endInterval(0)
 	// Interval 2: same code -> same phase.
 	feedBlock(d, 0x100, 8, 100)
-	p2, matched := d.EndInterval(0)
+	p2, matched := d.endInterval(0)
 	if !matched || p2 != p1 {
 		t.Errorf("identical code must share a phase: (%d,%v) vs %d", p2, matched, p1)
 	}
 	// Interval 3: different block -> new phase.
 	feedBlock(d, 0x2040, 8, 100)
-	p3, matched := d.EndInterval(0)
+	p3, matched := d.endInterval(0)
 	if matched || p3 == p1 {
 		t.Errorf("different code must be a new phase: (%d,%v)", p3, matched)
 	}
@@ -60,55 +80,56 @@ func TestOnlineDetectorBBVSeparatesCode(t *testing.T) {
 func TestOnlineDetectorBBVBlindToDDS(t *testing.T) {
 	// The baseline cannot distinguish intervals that execute the same
 	// code but differ in data distribution — the paper's core criticism.
-	d := NewDetector(DetectorBBV, 32, 32, 0.2, 0)
+	d := newIntervalDetector(DetectorBBV, 0.2, 0)
 	feedBlock(d, 0x100, 8, 100)
-	p1, _ := d.EndInterval(1.0) // local-heavy interval
+	p1, _ := d.endInterval(1.0) // local-heavy interval
 	feedBlock(d, 0x100, 8, 100)
-	p2, matched := d.EndInterval(5.0) // remote-heavy interval
+	p2, matched := d.endInterval(5.0) // remote-heavy interval
 	if !matched || p2 != p1 {
 		t.Errorf("BBV must ignore DDS: (%d,%v) vs %d", p2, matched, p1)
 	}
 }
 
 func TestOnlineDetectorDDVSeparatesDataDistribution(t *testing.T) {
-	d := NewDetector(DetectorBBVDDV, 32, 32, 0.2, 0.5)
+	d := newIntervalDetector(DetectorBBVDDV, 0.2, 0.5)
 	feedBlock(d, 0x100, 8, 100)
-	p1, _ := d.EndInterval(1.0)
+	p1, _ := d.endInterval(1.0)
 	feedBlock(d, 0x100, 8, 100)
-	p2, matched := d.EndInterval(5.0) // same code, different distribution
+	p2, matched := d.endInterval(5.0) // same code, different distribution
 	if matched || p2 == p1 {
 		t.Errorf("BBV+DDV must split on DDS: (%d,%v) vs %d", p2, matched, p1)
 	}
 	feedBlock(d, 0x100, 8, 100)
-	p3, matched := d.EndInterval(1.2) // back to local-ish: reuse phase 1
+	p3, matched := d.endInterval(1.2) // back to local-ish: reuse phase 1
 	if !matched || p3 != p1 {
 		t.Errorf("DDS within threshold must match: (%d,%v) vs %d", p3, matched, p1)
 	}
 }
 
 func TestDetectorDDSKindIgnoresBBV(t *testing.T) {
-	d := NewDetector(DetectorDDS, 32, 32, 0, 0.5)
+	d := newIntervalDetector(DetectorDDS, 0, 0.5)
 	feedBlock(d, 0x100, 8, 100)
-	p1, _ := d.EndInterval(1.0)
+	p1, _ := d.endInterval(1.0)
 	feedBlock(d, 0x2040, 8, 100) // totally different code
-	p2, matched := d.EndInterval(1.1)
+	p2, matched := d.endInterval(1.1)
 	if !matched || p2 != p1 {
 		t.Errorf("DDS-only detector must ignore BBV: (%d,%v) vs %d", p2, matched, p1)
 	}
 }
 
-func TestNewDetectorUnknownKindPanics(t *testing.T) {
+func TestNewKindTableUnknownKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	NewDetector(DetectorKind(9), 32, 32, 0.1, 0.1)
+	NewKindTable(DetectorKind(9), 32, 0.1, 0.1)
 }
 
 func TestClassifyRecordedMatchesOnline(t *testing.T) {
 	// The offline replay must produce exactly the same phase sequence as
-	// the online detector at the same thresholds.
+	// a footprint table fed the intervals one by one at the same
+	// thresholds.
 	mk := func(x, dds float64) IntervalSignature {
 		return IntervalSignature{BBV: []float64{x, 1 - x}, DDS: dds}
 	}
@@ -118,16 +139,7 @@ func TestClassifyRecordedMatchesOnline(t *testing.T) {
 	}
 	for _, kind := range []DetectorKind{DetectorBBV, DetectorBBVDDV, DetectorDDS} {
 		offline := ClassifyRecorded(kind, 4, 0.2, 0.3, sigs)
-		// Online equivalent: feed the footprint table directly.
-		var table *FootprintTable
-		switch kind {
-		case DetectorBBV:
-			table = NewFootprintTable(4, 0.2)
-		case DetectorBBVDDV:
-			table = NewFootprintTableDDS(4, 0.2, 0.3)
-		case DetectorDDS:
-			table = NewFootprintTableDDS(4, 2.0, 0.3)
-		}
+		table := NewKindTable(kind, 4, 0.2, 0.3)
 		for i, s := range sigs {
 			id, _ := table.Classify(s.BBV, s.DDS)
 			if id != offline[i] {

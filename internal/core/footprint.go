@@ -5,13 +5,13 @@ import (
 	"math"
 )
 
-// FootprintEntry is one footprint-table row: the stored BBV signature,
+// footprintEntry is one footprint-table row: the stored BBV signature,
 // the stored DDS value, and the phase identifier assigned when the entry
 // was allocated.
-type FootprintEntry struct {
-	BBV     []float64
-	DDS     float64
-	PhaseID int
+type footprintEntry struct {
+	bbv     []float64
+	dds     float64
+	phaseID int
 	// src is the index of the allocating interval when the table is
 	// driven by a Replay, which looks distances up instead of storing BBV.
 	src     int
@@ -31,7 +31,7 @@ type FootprintEntry struct {
 // taken"). If no entry matches, a new entry is allocated — possibly
 // replacing the least recently used one — and assigned a fresh phase ID.
 type FootprintTable struct {
-	entries   []FootprintEntry
+	entries   []footprintEntry
 	thBBV     float64
 	thDDS     float64
 	useDDS    bool
@@ -53,17 +53,8 @@ func NewFootprintTable(size int, thBBV float64) *FootprintTable {
 	if size <= 0 {
 		panic("core: footprint table size must be positive")
 	}
-	return &FootprintTable{entries: make([]FootprintEntry, size), thBBV: thBBV,
+	return &FootprintTable{entries: make([]footprintEntry, size), thBBV: thBBV,
 		aboveBBV: math.Inf(1), aboveDDS: math.Inf(1)}
-}
-
-// NewFootprintTableDDS returns a table that additionally requires the DDS
-// difference to be at or below thDDS (the paper's BBV+DDV detector).
-func NewFootprintTableDDS(size int, thBBV, thDDS float64) *FootprintTable {
-	t := NewFootprintTable(size, thBBV)
-	t.thDDS = thDDS
-	t.useDDS = true
-	return t
 }
 
 // NewKindTable returns the table a footprint-table detector kind
@@ -108,13 +99,14 @@ func (t *FootprintTable) Classify(bbv []float64, dds float64) (phaseID int, matc
 }
 
 // classify is the table's one copy of the match/LRU/allocate dynamics,
-// shared by the online Classify and the offline Replay. Online callers
-// pass src < 0: the distance to an entry is Manhattan(bbv, e.BBV), and an
-// allocation copies bbv into the entry. A Replay passes the recorded
-// interval's index src and row, its precomputed distances to every
-// earlier interval of the sequence: the distance to an entry is
-// row[e.src] — the same Manhattan call on the same vectors, so the same
-// float — and an allocation records src instead of copying.
+// shared by Classify (the reference the Replay tests compare against)
+// and Replay. Classify passes src < 0: the distance to an entry is
+// Manhattan(bbv, e.bbv), and an allocation copies bbv into the entry. A
+// Replay passes the recorded interval's index src and row, its
+// precomputed distances to every earlier interval of the sequence: the
+// distance to an entry is row[e.src] — the same Manhattan call on the
+// same vectors, so the same float — and an allocation records src
+// instead of copying.
 func (t *FootprintTable) classify(bbv, row []float64, src int, dds float64) (phaseID int, matched bool) {
 	t.clock++
 	bestIdx := -1
@@ -135,7 +127,7 @@ func (t *FootprintTable) classify(bbv, row []float64, src int, dds float64) (pha
 		}
 		var d float64
 		if src < 0 {
-			d = Manhattan(bbv, e.BBV)
+			d = Manhattan(bbv, e.bbv)
 		} else {
 			d = row[e.src]
 		}
@@ -146,7 +138,7 @@ func (t *FootprintTable) classify(bbv, row []float64, src int, dds float64) (pha
 			continue
 		}
 		if t.useDDS {
-			if dd := math.Abs(dds - e.DDS); dd > t.thDDS {
+			if dd := math.Abs(dds - e.dds); dd > t.thDDS {
 				if dd < t.aboveDDS {
 					t.aboveDDS = dd
 				}
@@ -160,28 +152,28 @@ func (t *FootprintTable) classify(bbv, row []float64, src int, dds float64) (pha
 	if bestIdx >= 0 {
 		e := &t.entries[bestIdx]
 		e.lastUse = t.clock
-		return e.PhaseID, true
+		return e.phaseID, true
 	}
 	// Allocate: transfer the accumulator snapshot (and DDS) into the
 	// victim entry and assign a fresh phase ID.
 	e := &t.entries[lruIdx]
 	if src < 0 {
-		e.BBV = append(e.BBV[:0], bbv...)
+		e.bbv = append(e.bbv[:0], bbv...)
 	}
 	e.src = src
-	e.DDS = dds
-	e.PhaseID = t.nextPhase
+	e.dds = dds
+	e.phaseID = t.nextPhase
 	e.lastUse = t.clock
 	e.valid = true
 	t.nextPhase++
-	return e.PhaseID, false
+	return e.phaseID, false
 }
 
 // Reset clears all entries, the phase-ID counter and the record of
 // failed threshold tests.
 func (t *FootprintTable) Reset() {
 	for i := range t.entries {
-		t.entries[i] = FootprintEntry{}
+		t.entries[i] = footprintEntry{}
 	}
 	t.clock = 0
 	t.nextPhase = 0

@@ -52,7 +52,7 @@ func TestFootprintClosestEntryWins(t *testing.T) {
 }
 
 func TestFootprintDDSThreshold(t *testing.T) {
-	ft := NewFootprintTableDDS(4, 0.5, 0.1)
+	ft := NewKindTable(DetectorBBVDDV, 4, 0.5, 0.1)
 	id0, _ := ft.Classify(vec(1, 0), 1.0)
 	// Identical BBV but DDS differs by 0.5 > 0.1: must be a new phase.
 	id1, matched := ft.Classify(vec(1, 0), 1.5)
@@ -157,7 +157,7 @@ func TestFootprintZeroThresholdProperty(t *testing.T) {
 // matches (single phase).
 func TestFootprintInfiniteThresholdProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
-		ft := NewFootprintTableDDS(8, math.Inf(1), math.Inf(1))
+		ft := NewKindTable(DetectorBBVDDV, 8, math.Inf(1), math.Inf(1))
 		first := true
 		for _, r := range raw {
 			x := float64(r) / 255

@@ -8,7 +8,7 @@ import "math"
 // is a BBV distance between two of its recorded intervals, and that set
 // is the same at every setting. NewReplay therefore computes each
 // pairwise distance once, and Classify replays the table dynamics
-// (FootprintTable.classify, the code the online detector runs) as index
+// (FootprintTable.classify, the code FootprintTable.Classify runs) as index
 // lookups into it, reusing the table and the ID buffer.
 //
 // The distances take n(n-1)/2 float64 for n intervals.
@@ -43,8 +43,9 @@ func NewReplay(sigs []IntervalSignature, tableSize int) *Replay {
 }
 
 // Classify returns the phase ID the given detector kind assigns to every
-// interval at thresholds (thBBV, thDDS): the IDs an online detector at
-// those thresholds would have produced. The slice is the replay's own
+// interval at thresholds (thBBV, thDDS): the IDs a footprint table at
+// those thresholds, fed the sequence interval by interval through
+// FootprintTable.Classify, would assign. The slice is the replay's own
 // buffer and is overwritten by the next call.
 //
 // It also returns the box of settings that give the same IDs: every

@@ -36,8 +36,8 @@ func randomSigs(rng *rand.Rand, n int) []IntervalSignature {
 	return sigs
 }
 
-// TestReplayMatchesOnlineTable checks the offline replay against the
-// online footprint table fed the same sequence interval by interval, for
+// TestReplayMatchesOnlineTable checks the offline replay against a
+// footprint table fed the same sequence interval by interval, for
 // every footprint-table detector kind and table sizes the sequences
 // overflow, so LRU eviction is exercised. One Replay serves every
 // setting, which also checks that its in-place reset leaves nothing
@@ -53,7 +53,7 @@ func TestReplayMatchesOnlineTable(t *testing.T) {
 				for _, thBBV := range []float64{0, 0.3, 2} {
 					for _, thDDS := range []float64{0, 0.3, 2} {
 						got, _ := replay.Classify(kind, thBBV, thDDS)
-						online := NewDetector(kind, 1, size, thBBV, thDDS).Table
+						online := NewKindTable(kind, size, thBBV, thDDS)
 						for i, s := range sigs {
 							want, _ := online.Classify(s.BBV, s.DDS)
 							if got[i] != want {
@@ -106,7 +106,7 @@ func TestReplayClassifyAllocatesNothing(t *testing.T) {
 }
 
 // TestReplayBoxProperty checks the box Classify reports: every setting
-// inside it gives the IDs a fresh online table gives at that setting.
+// inside it gives the IDs a fresh footprint table gives at that setting.
 // Thresholds are drawn from the sequence's own BBV distances and DDS
 // deltas and their floating-point neighbours, so settings land exactly
 // on a recorded value — the tie a half-open box must get right — as
@@ -158,7 +158,7 @@ func TestReplayBoxProperty(t *testing.T) {
 						if b != thBBV || d != thDDS {
 							moved++
 						}
-						online := NewDetector(kind, 1, size, b, d).Table
+						online := NewKindTable(kind, size, b, d)
 						for i, s := range sigs {
 							if want, _ := online.Classify(s.BBV, s.DDS); ids[i] != want {
 								t.Fatalf("%v size %d: box %+v from (%g, %g) contains (%g, %g), but interval %d is %d there, not %d",

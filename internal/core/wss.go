@@ -13,8 +13,7 @@ import "math/bits"
 // is at or below a threshold. Dhodapkar & Smith (MICRO'03) found BBV
 // signatures more stable and more sensitive than working sets, and the
 // paper builds on BBVs for that reason; this implementation lets the two
-// baselines be compared on DSM executions (BenchmarkAblation_Detector,
-// TestWSSBaselineOrdering).
+// baselines be compared on DSM executions (TestWSSBaselineOrdering).
 
 // WSSWords is the signature size in 64-bit words (1024 bits, matching
 // the kilobit signatures of the original proposal).

@@ -166,7 +166,7 @@ func TestSweepDeterministic(t *testing.T) {
 }
 
 // referenceSweep is the sweep written the direct way: for each setting,
-// an online footprint table per processor fed interval by interval,
+// a FootprintTable per processor fed interval by interval (Classify),
 // the map-grouping IdentifierCoV, and the processor average.
 func referenceSweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
 	dds := sc.DDSThresholds
@@ -182,7 +182,7 @@ func referenceSweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.Cur
 				if len(rs) == 0 {
 					continue
 				}
-				table := core.NewDetector(sc.Kind, 1, sc.TableSize, tb, td).Table
+				table := core.NewKindTable(sc.Kind, sc.TableSize, tb, td)
 				ids := make([]int, len(rs))
 				cpis := make([]float64, len(rs))
 				for i, r := range rs {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -383,8 +384,39 @@ func TestTraceCaptureRoundTrip(t *testing.T) {
 		t.Errorf("trace dedup: %d embedded, %d refs (want 1 and 1)", embedded, refs)
 	}
 	// And merging trace-bearing shards still reassembles cleanly.
-	if _, err := MergeShards(spec, "grid", []*ShardArtifact{art}); err != nil {
+	merged, err := MergeShards(spec, "grid", []*ShardArtifact{art})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// A shard written while the machine still classified carries
+	// "phase_id" in every trace record; it merges to the same records.
+	oldGrid := *g
+	oldGrid.Results = append([]ShardCell(nil), g.Results...)
+	for i := range oldGrid.Results {
+		oldGrid.Results[i].Trace = strings.ReplaceAll(oldGrid.Results[i].Trace,
+			`,"instructions":`, `,"phase_id":-1,"instructions":`)
+	}
+	if oldGrid.Results[0].Trace == g.Results[0].Trace && oldGrid.Results[1].Trace == g.Results[1].Trace {
+		t.Fatal("no trace record took a phase_id")
+	}
+	old := roundTripArtifact(t, &ShardArtifact{Shard: 0, Of: 1, Grids: []ShardGrid{oldGrid}})
+	mergedOld, err := MergeShards(spec, "grid", []*ShardArtifact{old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := 0
+	for i := range merged {
+		got, gotOK := mergedOld[i].Extra.(TracedExtra)
+		want, wantOK := merged[i].Extra.(TracedExtra)
+		if gotOK != wantOK || !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("cell %d: merging the phase_id trace changed its records", i)
+		}
+		if gotOK && len(got.Records) > 0 {
+			traced++
+		}
+	}
+	if traced == 0 {
+		t.Error("no merged cell carried its trace records")
 	}
 }
 

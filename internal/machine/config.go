@@ -1,6 +1,7 @@
 // Package machine assembles the simulated DSM multiprocessor of Table I
-// and drives parallel workloads through it, capturing per-interval phase
-// signatures (BBV snapshot, DDS, CPI) for the detectors in internal/core.
+// and drives parallel workloads through it, recording per-interval phase
+// signatures (BBV snapshot, DDS, CPI). The machine only records:
+// classification is offline, by core.Replay over the records.
 //
 // Scheduling is min-clock: the machine always advances the processor
 // with the smallest local cycle count (ties to the lowest processor ID).
@@ -43,10 +44,11 @@ type Config struct {
 	// 3M / Procs so that phase (and tuning) counts stay comparable as
 	// the system scales.
 	IntervalInstructions uint64
-	// AccumulatorSize and FootprintSize configure the detector hardware
-	// (paper: 32 and 32).
+	// AccumulatorSize is the number of BBV accumulator counters each
+	// processor snapshots at interval end (paper: 32). The footprint
+	// table is not part of the machine: its size is a classification
+	// setting (harness.SweepConfig.TableSize).
 	AccumulatorSize int
-	FootprintSize   int
 
 	L1    cache.Config
 	L2    cache.Config
@@ -84,19 +86,6 @@ type Config struct {
 	// byte-identical output (TestSchedulerEquivalence); the naive loop
 	// is O(instrs × Procs) and exists as the test oracle.
 	NaiveScheduler bool
-	// Online, when non-nil, runs a hardware phase detector on every
-	// processor during the simulation: each interval record carries the
-	// phase ID the hardware assigned at interval end (exactly what the
-	// offline ClassifyRecorded replay computes at the same thresholds —
-	// property-tested). With Online nil, records carry PhaseID -1.
-	Online *OnlineConfig
-}
-
-// OnlineConfig configures the in-simulation phase detector.
-type OnlineConfig struct {
-	Kind  core.DetectorKind
-	ThBBV float64
-	ThDDS float64
 }
 
 // DefaultConfig returns the Table I system for the given node count,
@@ -106,7 +95,6 @@ func DefaultConfig(procs int) Config {
 		Procs:                procs,
 		IntervalInstructions: 3_000_000 / uint64(procs),
 		AccumulatorSize:      core.DefaultAccumulatorSize,
-		FootprintSize:        core.DefaultFootprintSize,
 		L1:                   cache.L1Default(),
 		L2:                   cache.L2Default(),
 		Mem:                  memory.DefaultConfig(),

@@ -20,9 +20,6 @@ type proc struct {
 	acc   *core.Accumulator
 	wss   core.WSSignature
 	freq  *core.FrequencyMatrix
-	// table is the online footprint table (nil when classification is
-	// offline-only).
-	table *core.FootprintTable
 
 	thread  isa.Thread
 	emitter *isa.Emitter
@@ -158,9 +155,6 @@ func New(cfg Config, threads []isa.Thread) *Machine {
 		}
 		if recordCap > 0 {
 			p.records = make([]core.IntervalSignature, 0, recordCap)
-		}
-		if oc := cfg.Online; oc != nil {
-			p.table = core.NewKindTable(oc.Kind, cfg.FootprintSize, oc.ThBBV, oc.ThDDS)
 		}
 		m.procs[i] = p
 	}
@@ -446,19 +440,13 @@ func (m *Machine) endInterval(p *proc) {
 	}
 
 	cycles := p.clock - p.intervalStart
-	bbv := p.acc.SnapshotInto(m.nextBBV())
-	phaseID := -1
-	if p.table != nil {
-		phaseID, _ = p.table.Classify(bbv, norm)
-	}
 	p.records = append(p.records, core.IntervalSignature{
 		Proc:           p.id,
 		Index:          p.intervalIdx,
-		BBV:            bbv,
+		BBV:            p.acc.SnapshotInto(m.nextBBV()),
 		WSS:            p.wss,
 		DDS:            norm,
 		RawDDS:         raw,
-		PhaseID:        phaseID,
 		Instructions:   p.instrs,
 		Cycles:         uint64(math.Round(cycles)),
 		LocalAccesses:  p.localAcc,

@@ -312,3 +312,70 @@ func TestTableI(t *testing.T) {
 		t.Errorf("frequency row = %v", rows[0])
 	}
 }
+
+// phasedThread alternates between two code/data behaviours so the
+// recorded signatures carry genuine phase structure.
+type phasedThread struct {
+	iters, emitted int
+	homeA, homeB   int
+	off            uint64
+}
+
+func (t *phasedThread) NextBatch(e *isa.Emitter) bool {
+	if t.emitted >= t.iters {
+		return false
+	}
+	end := t.emitted + 50
+	if end > t.iters {
+		end = t.iters
+	}
+	for ; t.emitted < end; t.emitted++ {
+		phase := (t.emitted / 200) % 2
+		if phase == 0 {
+			e.Int(0x100, 3)
+			e.Load(0x104, AddrAt(t.homeA, t.off))
+			e.LoopBranch(0x108, t.emitted, t.iters)
+		} else {
+			e.FP(0x200, 3)
+			e.Load(0x204, AddrAt(t.homeB, t.off))
+			e.LoopBranch(0x208, t.emitted, t.iters)
+		}
+		t.off += 64
+	}
+	return true
+}
+
+// TestOnlineDetectsPhaseStructure checks that the signatures the machine
+// records carry the workload's phases: classified offline at (0.3,
+// 0.15), an alternating workload yields several phases, and its first
+// phase recurs.
+func TestOnlineDetectsPhaseStructure(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.IntervalInstructions = 500
+	m := New(cfg, []isa.Thread{
+		&phasedThread{iters: 4000, homeA: 0, homeB: 1},
+		&phasedThread{iters: 4000, homeA: 1, homeB: 0},
+	})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ids := core.ClassifyRecorded(core.DetectorBBV, core.DefaultFootprintSize, 0.3, 0.15, m.RecordsByProc()[0])
+	distinct := map[int]bool{}
+	for _, id := range ids {
+		distinct[id] = true
+	}
+	if len(distinct) < 2 {
+		t.Errorf("alternating workload produced %d phases, want >= 2", len(distinct))
+	}
+	// Recurring phases: some phase ID must repeat non-contiguously.
+	repeats := false
+	for i := 2; i < len(ids); i++ {
+		if ids[i] == ids[0] && ids[i-1] != ids[0] {
+			repeats = true
+			break
+		}
+	}
+	if !repeats {
+		t.Error("phase 0 never recurs; detector is fragmenting")
+	}
+}

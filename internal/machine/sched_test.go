@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dsmphase/internal/coherence"
-	"dsmphase/internal/core"
 	"dsmphase/internal/isa"
 	"dsmphase/internal/network"
 )
@@ -131,10 +130,9 @@ func requireSameRun(t *testing.T, name string, oracle, horizon *Machine) error {
 // scheduler produces the exact observable output of the naive
 // per-instruction min-scan oracle — identical IntervalSignature
 // streams, Summary and Protocol.Stats — across system sizes including a
-// non-power-of-two count, every coherence backend, online
-// classification on and off, the DDS gather charged and free, an
-// interval short enough to close mostly on non-memory instructions,
-// and a barrier-heavy thread mix.
+// non-power-of-two count, every coherence backend, the DDS gather
+// charged and free, an interval short enough to close mostly on
+// non-memory instructions, and a barrier-heavy thread mix.
 func TestSchedulerEquivalence(t *testing.T) {
 	var cases []randCase
 	for _, procs := range []int{1, 2, 5, 8, 32} {
@@ -143,17 +141,14 @@ func TestSchedulerEquivalence(t *testing.T) {
 		}
 	}
 	for _, kind := range coherence.Kinds() {
-		for _, online := range []*OnlineConfig{nil, {Kind: core.DetectorBBVDDV, ThBBV: 0.3, ThDDS: 0.15}} {
-			for _, charge := range []bool{true, false} {
-				for _, interval := range []uint64{300, 37} {
-					name := fmt.Sprintf("%s/online=%t/charge=%t/interval=%d", kind, online != nil, charge, interval)
-					cases = append(cases, randCase{name: name, procs: 8, seed: 4, tweak: func(c *Config) {
-						c.Protocol = kind
-						c.Online = online
-						c.ChargeDDSGather = charge
-						c.IntervalInstructions = interval
-					}})
-				}
+		for _, charge := range []bool{true, false} {
+			for _, interval := range []uint64{300, 37} {
+				name := fmt.Sprintf("%s/charge=%t/interval=%d", kind, charge, interval)
+				cases = append(cases, randCase{name: name, procs: 8, seed: 4, tweak: func(c *Config) {
+					c.Protocol = kind
+					c.ChargeDDSGather = charge
+					c.IntervalInstructions = interval
+				}})
 			}
 		}
 		for _, procs := range []int{4, 5, 8} {

@@ -1,39 +1,10 @@
-// Package rng provides a small, deterministic splitmix64 generator used
-// by the workload generators. Determinism across runs (and platforms) is
-// a hard requirement: identical seeds must reproduce identical
-// instruction streams and therefore identical CoV curves.
+// Package rng provides Hash64, the stateless splitmix64 step behind
+// every seeded decision in the simulator: workload generators, plan
+// fingerprints, shard assignment and retry jitter. Determinism across
+// runs (and platforms) is a hard requirement: identical seeds must
+// reproduce identical instruction streams and therefore identical CoV
+// curves.
 package rng
-
-// Rng is a splitmix64 generator. The zero value is a valid generator
-// seeded with 0.
-type Rng struct {
-	state uint64
-}
-
-// New returns a generator with the given seed.
-func New(seed uint64) *Rng { return &Rng{state: seed} }
-
-// Uint64 returns the next value in the sequence.
-func (r *Rng) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// Intn returns a value in [0, n). n must be positive.
-func (r *Rng) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn requires n > 0")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Float64 returns a value in [0, 1).
-func (r *Rng) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
 
 // Hash64 deterministically mixes a value (stateless splitmix64 step),
 // useful for per-item pseudo-random decisions that must not depend on

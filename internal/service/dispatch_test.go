@@ -266,6 +266,18 @@ func TestShardMachineBackoff(t *testing.T) {
 	}
 }
 
+// splitmix draws the splitmix64 stream of seed: its k-th value (k from
+// 0) is rng.Hash64(seed + k·γ), γ the golden-ratio increment Hash64
+// adds itself.
+type splitmix struct{ seed, k uint64 }
+
+// Intn returns the next value of the stream modulo n.
+func (r *splitmix) Intn(n int) int {
+	v := rng.Hash64(r.seed + r.k*0x9E3779B97F4A7C15)
+	r.k++
+	return int(v % uint64(n))
+}
+
 // TestShardMachineProperties drives seeded random machines with
 // random finishes and clock advances and checks the invariants the
 // shell and the fault plane rely on: no shard exceeds MaxAttempts, no
@@ -275,7 +287,7 @@ func TestShardMachineBackoff(t *testing.T) {
 // running.
 func TestShardMachineProperties(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
-		r := rng.New(seed)
+		r := &splitmix{seed: seed}
 		cfg := testMachineConfig(func(c *Config) {
 			c.MaxAttempts = 1 + r.Intn(4)
 			c.StragglerAfter = time.Duration(1+r.Intn(5)) * 100 * time.Millisecond

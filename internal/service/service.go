@@ -311,11 +311,6 @@ const (
 	StateFailed   = "failed"
 )
 
-// terminalState reports whether a job state is final.
-func terminalState(s string) bool {
-	return s == StateDone || s == StateDegraded || s == StateFailed
-}
-
 // Event is one server-sent progress notification of a job. Cell-level
 // events embed the same harness.ProgressEvent the CLI's stderr printer
 // renders, so both surfaces consume one structured source.

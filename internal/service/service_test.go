@@ -42,6 +42,11 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
+// terminalState reports whether a job state is final.
+func terminalState(s string) bool {
+	return s == StateDone || s == StateDegraded || s == StateFailed
+}
+
 // testRequest is the small fast grid the end-to-end tests submit:
 // figure2 × lu × test inputs, 3 cells.
 func testRequest() JobRequest {

@@ -227,38 +227,6 @@ func (c Curve) PhasesAt(targetCoV float64) float64 {
 	return res
 }
 
-// AverageCurves averages several per-processor curves into the
-// "system-wide CoV curve" of the paper: curves are averaged pointwise by
-// threshold index, i.e. the i-th point of every curve is assumed to come
-// from the same threshold setting, and both the phase counts and CoV
-// values are averaged. All curves must have the same length.
-func AverageCurves(curves [][]CurvePoint) []CurvePoint {
-	if len(curves) == 0 {
-		return nil
-	}
-	n := len(curves[0])
-	for _, c := range curves {
-		if len(c) != n {
-			panic("stats: AverageCurves requires equal-length point sets")
-		}
-	}
-	out := make([]CurvePoint, n)
-	for i := 0; i < n; i++ {
-		var ph, cov float64
-		for _, c := range curves {
-			ph += c[i].Phases
-			cov += c[i].CoV
-		}
-		out[i] = CurvePoint{
-			Phases:       ph / float64(len(curves)),
-			CoV:          cov / float64(len(curves)),
-			Threshold:    curves[0][i].Threshold,
-			ThresholdDDS: curves[0][i].ThresholdDDS,
-		}
-	}
-	return out
-}
-
 // tCrit975 holds two-sided 95% Student-t critical values for small
 // degrees of freedom; beyond the table the normal quantile is close
 // enough. Replicate counts are single digits in practice, so the exact
@@ -398,20 +366,6 @@ func GeomSpace(lo, hi float64, n int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= ratio
-	}
-	out[n-1] = hi
-	return out
-}
-
-// LinSpace returns n values spaced linearly from lo to hi inclusive.
-func LinSpace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("stats: LinSpace requires n>=2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
 	}
 	out[n-1] = hi
 	return out

@@ -239,33 +239,6 @@ func TestCurveQueries(t *testing.T) {
 	}
 }
 
-func TestAverageCurves(t *testing.T) {
-	a := []CurvePoint{{Phases: 2, CoV: 0.4, Threshold: 0.1}, {Phases: 4, CoV: 0.2, Threshold: 0.05}}
-	b := []CurvePoint{{Phases: 4, CoV: 0.6, Threshold: 0.1}, {Phases: 8, CoV: 0.4, Threshold: 0.05}}
-	avg := AverageCurves([][]CurvePoint{a, b})
-	if len(avg) != 2 {
-		t.Fatalf("len = %d, want 2", len(avg))
-	}
-	if avg[0].Phases != 3 || !almostEq(avg[0].CoV, 0.5, 1e-12) {
-		t.Errorf("avg[0] = %+v, want {3 0.5}", avg[0])
-	}
-	if avg[1].Phases != 6 || !almostEq(avg[1].CoV, 0.3, 1e-12) {
-		t.Errorf("avg[1] = %+v, want {6 0.3}", avg[1])
-	}
-	if avg[0].Threshold != 0.1 {
-		t.Errorf("threshold not propagated: %v", avg[0].Threshold)
-	}
-}
-
-func TestAverageCurvesMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	AverageCurves([][]CurvePoint{{{}}, {}})
-}
-
 func TestGeomSpace(t *testing.T) {
 	xs := GeomSpace(0.01, 1, 200)
 	if len(xs) != 200 {
@@ -288,20 +261,10 @@ func TestGeomSpace(t *testing.T) {
 	}
 }
 
-func TestLinSpace(t *testing.T) {
-	xs := LinSpace(0, 10, 11)
-	for i, x := range xs {
-		if !almostEq(x, float64(i), 1e-12) {
-			t.Errorf("xs[%d] = %v", i, x)
-		}
-	}
-}
-
 func TestSpacesPanic(t *testing.T) {
 	for _, f := range []func(){
 		func() { GeomSpace(0, 1, 10) },
 		func() { GeomSpace(1, 2, 1) },
-		func() { LinSpace(0, 1, 1) },
 	} {
 		func() {
 			defer func() {

@@ -41,7 +41,6 @@ func randomInterval(rng *rand.Rand, proc, index, bbvLen int) core.IntervalSignat
 	sig := core.IntervalSignature{
 		Proc: proc, Index: index,
 		DDS: randomFloat(rng), RawDDS: randomFloat(rng),
-		PhaseID:      rng.Intn(5) - 1,
 		Instructions: rng.Uint64(), Cycles: rng.Uint64() >> rng.Intn(64),
 		LocalAccesses: uint64(rng.Intn(1000)), RemoteAccesses: math.MaxUint64,
 	}
@@ -64,7 +63,7 @@ func randomInterval(rng *rand.Rand, proc, index, bbvLen int) core.IntervalSignat
 
 // TestWritersMatchEncodingJSON is the writers' property test: for
 // random records over the edge values (float format switches, -0,
-// subnormals, MaxUint64 words, PhaseID -1, ops encoding/json escapes,
+// subnormals, MaxUint64 words, ops encoding/json escapes,
 // nil and empty BBVs) the typed writers write encoding/json's bytes.
 func TestWritersMatchEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -109,6 +109,8 @@ func FuzzReadJSONL(f *testing.F) {
 		`{"proc":0,"index":0,"bbv":null,` + wss + `}`,
 		`{"proc":0,"index":0,` + wss + `,"dds":1e400}`,
 		`{"proc":0,"index":0,` + wss + `,"dds":-0.0,"raw_dds":1E-7,"phase_id":-1}`,
+		`{"proc":0,"index":0,"bbv":[0.25,0.75],` + wss + `,"dds":1.1,"raw_dds":1100000,"phase_id":-1,"instructions":1000,"cycles":2500,"local_accesses":80,"remote_accesses":20}`,
+		`{"proc":0,"index":0,"bbv":[1],` + wss + `,"dds":1,"phase_id":"x","cycles":7}`,
 		` { "index" : 0 , ` + wss + ` , "proc" : 1 , "bbv" : [ 0.5 , 1e21 ] } `,
 		`{"proc":0,"index":1,` + wss + `}`,
 		`{"proc":0,"index":0,` + wss + `,"Index":0}`,

@@ -70,7 +70,6 @@ func RefWriteJSONL(w io.Writer, recs []core.IntervalSignature) error {
 			WSS:          r.WSS[:],
 			DDS:          r.DDS,
 			RawDDS:       r.RawDDS,
-			PhaseID:      r.PhaseID,
 			Instructions: r.Instructions,
 			Cycles:       r.Cycles,
 			Local:        r.LocalAccesses,
@@ -122,7 +121,6 @@ func RefReadJSONL(r io.Reader) ([]core.IntervalSignature, error) {
 			BBV:            jr.BBV,
 			DDS:            jr.DDS,
 			RawDDS:         jr.RawDDS,
-			PhaseID:        jr.PhaseID,
 			Instructions:   jr.Instructions,
 			Cycles:         jr.Cycles,
 			LocalAccesses:  jr.Local,

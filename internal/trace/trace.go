@@ -4,8 +4,8 @@
 // replays) without re-running the machine.
 //
 // Two formats are provided: JSONL (full fidelity — BBV, WSS, DDS —
-// round-trips exactly) and CSV (a lossy per-interval summary for
-// spreadsheets and plotting tools).
+// round-trips exactly) and CSV (a lossy, write-only per-interval summary
+// for spreadsheets and plotting tools; nothing reads it back).
 package trace
 
 import (
@@ -19,7 +19,10 @@ import (
 	"dsmphase/internal/core"
 )
 
-// jsonRecord is the JSONL wire form of an interval signature.
+// jsonRecord is the JSONL wire form of an interval signature. Traces
+// written before the machine stopped classifying also carry a
+// "phase_id" key (always -1 from the binaries); readers accept and
+// discard it.
 type jsonRecord struct {
 	Proc         int       `json:"proc"`
 	Index        int       `json:"index"`
@@ -27,7 +30,6 @@ type jsonRecord struct {
 	WSS          []uint64  `json:"wss"`
 	DDS          float64   `json:"dds"`
 	RawDDS       float64   `json:"raw_dds"`
-	PhaseID      int       `json:"phase_id"`
 	Instructions uint64    `json:"instructions"`
 	Cycles       uint64    `json:"cycles"`
 	Local        uint64    `json:"local_accesses"`
@@ -77,8 +79,6 @@ func appendInterval(b []byte, r *core.IntervalSignature) ([]byte, error) {
 	if err != nil {
 		return b, fmt.Errorf("trace: encoding interval %d/%d: %w", r.Proc, r.Index, err)
 	}
-	b = append(b, `,"phase_id":`...)
-	b = strconv.AppendInt(b, int64(r.PhaseID), 10)
 	b = append(b, `,"instructions":`...)
 	b = strconv.AppendUint(b, r.Instructions, 10)
 	b = append(b, `,"cycles":`...)
@@ -136,7 +136,6 @@ func ReadJSONL(r io.Reader) ([]core.IntervalSignature, error) {
 			BBV:            jr.BBV,
 			DDS:            jr.DDS,
 			RawDDS:         jr.RawDDS,
-			PhaseID:        jr.PhaseID,
 			Instructions:   jr.Instructions,
 			Cycles:         jr.Cycles,
 			LocalAccesses:  jr.Local,
@@ -155,9 +154,10 @@ type intervalScratch struct {
 }
 
 // parse is the fast path for one line: keys are jsonRecord's tags, each
-// at most once, in any order; bbv and wss are number arrays (a null bbv,
-// which encoding/json decodes as a nil slice, is left to it). jr.WSS
-// aliases the scratch, which the next line reuses.
+// at most once, in any order, plus an older trace's integer "phase_id",
+// which is parsed and discarded; bbv and wss are number arrays (a null
+// bbv, which encoding/json decodes as a nil slice, is left to it).
+// jr.WSS aliases the scratch, which the next line reuses.
 func (s *intervalScratch) parse(line []byte, jr *jsonRecord) bool {
 	p := lineParser{b: line}
 	return p.object(func(key []byte) (uint, bool) {
@@ -194,7 +194,7 @@ func (s *intervalScratch) parse(line []byte, jr *jsonRecord) bool {
 			jr.RawDDS, ok = p.float()
 			return 1 << 5, ok
 		case "phase_id":
-			jr.PhaseID, ok = p.int()
+			_, ok = p.int()
 			return 1 << 6, ok
 		case "instructions":
 			jr.Instructions, ok = p.uint(math.MaxUint64)
@@ -216,7 +216,7 @@ func (s *intervalScratch) parse(line []byte, jr *jsonRecord) bool {
 // csvHeader is the CSV column layout.
 var csvHeader = []string{
 	"proc", "index", "instructions", "cycles", "cpi",
-	"dds", "raw_dds", "phase_id", "local_accesses", "remote_accesses",
+	"dds", "raw_dds", "local_accesses", "remote_accesses",
 }
 
 // WriteCSV writes a per-interval summary (no BBV/WSS vectors).
@@ -235,7 +235,6 @@ func WriteCSV(w io.Writer, recs []core.IntervalSignature) error {
 			strconv.FormatFloat(r.CPI(), 'f', 6, 64),
 			strconv.FormatFloat(r.DDS, 'f', 6, 64),
 			strconv.FormatFloat(r.RawDDS, 'g', -1, 64),
-			strconv.Itoa(r.PhaseID),
 			strconv.FormatUint(r.LocalAccesses, 10),
 			strconv.FormatUint(r.RemoteAccesses, 10),
 		}
@@ -245,50 +244,6 @@ func WriteCSV(w io.Writer, recs []core.IntervalSignature) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reads a summary written by WriteCSV. BBV and WSS are empty in
-// the result (CSV is lossy); the numeric fields round-trip.
-func ReadCSV(r io.Reader) ([]core.IntervalSignature, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty csv")
-	}
-	if len(rows[0]) != len(csvHeader) || rows[0][0] != "proc" {
-		return nil, fmt.Errorf("trace: unexpected csv header %v", rows[0])
-	}
-	out := make([]core.IntervalSignature, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		var sig core.IntervalSignature
-		var err error
-		if sig.Proc, err = strconv.Atoi(row[0]); err == nil {
-			if sig.Index, err = strconv.Atoi(row[1]); err == nil {
-				if sig.Instructions, err = strconv.ParseUint(row[2], 10, 64); err == nil {
-					if sig.Cycles, err = strconv.ParseUint(row[3], 10, 64); err == nil {
-						// row[4] is the derived CPI; skip.
-						if sig.DDS, err = strconv.ParseFloat(row[5], 64); err == nil {
-							if sig.RawDDS, err = strconv.ParseFloat(row[6], 64); err == nil {
-								if sig.PhaseID, err = strconv.Atoi(row[7]); err == nil {
-									if sig.LocalAccesses, err = strconv.ParseUint(row[8], 10, 64); err == nil {
-										sig.RemoteAccesses, err = strconv.ParseUint(row[9], 10, 64)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv row %d: %w", i+1, err)
-		}
-		out = append(out, sig)
-	}
-	return out, nil
 }
 
 // SplitByProc regroups a flattened record stream per processor, ordered

@@ -127,67 +127,82 @@ func TestJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTripNumericFields(t *testing.T) {
+func TestCSVNumericFields(t *testing.T) {
 	recs := sample()
+	recs[0].RawDDS, recs[1].RawDDS, recs[2].RawDDS = 1.1e6, 0.5, 3e-7
+	recs[2].Cycles, recs[2].RemoteAccesses = 3001, 0
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d rows", len(got))
-	}
-	for i := range got {
-		if got[i].Proc != recs[i].Proc || got[i].Index != recs[i].Index ||
-			got[i].Instructions != recs[i].Instructions ||
-			got[i].Cycles != recs[i].Cycles ||
-			got[i].LocalAccesses != recs[i].LocalAccesses ||
-			got[i].RemoteAccesses != recs[i].RemoteAccesses {
-			t.Errorf("row %d numeric mismatch: %+v vs %+v", i, got[i], recs[i])
-		}
-		if got[i].DDS != recs[i].DDS {
-			t.Errorf("row %d DDS = %v, want %v", i, got[i].DDS, recs[i].DDS)
-		}
+	want := "proc,index,instructions,cycles,cpi,dds,raw_dds,local_accesses,remote_accesses\n" +
+		"0,0,1000,2500,2.500000,1.100000,1.1e+06,80,20\n" +
+		"0,1,1000,2500,2.500000,1.900000,0.5,80,20\n" +
+		"1,0,1000,3001,3.001000,3.200000,3e-07,80,0\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }
 
-func TestCSVHeaderValidation(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
-		t.Error("wrong header must be rejected")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty csv must error")
-	}
-}
-
-func TestCSVBadNumber(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	bad := strings.Replace(buf.String(), "1000", "oops", 1)
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Error("bad number must error")
-	}
-}
-
+// TestCSVIsLossy checks that the summary carries no vectors: records
+// that differ only in BBV and WSS write the same bytes.
 func TestCSVIsLossy(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sample()); err != nil {
+	recs := sample()
+	var a, b bytes.Buffer
+	if err := WriteCSV(&a, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	for i := range recs {
+		recs[i].BBV = []float64{1, 0}
+		recs[i].WSS.Touch(0x4000)
+	}
+	if err := WriteCSV(&b, recs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("CSV carries BBV or WSS:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
+	}
+}
+
+// TestJSONLReadsOldPhaseID pins compatibility with traces written while
+// the machine still classified: their records carry a "phase_id" key,
+// which ReadJSONL discards. An integer takes the fast path; any other
+// value falls back to encoding/json, which ignores the unknown key. Both
+// read the same signature as the line without the key.
+func TestJSONLReadsOldPhaseID(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, sample()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.TrimSuffix(buf.String(), "\n")
+	want, err := ReadJSONL(strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].BBV != nil {
-		t.Error("CSV must not carry the BBV")
-	}
-	if got[0].WSS.Population() != 0 {
-		t.Error("CSV must not carry the WSS")
+	at := strings.Index(line, `,"instructions":`)
+	for _, tc := range []struct {
+		value string
+		fast  bool
+	}{
+		{"-1", true},
+		{"3", true},
+		{"-1.5", false},
+		{`"x"`, false},
+		{"null", false},
+		{"[1,2]", false},
+	} {
+		old := line[:at] + `,"phase_id":` + tc.value + line[at:]
+		if got := new(intervalScratch).parse([]byte(old), &jsonRecord{}); got != tc.fast {
+			t.Errorf("phase_id %s: fast path took it = %v, want %v", tc.value, got, tc.fast)
+		}
+		got, err := ReadJSONL(strings.NewReader(old + "\n"))
+		if err != nil {
+			t.Errorf("phase_id %s: %v", tc.value, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("phase_id %s: read\n%+v\nwant\n%+v", tc.value, got, want)
+		}
 	}
 }
 

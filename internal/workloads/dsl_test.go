@@ -12,6 +12,18 @@ import (
 	"dsmphase/internal/trace"
 )
 
+// removeDynamic drops a dynamically registered workload, so a test can
+// register a spec under a name another test also uses. The shipped
+// registry is append-only by design.
+func removeDynamic(name string) {
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	if _, ok := defHashes[name]; ok {
+		delete(defHashes, name)
+		delete(registry, name)
+	}
+}
+
 const testSpec = `{
   "name": "dsl-mix",
   "description": "stride/share mix for tests",

@@ -143,17 +143,6 @@ func DefinitionHash(name string) uint64 {
 	return defHashes[name]
 }
 
-// removeDynamic drops a dynamically registered workload. Test-only: the
-// production registry is append-only by design.
-func removeDynamic(name string) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, ok := defHashes[name]; ok {
-		delete(defHashes, name)
-		delete(registry, name)
-	}
-}
-
 // ByName looks a workload up.
 func ByName(name string) (Workload, error) {
 	registryMu.RLock()
